@@ -9,14 +9,14 @@
 //! matched words of positive constraints; ban words that disagree with
 //! the constraint polarity) and repeat up to a refinement limit.
 //!
-//! Refinement iterations and probes solve *uncached* at the result
-//! level (learned lemmas make their formulas context-dependent), but
-//! they still share the solver's compiled-DFA cache: [`CegarSolver`]
-//! clones the [`Solver`], and the clone holds the same `Arc`'d cache of
-//! minimized, canonically numbered automata — so the membership
-//! constraints a refinement re-poses never pay determinization or
-//! Hopcroft again, and language-equal regexes across iterations intern
-//! to one automaton.
+//! Every iteration and probe shares the solver's compiled-DFA cache:
+//! [`CegarSolver`] clones the [`Solver`], and the clone holds the same
+//! `Arc`'d cache of minimized, canonically numbered automata — so the
+//! membership constraints a refinement re-poses never pay
+//! determinization or Hopcroft again, and language-equal regexes across
+//! iterations intern to one automaton. Verdicts are cached only as whole
+//! finished runs ([`CegarCache`]), never per iteration: learned lemmas
+//! make a refined iteration's formula context-dependent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -120,9 +120,7 @@ impl CegarSolver {
         let mut parts = vec![problem.clone()];
         parts.extend(constraints.iter().map(|c| c.formula.clone()));
         let p = Formula::and(parts);
-        self.run(&self.solver, p, constraints, start, |f| {
-            self.solver.solve(f)
-        })
+        self.run(&self.solver, p, constraints, start)
     }
 
     /// The incremental counterpart of [`CegarSolver::solve`]: the
@@ -130,14 +128,13 @@ impl CegarSolver {
     /// only `problem_items` — the flipped clause tie — plus the
     /// constraint models form the per-flip assumption.
     ///
-    /// Iteration 0 solves through the session's pre-keyed assembly
-    /// (reusing the canonical prefix and the shared
-    /// [`strsolve::QueryCache`]); refinement iterations and probes run
-    /// uncached against the assembled original formula, exactly like
-    /// the from-scratch loop. When a [`CegarCache`] is supplied, a
-    /// finished run (verdict, model, refinement count) keyed by the
-    /// *complete* canonical problem plus constraint signatures is
-    /// replayed wholesale for structurally identical re-posings — the
+    /// The session assembles the iteration-0 problem without
+    /// re-canonicalizing the shared prefix; from there the loop runs
+    /// exactly like the from-scratch one. When a [`CegarCache`] is
+    /// supplied, a finished run (verdict, model, refinement count)
+    /// keyed by the *complete* canonical problem plus constraint
+    /// signatures is replayed wholesale for structurally identical
+    /// re-posings — the
     /// dominant cross-trace case, since a child trace re-poses its
     /// parent's prefix flips verbatim. Replay is exact: the solver and
     /// oracle are deterministic, so a fresh loop on an identical
@@ -188,47 +185,31 @@ impl CegarSolver {
             }
         }
 
-        let result = self.run(
-            session.solver(),
-            query.original.clone(),
-            constraints,
-            start,
-            |_| session.solve_assembled(&query),
-        );
+        let reused_frames = query.reused_frames();
+        let mut result = self.run(session.solver(), query.original, constraints, start);
+        result.stats.solver.prefix_reuse_hits += reused_frames;
         if let Some((cache, key, ext)) = keyed {
             cache.store(key, &result, &ext);
         }
         result
     }
 
-    /// The Algorithm 1 loop. Iteration 0 goes through `solve0` (which
-    /// may consult the result cache); every refined iteration and probe
-    /// solves uncached through `solver`.
+    /// The Algorithm 1 loop: every iteration and probe is a plain solve
+    /// through `solver`.
     fn run(
         &self,
         solver: &Solver,
         mut p: Formula,
         constraints: &[CapturingConstraint],
         start: Instant,
-        solve0: impl FnOnce(&Formula) -> (Outcome, SolveStats),
     ) -> CegarResult {
         let mut stats = CegarStats {
             had_captures: had_captures(constraints),
             ..CegarStats::default()
         };
 
-        // The cross-query result cache is only consulted for the
-        // initial, unrefined problem. Once lemmas have been learned the
-        // formula carries query-specific refinements, and caching those
-        // would at best pollute the cache and at worst (under a key
-        // collision) leak a verdict across incomparable lemma sets —
-        // every refined iteration and probe solves uncached.
-        let mut solve0 = Some(solve0);
         loop {
-            let (outcome, solve_stats) = match solve0.take() {
-                Some(initial) => initial(&p),
-                None => solver.solve_uncached(&p),
-            };
+            let (outcome, solve_stats) = solver.solve(&p);
             stats.solver.absorb(&solve_stats);
             let model = match outcome {
                 Outcome::Sat(m) => m,
@@ -302,7 +283,7 @@ impl CegarSolver {
                         .collect(),
                 );
                 let probe = Formula::and(vec![p.clone(), pinned]);
-                let (outcome, solve_stats) = solver.solve_uncached(&probe);
+                let (outcome, solve_stats) = solver.solve(&probe);
                 stats.solver.absorb(&solve_stats);
                 match outcome {
                     Outcome::Sat(m)
@@ -529,8 +510,7 @@ fn constraint_signatures(
 
 /// A shared, thread-safe cache of *whole validated CEGAR runs*.
 ///
-/// Where [`strsolve::QueryCache`] replays single solver verdicts, this
-/// replays the entire Algorithm 1 loop — final validated outcome,
+/// Replays the entire Algorithm 1 loop — final validated outcome,
 /// refinement count and limit flag — keyed by the complete canonical
 /// iteration-0 problem, the constraint signatures, the solver
 /// fingerprint and the refinement limit. Since the solver and the
@@ -570,6 +550,11 @@ impl CegarCache {
     /// The configured entry capacity (`0` = the cache is disabled).
     pub fn capacity(&self) -> usize {
         self.entries.lock().capacity()
+    }
+
+    /// The configured byte budget (`0` = unlimited).
+    pub fn byte_budget(&self) -> usize {
+        self.entries.lock().byte_budget()
     }
 
     /// Runs replayed from the cache.

@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn jobs_share_the_cache_set() {
-        // Two identical jobs: the second should hit models/queries the
+        // Two identical jobs: the second should hit models/verdicts the
         // first one populated.
         let jobs = vec![
             job(
@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(reports[0].coverage, reports[1].coverage);
         let second = &reports[1];
         assert!(
-            second.model_cache_hits > 0 || second.query_cache_hits > 0,
+            second.model_cache_hits > 0 || second.verdict_replays() > 0,
             "second job saw no cross-job cache hits: {second:?}"
         );
     }

@@ -3,10 +3,10 @@
 //! One [`DseCaches`] instance is shared by every flip query of a DSE
 //! run — and, via [`crate::sched::Scheduler`] and
 //! [`crate::batch::BatchOptions`], across all jobs of a session: the model
-//! cache amortizes regex→SMT model construction, the query cache
-//! amortizes whole solver queries (child traces share their path prefix
-//! with the parent, so the prefix flip queries repeat verbatim), and a
-//! [`DseCaches::session`] set additionally shares the solver's DFA
+//! cache amortizes regex→SMT model construction, the verdict cache
+//! replays whole validated CEGAR runs (child traces share their path
+//! prefix with the parent, so the prefix flip queries repeat verbatim),
+//! and a [`DseCaches::session`] set additionally shares the solver's DFA
 //! intern tables so a regex determinized for one job is free for every
 //! other. All three layers are verdict-preserving: a hit returns
 //! exactly what a fresh build/solve would (see
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use expose_core::cache::ModelCache;
 use expose_core::cegar::CegarCache;
-use strsolve::{DfaTables, QueryCache};
+use strsolve::DfaTables;
 
 use crate::engine::EngineConfig;
 
@@ -26,12 +26,10 @@ use crate::engine::EngineConfig;
 pub struct DseCaches {
     /// Regex → built Algorithm 2 model, shared across queries/traces.
     pub model: Arc<ModelCache>,
-    /// Canonicalized formula → solver verdict.
-    pub query: Arc<QueryCache>,
     /// Canonical CEGAR problem → whole validated refinement run,
-    /// consulted by the incremental flip sessions (child traces re-pose
-    /// their parent's prefix flips verbatim, so entire refinement
-    /// chains replay across traces).
+    /// consulted by every flip (child traces re-pose their parent's
+    /// prefix flips verbatim, so entire refinement chains replay across
+    /// traces).
     pub verdicts: Arc<CegarCache>,
     /// Session-scoped DFA intern tables. `None` (the single-run
     /// default) leaves each solver its private tables; a scheduler
@@ -49,11 +47,10 @@ pub type CacheSet = DseCaches;
 impl DseCaches {
     /// Creates a cache set with the given capacities (`0` disables the
     /// respective cache). The DFA tables stay solver-private.
-    pub fn new(model_capacity: usize, query_capacity: usize) -> DseCaches {
+    pub fn new(model_capacity: usize, verdict_capacity: usize) -> DseCaches {
         DseCaches {
             model: Arc::new(ModelCache::new(model_capacity)),
-            query: Arc::new(QueryCache::new(query_capacity)),
-            verdicts: Arc::new(CegarCache::new(query_capacity)),
+            verdicts: Arc::new(CegarCache::new(verdict_capacity)),
             dfa: None,
         }
     }
@@ -62,39 +59,27 @@ impl DseCaches {
     /// tables shared by every run handed this set. `dfa_capacity` is
     /// the per-index capacity of the shared tables (`0` keeps lookups
     /// always-missing, matching a disabled solver-private cache).
-    pub fn session(model_capacity: usize, query_capacity: usize, dfa_capacity: usize) -> DseCaches {
-        DseCaches {
-            model: Arc::new(ModelCache::new(model_capacity)),
-            query: Arc::new(QueryCache::new(query_capacity)),
-            verdicts: Arc::new(CegarCache::new(query_capacity)),
-            dfa: Some(DfaTables::new(dfa_capacity)),
-        }
+    pub fn session(
+        model_capacity: usize,
+        verdict_capacity: usize,
+        dfa_capacity: usize,
+    ) -> DseCaches {
+        DseCaches::session_with_byte_budget(model_capacity, verdict_capacity, dfa_capacity, 0)
     }
 
-    /// A session cache set whose model and solver-verdict layers are
-    /// additionally bounded by approximate byte budgets (`0` =
+    /// A session cache set whose model and verdict caches are each
+    /// additionally bounded by an approximate byte budget (`0` =
     /// unlimited) — used by long-lived `expose-serve` sessions so
     /// resident cached state cannot grow without bound.
-    pub fn session_with_byte_budgets(
+    pub fn session_with_byte_budget(
         model_capacity: usize,
-        query_capacity: usize,
+        verdict_capacity: usize,
         dfa_capacity: usize,
-        model_byte_budget: usize,
-        query_byte_budget: usize,
+        byte_budget: usize,
     ) -> DseCaches {
         DseCaches {
-            model: Arc::new(ModelCache::with_byte_budget(
-                model_capacity,
-                model_byte_budget,
-            )),
-            query: Arc::new(QueryCache::with_byte_budget(
-                query_capacity,
-                query_byte_budget,
-            )),
-            verdicts: Arc::new(CegarCache::with_byte_budget(
-                query_capacity,
-                query_byte_budget,
-            )),
+            model: Arc::new(ModelCache::with_byte_budget(model_capacity, byte_budget)),
+            verdicts: Arc::new(CegarCache::with_byte_budget(verdict_capacity, byte_budget)),
             dfa: Some(DfaTables::new(dfa_capacity)),
         }
     }
@@ -130,7 +115,6 @@ mod tests {
         let caches = DseCaches::new(8, 8);
         let clone = caches.clone();
         assert!(Arc::ptr_eq(&caches.model, &clone.model));
-        assert!(Arc::ptr_eq(&caches.query, &clone.query));
         assert!(Arc::ptr_eq(&caches.verdicts, &clone.verdicts));
     }
 
@@ -148,6 +132,7 @@ mod tests {
     fn disabled_set_is_empty_capacity() {
         let caches = DseCaches::disabled();
         assert!(caches.model.is_empty());
-        assert!(caches.query.is_empty());
+        assert!(caches.verdicts.is_empty());
+        assert_eq!(caches.verdicts.capacity(), 0);
     }
 }

@@ -52,7 +52,9 @@ pub mod value;
 
 pub use batch::{BatchOptions, Job};
 pub use caching::{CacheSet, DseCaches};
-pub use engine::{run_dse, run_dse_observed, run_dse_with_caches, EngineConfig, Report};
+pub use engine::{
+    build_solver, run_dse, run_dse_observed, run_dse_with_caches, EngineConfig, Report,
+};
 pub use explore::{
     explore, explore_observed, explore_with_caches, ExploreBug, ExploreConfig, ExploreReport,
     IterationProgress, StopReason,

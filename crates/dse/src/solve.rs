@@ -40,10 +40,6 @@ pub struct QueryRecord {
     pub model_cache_hits: u64,
     /// Regex models built fresh (cache miss or cache disabled).
     pub model_cache_misses: u64,
-    /// Solver calls answered from the shared query cache.
-    pub query_cache_hits: u64,
-    /// Solver calls that ran the full search.
-    pub query_cache_misses: u64,
     /// Search-tree nodes visited across all solver calls of the query.
     pub solver_nodes: u64,
     /// DFA states built by the solver before minimization.
@@ -74,12 +70,14 @@ pub struct FlipResult {
 }
 
 /// Builds and solves the query for flipping clause `flip_index` of the
-/// trace under the given support level.
+/// trace from scratch, under the given support level.
 ///
-/// Regex models are obtained through `caches.model`; solver queries go
-/// through whatever result cache is attached to `solver` (the engine
-/// attaches `caches.query`). Pass [`DseCaches::disabled`] to measure
-/// the uncached baseline.
+/// This is the reference oracle for [`TraceFlipSession::solve`], the
+/// path the engine runs: it rebuilds the whole conjunction and runs
+/// [`CegarSolver::solve`] without a verdict cache, so tests, examples
+/// and benchmarks can check the session path against it. Regex models
+/// are obtained through `caches.model`; pass [`DseCaches::disabled`]
+/// for a fully uncached solve.
 pub fn solve_flip(
     trace: &Trace,
     flip_index: usize,
@@ -154,8 +152,6 @@ pub fn solve_flip(
             refinements,
             limit_hit,
             sat: inputs.is_some(),
-            query_cache_hits: solver_stats.cache_hits,
-            query_cache_misses: solver_stats.cache_misses,
             solver_nodes: solver_stats.nodes,
             dfa_states_built: solver_stats.dfa_states_built,
             states_after_minimize: solver_stats.states_after_minimize,
@@ -221,9 +217,9 @@ struct FlipPlan {
 ///
 /// [`TraceFlipSession::solve`] takes `&self`, so the flips of one trace
 /// can fan out over worker threads against the shared prefix. Each
-/// flip solves as "frames `0..k` + assumption": iteration 0 routes
-/// through the pre-keyed query cache (same keys as scratch solves), and
-/// whole CEGAR refinement chains replay from the run's
+/// flip solves as "frames `0..k` + assumption" (the same canonical key
+/// a scratch build would produce), and whole CEGAR refinement chains
+/// replay from the run's
 /// [`expose_core::cegar::CegarCache`] when a structurally identical
 /// flip was already solved — the dominant cross-trace case, since child
 /// traces re-pose their parent's prefix flips verbatim.
@@ -431,8 +427,6 @@ impl<'a> TraceFlipSession<'a> {
                 refinements,
                 limit_hit,
                 sat: inputs.is_some(),
-                query_cache_hits: solver_stats.cache_hits,
-                query_cache_misses: solver_stats.cache_misses,
                 solver_nodes: solver_stats.nodes,
                 dfa_states_built: solver_stats.dfa_states_built,
                 states_after_minimize: solver_stats.states_after_minimize,
@@ -809,8 +803,9 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_flip_agree() {
-        // The same flip solved through warm caches and with caches
-        // disabled must produce the same verdict and inputs.
+        // The same flip solved by the engine's session path through
+        // warm caches and by the scratch oracle with caches disabled
+        // must produce the same verdict and inputs.
         let src = r#"function f(x) { let ok = /^go+d$/.test(x); return ok; }"#;
         let program = parse_program(src).expect("parse");
         let trace = execute(
@@ -830,30 +825,27 @@ mod tests {
             &DseCaches::disabled(),
         );
         let caches = DseCaches::new(64, 64);
-        let solver = Solver::default().with_cache(caches.query.clone());
+        let solver = Solver::default();
+        let session_solve = || {
+            TraceFlipSession::build(
+                &trace,
+                k + 1,
+                SupportLevel::Refinement,
+                &solver,
+                20,
+                &BuildConfig::default(),
+                &caches,
+            )
+            .solve(k)
+        };
         // Twice: the second run exercises the hit paths of both caches.
-        let cold = solve_flip(
-            &trace,
-            k,
-            SupportLevel::Refinement,
-            &solver,
-            20,
-            &BuildConfig::default(),
-            &caches,
-        );
-        let warm = solve_flip(
-            &trace,
-            k,
-            SupportLevel::Refinement,
-            &solver,
-            20,
-            &BuildConfig::default(),
-            &caches,
-        );
+        let cold = session_solve();
+        let warm = session_solve();
         assert_eq!(uncached.inputs, cold.inputs);
         assert_eq!(uncached.inputs, warm.inputs);
-        assert_eq!(cold.record.model_cache_hits, 0);
-        assert!(warm.record.model_cache_hits >= 1);
-        assert!(warm.record.query_cache_hits >= 1);
+        assert!(cold.record.model_cache_misses >= 1);
+        assert_eq!(cold.record.verdict_replays, 0);
+        assert_eq!(warm.record.model_cache_misses, 0);
+        assert_eq!(warm.record.verdict_replays, 1);
     }
 }

@@ -155,13 +155,8 @@ fn shared_and_fresh_caches_agree() {
     assert_eq!(cold, reference, "shared caches changed results (cold)");
     assert_eq!(warm, reference, "shared caches changed results (warm)");
 
-    // The warm pass must actually have hit the shared layers. A
-    // repeated CEGAR problem replays from the verdict cache before the
-    // query cache ever sees it, so the two counters are one pool.
-    assert!(
-        caches.query.hits() + caches.verdicts.hits() > 0,
-        "neither the query cache nor the verdict cache ever hit"
-    );
+    // The warm pass must actually have hit the shared layers.
+    assert!(caches.verdicts.hits() > 0, "the verdict cache never hit");
     let tables = caches.dfa.as_ref().expect("session tables");
     assert!(tables.hits() > 0, "DFA tables never hit");
 }

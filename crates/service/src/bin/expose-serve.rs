@@ -109,13 +109,6 @@ fn parse_args() -> Options {
                 options.max_inflight = value("--max-inflight").parse().expect("bound")
             }
             "--listen" => options.listen = Some(value("--listen")),
-            // Hidden alias of `--listen unix:PATH`, kept for one
-            // release.
-            "--socket" => {
-                let path = value("--socket");
-                eprintln!("expose-serve: --socket is deprecated; use --listen unix:{path} instead");
-                options.listen = Some(format!("unix:{path}"));
-            }
             "--max-connections" => {
                 options.max_connections =
                     Some(value("--max-connections").parse().expect("connection cap"))

@@ -640,18 +640,16 @@ pub fn status_line(progress: &Progress, workers: usize, version: ProtoVersion) -
 pub struct CacheCounters {
     /// Regex-model cache hits / misses.
     pub model: (u64, u64),
-    /// Solver query-cache hits / misses.
-    pub query: (u64, u64),
     /// CEGAR verdict-cache replays / misses.
     pub verdicts: (u64, u64),
     /// DFA-table hits / misses.
     pub dfa: (u64, u64),
-    /// Approximate resident bytes of the model / query / verdict
-    /// caches (the byte-budget accounting of long-lived sessions).
-    pub bytes: (u64, u64, u64),
-    /// Entries evicted so far from the model / query / verdict caches
+    /// Approximate resident bytes of the model / verdict caches (the
+    /// byte-budget accounting of long-lived sessions).
+    pub bytes: (u64, u64),
+    /// Entries evicted so far from the model / verdict caches
     /// (capacity- or budget-driven).
-    pub evictions: (u64, u64, u64),
+    pub evictions: (u64, u64),
     /// Counters of the connection's active streaming session, if one is
     /// open when the `stats` request arrives.
     pub session: Option<SessionCounters>,
@@ -738,23 +736,18 @@ fn write_cache_counters(out: &mut String, caches: &CacheCounters) {
     use std::fmt::Write as _;
     let _ = write!(
         out,
-        "\"model_cache\":[{},{}],\"query_cache\":[{},{}],\
-         \"verdict_cache\":[{},{}],\"dfa_tables\":[{},{}],\
-         \"cache_bytes\":[{},{},{}],\"cache_evictions\":[{},{},{}]",
+        "\"model_cache\":[{},{}],\"verdict_cache\":[{},{}],\"dfa_tables\":[{},{}],\
+         \"cache_bytes\":[{},{}],\"cache_evictions\":[{},{}]",
         caches.model.0,
         caches.model.1,
-        caches.query.0,
-        caches.query.1,
         caches.verdicts.0,
         caches.verdicts.1,
         caches.dfa.0,
         caches.dfa.1,
         caches.bytes.0,
         caches.bytes.1,
-        caches.bytes.2,
         caches.evictions.0,
         caches.evictions.1,
-        caches.evictions.2,
     );
 }
 

@@ -14,7 +14,7 @@
 //! `solve`/`close_session`) are handled on the reader thread: each
 //! connection holds at most one live [`TraceFlipSession`] whose
 //! assumption stack grows clause by clause, sharing the connection's
-//! warm [`CacheSet`] (model/query/DFA/CEGAR layers) with batch jobs, so
+//! warm [`CacheSet`] (model/verdict/DFA layers) with batch jobs, so
 //! a flip solved for a submitted program warms the streamed session and
 //! vice versa. `solved` responses are synchronous and ordered with the
 //! requests, which keeps them deterministic for any worker count.
@@ -26,10 +26,9 @@ use std::time::Instant;
 use expose_dse::sched::{LatencyHistogram, Scheduler, SchedulerConfig};
 use expose_dse::sym::RegexEvent;
 use expose_dse::{
-    explore_observed, parser::parse_program, CacheSet, EngineConfig, ExploreConfig, Harness, Job,
-    TraceFlipSession,
+    build_solver, explore_observed, parser::parse_program, CacheSet, EngineConfig, ExploreConfig,
+    Harness, Job, TraceFlipSession,
 };
-use strsolve::Solver;
 
 use crate::proto::{
     self, CacheCounters, ErrorCode, ExploreRequest, HarnessKind, LifetimeCounters, ProtoVersion,
@@ -46,20 +45,13 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// In-flight bound for backpressure (`0` = unbounded).
     pub max_inflight: usize,
-    /// Regex-model cache capacity of a fresh session cache set.
-    pub model_cache_capacity: usize,
-    /// Solver query-cache capacity of a fresh session cache set.
-    pub query_cache_capacity: usize,
-    /// DFA intern-table capacity of a fresh session cache set.
-    pub dfa_table_capacity: usize,
-    /// Approximate byte budget for resident regex models (`0` =
-    /// unlimited). Entry counts alone do not bound memory — a few
-    /// hundred quantifier-expanded models can dwarf thousands of small
-    /// ones — so long-lived sessions get a byte ceiling too.
-    pub model_cache_byte_budget: usize,
-    /// Approximate byte budget for cached solver/CEGAR verdicts (`0` =
-    /// unlimited).
-    pub query_cache_byte_budget: usize,
+    /// Approximate byte budget of each cache in a fresh session cache
+    /// set — resident regex models and cached CEGAR verdicts are
+    /// bounded separately (`0` = unlimited). Entry counts alone do not
+    /// bound memory — a few hundred quantifier-expanded models can
+    /// dwarf thousands of small ones — so long-lived sessions get a
+    /// byte ceiling too. Entry capacities come from `engine`.
+    pub cache_byte_budget: usize,
     /// Maximum assumption-stack depth of a protocol-v2 streaming
     /// session; a `push` beyond it is rejected with `depth_limit`.
     /// Every retained frame (and its retraction snapshot) stays
@@ -87,17 +79,12 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
-        let engine = EngineConfig::default();
         ServiceConfig {
             workers: 0,
             max_inflight: 256,
-            model_cache_capacity: engine.model_cache_capacity,
-            query_cache_capacity: engine.query_cache_capacity,
-            dfa_table_capacity: engine.solver.dfa_cache_capacity,
-            // 64 MiB each: far above any workload in the bench suite,
-            // but a hard ceiling for sessions that run for days.
-            model_cache_byte_budget: 64 << 20,
-            query_cache_byte_budget: 64 << 20,
+            // 64 MiB per cache: far above any workload in the bench
+            // suite, but a hard ceiling for sessions that run for days.
+            cache_byte_budget: 64 << 20,
             // A trace this deep is far beyond any engine workload; the
             // bound exists to cap per-connection memory, not to be hit.
             max_session_depth: 4096,
@@ -106,7 +93,7 @@ impl Default for ServiceConfig {
             max_line_bytes: 4 << 20,
             max_connections: 64,
             load_shed: false,
-            engine,
+            engine: EngineConfig::default(),
         }
     }
 }
@@ -124,11 +111,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets both session cache byte budgets (model and query/verdict)
-    /// to `bytes` — the single `--cache-bytes` knob.
+    /// Sets the per-cache byte budget (model and verdict caches each)
+    /// to `bytes` — the `--cache-bytes` knob.
     pub fn cache_bytes(mut self, bytes: usize) -> ServiceConfig {
-        self.model_cache_byte_budget = bytes;
-        self.query_cache_byte_budget = bytes;
+        self.cache_byte_budget = bytes;
         self
     }
 
@@ -156,14 +142,14 @@ impl ServiceConfig {
         self
     }
 
-    /// A fresh session cache set sized from this configuration.
+    /// A fresh session cache set: entry capacities from the engine
+    /// defaults, each cache bounded by `cache_byte_budget`.
     pub fn cache_set(&self) -> CacheSet {
-        CacheSet::session_with_byte_budgets(
-            self.model_cache_capacity,
-            self.query_cache_capacity,
-            self.dfa_table_capacity,
-            self.model_cache_byte_budget,
-            self.query_cache_byte_budget,
+        CacheSet::session_with_byte_budget(
+            self.engine.model_cache_capacity,
+            self.engine.query_cache_capacity,
+            self.engine.solver.dfa_cache_capacity,
+            self.cache_byte_budget,
         )
     }
 
@@ -175,8 +161,7 @@ impl ServiceConfig {
             "{{\"workers\":{},\"max_inflight\":{},\"max_connections\":{},\
              \"max_line_bytes\":{},\"load_shed\":{},\"max_session_depth\":{},\
              \"model_cache_capacity\":{},\"query_cache_capacity\":{},\
-             \"dfa_table_capacity\":{},\"model_cache_byte_budget\":{},\
-             \"query_cache_byte_budget\":{},\"max_executions\":{},\
+             \"dfa_table_capacity\":{},\"cache_byte_budget\":{},\"max_executions\":{},\
              \"max_steps\":{},\"max_flips\":{},\"flip_workers\":{},\"seed\":{}}}",
             self.workers,
             self.max_inflight,
@@ -184,11 +169,10 @@ impl ServiceConfig {
             self.max_line_bytes,
             self.load_shed,
             self.max_session_depth,
-            self.model_cache_capacity,
-            self.query_cache_capacity,
-            self.dfa_table_capacity,
-            self.model_cache_byte_budget,
-            self.query_cache_byte_budget,
+            self.engine.model_cache_capacity,
+            self.engine.query_cache_capacity,
+            self.engine.solver.dfa_cache_capacity,
+            self.cache_byte_budget,
             self.engine.max_executions,
             self.engine.max_steps,
             self.engine.max_flips_per_trace,
@@ -371,17 +355,7 @@ impl ServeOptions {
         // cache set the scheduler's shards use (a clone shares every
         // layer), so batch jobs and streamed sessions warm each other.
         let stream_caches = caches.clone();
-        let stream_solver = {
-            let mut solver = if stream_caches.query.capacity() > 0 {
-                Solver::new(config.engine.solver.clone()).with_cache(stream_caches.query.clone())
-            } else {
-                Solver::new(config.engine.solver.clone())
-            };
-            if let Some(tables) = &stream_caches.dfa {
-                solver = solver.with_dfa_tables(tables);
-            }
-            solver
-        };
+        let stream_solver = build_solver(&config.engine, &stream_caches);
         let scheduler = Scheduler::start(
             SchedulerConfig {
                 workers: config.workers,
@@ -457,22 +431,13 @@ impl ServeOptions {
                 let caches = scheduler.caches();
                 CacheCounters {
                     model: (caches.model.stats().hits, caches.model.stats().misses),
-                    query: (caches.query.hits(), caches.query.misses()),
                     verdicts: (caches.verdicts.hits(), caches.verdicts.misses()),
                     dfa: dfa_tables
                         .as_ref()
                         .map(|t| (t.hits(), t.misses()))
                         .unwrap_or_default(),
-                    bytes: (
-                        caches.model.bytes() as u64,
-                        caches.query.bytes() as u64,
-                        caches.verdicts.bytes() as u64,
-                    ),
-                    evictions: (
-                        caches.model.evictions(),
-                        caches.query.evictions(),
-                        caches.verdicts.evictions(),
-                    ),
+                    bytes: (caches.model.bytes() as u64, caches.verdicts.bytes() as u64),
+                    evictions: (caches.model.evictions(), caches.verdicts.evictions()),
                     session: active.as_ref().map(|stream| {
                         let stats = stream.flips.session_stats();
                         SessionCounters {
@@ -877,16 +842,14 @@ impl ServeOptions {
                 job_latency.max_ms(),
             );
             eprintln!(
-                "metrics: solve count={} p50_ms={:.3} p99_ms={:.3} cache_bytes=[{},{},{}] \
-                 cache_evictions=[{},{},{}]",
+                "metrics: solve count={} p50_ms={:.3} p99_ms={:.3} cache_bytes=[{},{}] \
+                 cache_evictions=[{},{}]",
                 solve.count,
                 solve.p50_ms(),
                 solve.p99_ms(),
                 caches.model.bytes(),
-                caches.query.bytes(),
                 caches.verdicts.bytes(),
                 caches.model.evictions(),
-                caches.query.evictions(),
                 caches.verdicts.evictions(),
             );
         }
@@ -1028,18 +991,19 @@ mod tests {
 
     #[test]
     fn cache_set_carries_byte_budgets() {
-        let config = ServiceConfig {
-            model_cache_byte_budget: 1024,
-            query_cache_byte_budget: 2048,
-            ..ServiceConfig::default()
-        };
+        let config = ServiceConfig::default().cache_bytes(2048);
         let caches = config.cache_set();
-        assert_eq!(caches.model.byte_budget(), 1024);
-        assert_eq!(caches.query.byte_budget(), 2048);
+        assert_eq!(caches.model.byte_budget(), 2048);
+        assert_eq!(caches.verdicts.byte_budget(), 2048);
+        // Entry capacities follow the engine configuration.
+        assert_eq!(
+            caches.verdicts.capacity(),
+            config.engine.query_cache_capacity
+        );
         // The defaults are bounded, not unlimited.
         let defaults = ServiceConfig::default().cache_set();
         assert!(defaults.model.byte_budget() > 0);
-        assert!(defaults.query.byte_budget() > 0);
+        assert!(defaults.verdicts.byte_budget() > 0);
     }
 
     #[test]

@@ -1,36 +1,21 @@
-//! Cross-query solver result caching.
+//! Building blocks for cross-query caches.
 //!
 //! DSE traces re-encounter near-identical path conditions thousands of
 //! times: a child trace shares its path prefix with the parent, so the
 //! flip queries along that prefix are *exactly* the queries the parent
 //! already solved — up to variable numbering, which differs because
-//! every [`crate::solver::Solver::solve`] call works against a fresh
-//! [`crate::VarPool`]. [`QueryCache`] closes that gap by keying results on a
-//! *canonicalized* formula (variables renumbered in first-occurrence
-//! order) plus a [`SolverConfig`] fingerprint, and storing verdicts with
-//! models in canonical variable space so a hit can be rehydrated into
-//! any pool's numbering.
-//!
-//! Caching is sound here because the solver is deterministic: for a
-//! given formula and limits it always returns the same verdict and the
-//! same model, so a hit returns exactly what a fresh solve would. The
-//! one place that must *not* consult the cache is the CEGAR refinement
-//! loop after lemmas have been learned — see
-//! `expose_core::cegar::CegarSolver`, which solves refined problems
-//! through [`crate::solver::Solver::solve_uncached`].
+//! every query is built against a fresh [`crate::VarPool`]. The
+//! [`canonical_query`] normal form (variables renumbered in
+//! first-occurrence order) closes that gap, and [`Lru`] bounds the
+//! resident entries. The caches built from them live upstream:
+//! `expose_core::cache::ModelCache` (regex models) and
+//! `expose_core::cegar::CegarCache` (whole validated CEGAR runs, keyed
+//! by the canonical problem plus a [`crate::SolverConfig`] fingerprint).
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use parking_lot::Mutex;
-
-use crate::config::SolverConfig;
 use crate::formula::{Atom, Formula};
-use crate::model::Model;
-use crate::solver::Outcome;
-use crate::stats::SolveStats;
 use crate::vars::{BoolVar, StrVar, Term};
 
 /// A capacity- and byte-bounded map with least-recently-used eviction.
@@ -332,224 +317,10 @@ pub fn canonical_query(formula: &Formula) -> CanonicalQuery {
     CanonicalQuery { formula, canon }
 }
 
-/// A verdict stored in canonical variable space.
-#[derive(Debug, Clone)]
-enum CachedVerdict {
-    /// Satisfiable; assignments keyed by canonical variable index.
-    Sat {
-        strs: Vec<(u32, String)>,
-        bools: Vec<(u32, bool)>,
-    },
-    Unsat,
-    Unknown,
-}
-
-/// A shared, thread-safe, capacity-bounded solver result cache.
-///
-/// Hand one instance (behind an `Arc`) to every [`crate::Solver`] whose
-/// queries should share verdicts — across clause flips, traces, and
-/// batch jobs. See the module docs for the soundness argument.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use strsolve::{cache::QueryCache, Formula, Solver, VarPool};
-///
-/// let cache = Arc::new(QueryCache::new(128));
-/// let solver = Solver::default().with_cache(cache.clone());
-/// let mut pool = VarPool::new();
-/// let v = pool.fresh_str("v");
-/// let formula = Formula::eq_lit(v, "hello");
-/// let (first, _) = solver.solve(&formula);
-/// let (second, _) = solver.solve(&formula);
-/// assert_eq!(first, second);
-/// assert_eq!(cache.hits(), 1);
-/// assert_eq!(cache.misses(), 1);
-/// ```
-#[derive(Debug)]
-pub struct QueryCache {
-    entries: Mutex<Lru<(Formula, u64), CachedVerdict>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl QueryCache {
-    /// Creates a cache holding at most `capacity` verdicts
-    /// (`0` disables caching).
-    pub fn new(capacity: usize) -> QueryCache {
-        QueryCache::with_byte_budget(capacity, 0)
-    }
-
-    /// Creates a cache bounded by entry count *and* (when nonzero) an
-    /// approximate byte budget over key formulas and stored models.
-    pub fn with_byte_budget(capacity: usize, byte_budget: usize) -> QueryCache {
-        QueryCache {
-            entries: Mutex::new(Lru::with_byte_budget(capacity, byte_budget)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured capacity (`0` = disabled).
-    pub fn capacity(&self) -> usize {
-        self.entries.lock().capacity()
-    }
-
-    /// The configured byte budget (`0` = unlimited).
-    pub fn byte_budget(&self) -> usize {
-        self.entries.lock().byte_budget()
-    }
-
-    /// Approximate bytes held by resident entries.
-    pub fn bytes(&self) -> usize {
-        self.entries.lock().bytes()
-    }
-
-    /// Entries evicted so far.
-    pub fn evictions(&self) -> u64 {
-        self.entries.lock().evictions()
-    }
-
-    /// Total lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Total lookups that fell through to the solver.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Hit rate in `[0, 1]` (`0` when no lookup happened yet).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits() as f64;
-        let total = hits + self.misses() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
-    }
-
-    /// Resident entry count.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-
-    /// Answers `formula` from the cache, or runs `solve` and stores the
-    /// verdict. The returned stats carry `cache_hits`/`cache_misses` so
-    /// callers can aggregate hit rates per query.
-    pub(crate) fn solve_through(
-        &self,
-        formula: &Formula,
-        config: &SolverConfig,
-        solve: impl FnOnce(&Formula) -> (Outcome, SolveStats),
-    ) -> (Outcome, SolveStats) {
-        let query = canonical_query(formula);
-        self.solve_through_canonical(&query, formula, config, solve)
-    }
-
-    /// The pre-keyed variant of [`QueryCache::solve_through`]: the
-    /// caller already canonicalized the conjunction (e.g. a
-    /// [`crate::session::SolveSession`] reusing a frame prefix), so the
-    /// renumbering pass is not repeated. `original` is the formula in
-    /// the caller's variable space, handed to `solve` on a miss;
-    /// `query` MUST be its canonicalization (exactly what
-    /// [`canonical_query`] would return) or hits would rehydrate into
-    /// the wrong variables.
-    pub(crate) fn solve_through_canonical(
-        &self,
-        query: &CanonicalQuery,
-        original: &Formula,
-        config: &SolverConfig,
-        solve: impl FnOnce(&Formula) -> (Outcome, SolveStats),
-    ) -> (Outcome, SolveStats) {
-        let started = Instant::now();
-        let key = (query.formula.clone(), config.fingerprint());
-        let cached = self.entries.lock().get(&key).cloned();
-        if let Some(verdict) = cached {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let outcome = match verdict {
-                CachedVerdict::Sat { strs, bools } => {
-                    let mut model = Model::new();
-                    for (canon, value) in strs {
-                        model.set_str(query.str_vars()[canon as usize], value);
-                    }
-                    for (canon, value) in bools {
-                        model.set_bool(query.bool_vars()[canon as usize], value);
-                    }
-                    Outcome::Sat(model)
-                }
-                CachedVerdict::Unsat => Outcome::Unsat,
-                CachedVerdict::Unknown => Outcome::Unknown,
-            };
-            let stats = SolveStats {
-                duration: started.elapsed(),
-                cache_hits: 1,
-                ..SolveStats::default()
-            };
-            return (outcome, stats);
-        }
-
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (outcome, mut stats) = solve(original);
-        stats.cache_misses += 1;
-        let verdict = match &outcome {
-            Outcome::Sat(model) => {
-                // Store the model in canonical space. Every assigned
-                // variable appears in the formula (the solver only sees
-                // the formula), so the reverse maps are total.
-                let strs: Vec<(u32, String)> = query
-                    .str_vars()
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| model.get_str(*v).map(|s| (i as u32, s.to_string())))
-                    .collect();
-                // Only what the solver assigned — storing `get_bool`'s
-                // `false` default for untouched variables would make a
-                // rehydrated model differ from a fresh solve's.
-                let bools: Vec<(u32, bool)> = query
-                    .bool_vars()
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| model.try_get_bool(*v).map(|b| (i as u32, b)))
-                    .collect();
-                CachedVerdict::Sat { strs, bools }
-            }
-            Outcome::Unsat => CachedVerdict::Unsat,
-            Outcome::Unknown => CachedVerdict::Unknown,
-        };
-        let weight = key.0.approx_bytes() + verdict_bytes(&verdict);
-        self.entries.lock().insert_weighted(key, verdict, weight);
-        (outcome, stats)
-    }
-}
-
-/// Approximate resident bytes of a stored verdict.
-fn verdict_bytes(verdict: &CachedVerdict) -> usize {
-    match verdict {
-        CachedVerdict::Sat { strs, bools } => {
-            strs.iter()
-                .map(|(_, s)| std::mem::size_of::<(u32, String)>() + s.len())
-                .sum::<usize>()
-                + bools.len() * std::mem::size_of::<(u32, bool)>()
-        }
-        CachedVerdict::Unsat | CachedVerdict::Unknown => std::mem::size_of::<CachedVerdict>(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::Solver;
     use crate::vars::VarPool;
-    use std::sync::Arc;
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -625,43 +396,5 @@ mod tests {
         assert_eq!(assembled, one_shot.formula);
         assert_eq!(reseeded.str_vars(), one_shot.str_vars());
         assert_eq!(reseeded.bool_vars(), one_shot.bool_vars());
-    }
-
-    #[test]
-    fn hit_across_distinct_pools() {
-        // The same structural query from two different pools (different
-        // raw indices) must share one cache entry, and the hit's model
-        // must be expressed in the asking pool's variables.
-        let cache = Arc::new(QueryCache::new(16));
-        let solver = Solver::default().with_cache(cache.clone());
-
-        let mut pool_a = VarPool::new();
-        let a = pool_a.fresh_str("a");
-        let (first, stats_a) = solver.solve(&Formula::eq_lit(a, "x"));
-        assert_eq!(stats_a.cache_misses, 1);
-
-        let mut pool_b = VarPool::new();
-        let _padding = pool_b.fresh_str("pad");
-        let b = pool_b.fresh_str("b");
-        let (second, stats_b) = solver.solve(&Formula::eq_lit(b, "x"));
-        assert_eq!(stats_b.cache_hits, 1);
-
-        assert_eq!(first.model().unwrap().get_str(a), Some("x"));
-        assert_eq!(second.model().unwrap().get_str(b), Some("x"));
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn different_limits_do_not_share_verdicts() {
-        let cache = Arc::new(QueryCache::new(16));
-        let fast = Solver::new(SolverConfig::fast()).with_cache(cache.clone());
-        let thorough = Solver::new(SolverConfig::thorough()).with_cache(cache.clone());
-        let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
-        let f = Formula::eq_lit(v, "x");
-        fast.solve(&f);
-        thorough.solve(&f);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
     }
 }

@@ -41,17 +41,6 @@ pub struct SolverConfig {
     /// budget-bound `Unknown` to a definite `Unsat` — so it *is* part
     /// of [`SolverConfig::fingerprint`].
     pub length_abstraction: bool,
-    /// Allow the DSE layer to solve the flips of a trace as one
-    /// [`crate::session::SolveSession`]: the shared path-constraint
-    /// prefix is canonicalized once per trace, and validated verdicts
-    /// (including CEGAR lemma chains) learned for one sibling flip may
-    /// be replayed for structurally identical re-posings. Every reused
-    /// artifact is an exact replay of what a fresh solve would produce,
-    /// but verdicts recorded under sessions key differently (the
-    /// session conjunct layout is part of the contract), so the flag
-    /// *is* part of [`SolverConfig::fingerprint`] — cached verdicts
-    /// never cross modes.
-    pub incremental: bool,
 }
 
 impl Default for SolverConfig {
@@ -64,7 +53,6 @@ impl Default for SolverConfig {
             dfa_cache_capacity: 512,
             minimize_threshold: 8,
             length_abstraction: true,
-            incremental: true,
         }
     }
 }
@@ -86,7 +74,6 @@ impl SolverConfig {
             dfa_cache_capacity: _,
             minimize_threshold: _,
             length_abstraction,
-            incremental,
         } = self;
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         (
@@ -95,7 +82,6 @@ impl SolverConfig {
             max_nodes,
             max_bool_branches,
             length_abstraction,
-            incremental,
         )
             .hash(&mut hasher);
         hasher.finish()
@@ -138,16 +124,6 @@ mod tests {
             SolverConfig::default().fingerprint(),
             SolverConfig::fast().fingerprint()
         );
-    }
-
-    #[test]
-    fn fingerprint_separates_incremental_mode() {
-        let on = SolverConfig::default();
-        let off = SolverConfig {
-            incremental: false,
-            ..SolverConfig::default()
-        };
-        assert_ne!(on.fingerprint(), off.fingerprint());
     }
 
     #[test]

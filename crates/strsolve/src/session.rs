@@ -10,11 +10,9 @@
 //! skipping the repeated renumbering pass and producing a
 //! [`CanonicalQuery`] that is **byte-identical** to what a from-scratch
 //! [`crate::cache::canonical_query`] over the whole conjunction would
-//! return. Identical keys mean the session shares the
-//! [`crate::cache::QueryCache`] with scratch solves and with sibling
-//! sessions — a
-//! child trace re-posing its parent's prefix flips hits the same
-//! entries either way.
+//! return. Identical keys mean a verdict cached for one posing (see
+//! `expose_core::cegar::CegarCache`) replays for every other — a child
+//! trace re-posing its parent's prefix flips hits the same entries.
 //!
 //! # Retraction rules
 //!
@@ -97,7 +95,7 @@ const ROOT: Frame = Frame {
 
 /// One flip query assembled against a session prefix: the conjunction
 /// in the caller's variable space plus its canonicalization, ready for
-/// a pre-keyed cache lookup.
+/// a verdict-cache lookup.
 #[derive(Debug, Clone)]
 pub struct SessionQuery {
     /// The assembled conjunction in the caller's variable space —
@@ -123,9 +121,9 @@ impl SessionQuery {
 /// Build the stack with [`SolveSession::push`] (one frame per taken
 /// trace clause), then solve each flip with [`SolveSession::solve_at`]:
 /// the query at depth `d` is the conjunction of frames `0..d` plus the
-/// flip's assumption formulas. Assembly reuses the canonical prefix;
-/// solving routes through the solver's [`crate::QueryCache`] (when
-/// attached) under the same key a from-scratch solve would use. See the
+/// flip's assumption formulas. Assembly reuses the canonical prefix
+/// and yields the same canonical key a from-scratch query would; solving
+/// is a plain [`Solver::solve`] of the assembled conjunction. See the
 /// module docs for the retraction rules.
 ///
 /// Solving takes `&self`, so once the stack is built the session can be
@@ -184,8 +182,8 @@ impl SolveSession {
         }
     }
 
-    /// The underlying solver (for refinement solves that must bypass
-    /// the result cache).
+    /// The underlying solver (CEGAR refinement iterations solve through
+    /// it).
     pub fn solver(&self) -> &Solver {
         &self.solver
     }
@@ -320,20 +318,11 @@ impl SolveSession {
         }
     }
 
-    /// Solves an assembled query: a pre-keyed [`crate::QueryCache`]
-    /// lookup when the solver carries a cache, a plain uncached solve
-    /// otherwise. The returned stats count the reused prefix frames as
-    /// [`SolveStats::prefix_reuse_hits`].
+    /// Solves an assembled query: a plain [`Solver::solve`] of its
+    /// conjunction. The returned stats count the reused prefix frames
+    /// as [`SolveStats::prefix_reuse_hits`].
     pub fn solve_assembled(&self, query: &SessionQuery) -> (Outcome, SolveStats) {
-        let (outcome, mut stats) = match self.solver.cache() {
-            Some(cache) => cache.solve_through_canonical(
-                &query.canonical,
-                &query.original,
-                self.solver.config(),
-                |f| self.solver.solve_uncached(f),
-            ),
-            None => self.solver.solve_uncached(&query.original),
-        };
+        let (outcome, mut stats) = self.solver.solve(&query.original);
         stats.prefix_reuse_hits += query.reused_frames;
         (outcome, stats)
     }
@@ -349,11 +338,9 @@ impl SolveSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::QueryCache;
     use crate::config::SolverConfig;
     use crate::vars::{Term, VarPool};
     use automata::{CRegex, CharSet};
-    use std::sync::Arc;
 
     /// A small structured corpus: prefix frames + assumptions built
     /// from one pool, exercising concat equations, regex membership
@@ -417,30 +404,6 @@ mod tests {
                 assert_eq!(q.canonical.bool_vars(), scratch_canon.bool_vars());
             }
         }
-    }
-
-    #[test]
-    fn session_and_scratch_share_cache_entries() {
-        // A scratch solve primes the cache; the session's pre-keyed
-        // lookup must hit the very same entry (identical canonical
-        // keys), and vice versa.
-        let (frames, assumptions) = corpus();
-        let cache = Arc::new(QueryCache::new(64));
-        let solver = Solver::default().with_cache(cache.clone());
-        let mut session = SolveSession::new(solver.clone());
-        for frame in &frames {
-            session.push(frame.clone());
-        }
-
-        let scratch = scratch_conjunction(&frames, 3, &assumptions[0]);
-        let (scratch_outcome, _) = solver.solve(&scratch);
-        let misses_after_prime = cache.misses();
-
-        let (session_outcome, stats) = session.solve_at(3, &assumptions[0]);
-        assert_eq!(cache.misses(), misses_after_prime, "session must hit");
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.prefix_reuse_hits, 3);
-        assert_eq!(session_outcome, scratch_outcome);
     }
 
     #[test]

@@ -94,7 +94,6 @@ impl Outcome {
 #[derive(Debug, Clone)]
 pub struct Solver {
     config: SolverConfig,
-    cache: Option<Arc<crate::cache::QueryCache>>,
     dfas: Arc<DfaCache>,
 }
 
@@ -108,25 +107,7 @@ impl Solver {
     /// Creates a solver with the given limits.
     pub fn new(config: SolverConfig) -> Solver {
         let dfas = Arc::new(DfaCache::new(config.dfa_cache_capacity));
-        Solver {
-            config,
-            cache: None,
-            dfas,
-        }
-    }
-
-    /// Attaches a shared cross-query result cache: [`Solver::solve`]
-    /// answers structurally repeated queries from it. See
-    /// [`crate::cache`] for when this is sound (always, except inside
-    /// lemma-learning loops, which must use [`Solver::solve_uncached`]).
-    pub fn with_cache(mut self, cache: Arc<crate::cache::QueryCache>) -> Solver {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The attached result cache, if any.
-    pub fn cache(&self) -> Option<&Arc<crate::cache::QueryCache>> {
-        self.cache.as_ref()
+        Solver { config, dfas }
     }
 
     /// Replaces the solver-private DFA cache with session-scoped
@@ -146,20 +127,10 @@ impl Solver {
     }
 
     /// Decides a formula, returning the verdict and query statistics.
-    /// Consults the attached result cache, when one is present.
+    /// The compiled-DFA cache is consulted throughout: a DFA is a pure
+    /// function of regex and alphabet, so reuse can never change a
+    /// verdict.
     pub fn solve(&self, formula: &Formula) -> (Outcome, SolveStats) {
-        match &self.cache {
-            Some(cache) => cache.solve_through(formula, &self.config, |f| self.solve_uncached(f)),
-            None => self.solve_uncached(formula),
-        }
-    }
-
-    /// Decides a formula without touching the result cache — the
-    /// correctness escape hatch for refinement loops whose learned
-    /// lemmas make formulas context-dependent. (The compiled-DFA cache
-    /// stays active: a DFA is a pure function of regex and alphabet,
-    /// so reuse can never change a verdict.)
-    pub fn solve_uncached(&self, formula: &Formula) -> (Outcome, SolveStats) {
         let start = Instant::now();
         let mut search = Search {
             config: &self.config,

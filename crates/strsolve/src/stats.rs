@@ -31,10 +31,6 @@ pub struct SolveStats {
     /// products) served from resident entries — shared-table reuse
     /// when the solver holds session [`crate::DfaTables`].
     pub dfa_cache_hits: u64,
-    /// Queries answered from the cross-query result cache.
-    pub cache_hits: u64,
-    /// Queries that missed the result cache (or ran uncached).
-    pub cache_misses: u64,
     /// Assumption-stack frames whose canonical form was reused from a
     /// [`crate::session::SolveSession`] when assembling this query —
     /// prefix work the query did *not* repeat.
@@ -55,8 +51,6 @@ impl SolveStats {
         self.states_after_minimize += other.states_after_minimize;
         self.length_prunes += other.length_prunes;
         self.dfa_cache_hits += other.dfa_cache_hits;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.prefix_reuse_hits += other.prefix_reuse_hits;
     }
 }
@@ -75,15 +69,15 @@ mod tests {
         let b = SolveStats {
             nodes: 7,
             truncated: true,
-            cache_hits: 2,
-            cache_misses: 1,
+            dfa_cache_hits: 2,
+            prefix_reuse_hits: 1,
             ..SolveStats::default()
         };
         a.absorb(&b);
         assert_eq!(a.nodes, 17);
         assert!(a.truncated);
         assert_eq!(a.candidates, 5);
-        assert_eq!(a.cache_hits, 2);
-        assert_eq!(a.cache_misses, 1);
+        assert_eq!(a.dfa_cache_hits, 2);
+        assert_eq!(a.prefix_reuse_hits, 1);
     }
 }

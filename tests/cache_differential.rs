@@ -1,103 +1,50 @@
-//! Differential tests for the cross-query caches and the parallel flip
-//! solver: hits and misses must be observationally identical — same
-//! `Sat`/`Unsat`/`Unknown` verdicts, same models — and a DSE report
-//! must not depend on the flip worker count.
+//! Differential tests for the cross-query caches (regex models and
+//! CEGAR verdicts) and the parallel flip solver: hits and misses must be
+//! observationally identical — same `Sat`/`Unsat`/`Unknown` verdicts,
+//! same models — and a DSE report must not depend on the flip worker
+//! count.
 
-use std::sync::Arc;
-
-use expose::core::{build_match_model, BuildConfig, ModelCache, SupportLevel};
+use expose::core::{
+    build_match_model, BuildConfig, CegarCache, CegarSolver, ModelCache, SupportLevel,
+};
 use expose::dse::{parser::parse_program, run_dse, DseCaches, EngineConfig, Harness, Report};
-use expose::strsolve::{Formula, QueryCache, Solver, Term, VarPool};
+use expose::strsolve::{Formula, SolveSession, Solver, Term, VarPool};
 use expose::syntax::Regex;
-use rand::rngs::StdRng;
-use rand::seq::IndexedRandom;
-use rand::{RngExt, SeedableRng};
-
-/// A random conjunction over a small variable pool, mirroring the
-/// constraint families the capturing-language models emit.
-fn random_formula(rng: &mut StdRng, pool: &mut VarPool) -> Formula {
-    let vars: Vec<_> = (0..4).map(|i| pool.fresh_str(format!("v{i}"))).collect();
-    let flags: Vec<_> = (0..2).map(|i| pool.fresh_bool(format!("b{i}"))).collect();
-    let literals = ["", "a", "b", "ab", "abc", "cc"];
-    let n = 1 + rng.random_range(0usize..4);
-    let mut conjuncts = Vec::new();
-    for _ in 0..n {
-        let v = *vars.choose(rng).expect("nonempty");
-        let u = *vars.choose(rng).expect("nonempty");
-        let lit = *literals.choose(rng).expect("nonempty");
-        conjuncts.push(match rng.random_range(0usize..8) {
-            0 => Formula::eq_concat(v, vec![Term::Var(u), Term::lit(lit)]),
-            1 => Formula::eq_concat(v, vec![Term::lit(lit), Term::Var(u), Term::Var(u)]),
-            2 => Formula::eq_lit(v, lit),
-            3 => Formula::ne_lit(v, lit),
-            4 => Formula::eq_var(v, u),
-            5 => Formula::ne_var(v, u),
-            // Definedness flags, including inside disjunctions whose
-            // untaken branch leaves a flag unassigned — a cached model
-            // must not invent assignments for those.
-            6 => Formula::bool_is(
-                *flags.choose(rng).expect("nonempty"),
-                rng.random_range(0usize..2) == 0,
-            ),
-            _ => Formula::or(vec![
-                Formula::bool_is(flags[0], true),
-                Formula::bool_is(flags[1], true),
-            ]),
-        });
-    }
-    Formula::and(conjuncts)
-}
 
 #[test]
-fn query_cache_verdicts_match_uncached_on_random_corpus() {
-    let cache = Arc::new(QueryCache::new(4096));
-    let cached_solver = Solver::default().with_cache(cache.clone());
-    let uncached_solver = Solver::default();
-
-    let mut agreements = 0usize;
-    for seed in 0..300u64 {
-        let mut rng = StdRng::seed_from_u64(0xcafe ^ seed);
-        let mut pool = VarPool::new();
-        let formula = random_formula(&mut rng, &mut pool);
-
-        let (reference, _) = uncached_solver.solve(&formula);
-        // First solve may miss or hit (structurally equal formulas
-        // recur across seeds); the second is always a hit.
-        let (first, _) = cached_solver.solve(&formula);
-        let (second, s2) = cached_solver.solve(&formula);
-        assert_eq!(s2.cache_hits, 1, "seed {seed}: second solve must hit");
-
-        // Verdicts and models must agree exactly: the solver is
-        // deterministic, so the cache must be invisible.
-        assert_eq!(reference, first, "seed {seed}: miss path diverged");
-        assert_eq!(reference, second, "seed {seed}: hit path diverged");
-        agreements += 1;
-    }
-    assert_eq!(agreements, 300);
-    assert!(cache.hits() >= 300);
-}
-
-#[test]
-fn query_cache_is_sound_across_pools_with_disjoint_numbering() {
-    // The same structural query asked from pools with different raw
-    // indices: the hit must be rehydrated into the asking pool's vars.
-    let cache = Arc::new(QueryCache::new(64));
-    let solver = Solver::default().with_cache(cache.clone());
+fn verdict_cache_is_sound_across_pools_with_disjoint_numbering() {
+    // The same structural flip posed from pools with different raw
+    // indices: the first posing stores its CEGAR run, the other four
+    // replay it, and every replayed model must be rehydrated into the
+    // asking pool's variables — equal to a cache-less solve.
+    let regex = Regex::parse_literal("/^<([a-z]+)>$/").expect("literal");
+    let cegar = CegarSolver::default();
+    let cache = CegarCache::new(64);
     for padding in 0..5usize {
         let mut pool = VarPool::new();
         for i in 0..padding {
             pool.fresh_str(format!("pad{i}"));
         }
-        let v = pool.fresh_str("v");
-        let u = pool.fresh_str("u");
-        let formula = Formula::and(vec![
-            Formula::eq_concat(v, vec![Term::lit("x"), Term::Var(u)]),
-            Formula::eq_lit(u, "y"),
-        ]);
-        let (outcome, _) = solver.solve(&formula);
-        let model = outcome.model().expect("sat");
-        assert_eq!(model.get_str(v), Some("xy"), "padding {padding}");
-        assert_eq!(model.get_str(u), Some("y"), "padding {padding}");
+        let tag = pool.fresh_str("tag");
+        let c = build_match_model(&regex, true, &mut pool, &BuildConfig::default());
+        let mut session = SolveSession::new(Solver::default());
+        session.push(vec![Formula::eq_concat(
+            c.input,
+            vec![Term::lit("<"), Term::Var(tag), Term::lit(">")],
+        )]);
+        let assumption = [Formula::ne_lit(tag, "a")];
+        let constraints = std::slice::from_ref(&c);
+        let cached = cegar.solve_incremental(&session, 1, &assumption, constraints, Some(&cache));
+        let fresh = cegar.solve_incremental(&session, 1, &assumption, constraints, None);
+        assert_eq!(cached.stats.replayed, padding > 0, "padding {padding}");
+        assert_eq!(cached.outcome, fresh.outcome, "padding {padding}");
+        let model = cached.outcome.model().expect("sat");
+        let tag_value = model.get_str(tag).expect("tag assigned");
+        assert_eq!(
+            model.get_str(c.input),
+            Some(format!("<{tag_value}>").as_str()),
+            "padding {padding}"
+        );
     }
     assert_eq!(cache.misses(), 1);
     assert_eq!(cache.hits(), 4);

@@ -1,108 +1,121 @@
-//! Incremental ≡ from-scratch at the engine level: running DSE with
-//! the assumption-stack flip sessions (the default) and with
-//! `SolverConfig::incremental` off must produce identical verdict
-//! trails, generated inputs, coverage and bugs — over every library
-//! workload and a seeded generated corpus. The incremental run must
-//! also actually exercise the new machinery (prefix reuse, verdict
-//! replays), so the equality is not vacuous.
+//! The engine's one flip-solve path against the from-scratch reference
+//! oracle. Inside a `run_dse_observed` observer, every executed trace is
+//! re-solved through a `TraceFlipSession` — shared prefix frames plus a
+//! run-wide CEGAR verdict cache, exactly as the engine solves it — and
+//! each flip is checked against `solve_flip`, which rebuilds the whole
+//! query from scratch with every cache disabled. Sat verdicts, generated
+//! inputs, refinement counts and limit hits must agree over every
+//! library workload and a seeded generated corpus. The session side
+//! must also actually reuse prefix frames and replay verdicts, so the
+//! equality is not vacuous.
 
-use expose::dse::{parser::parse_program, run_dse, EngineConfig, Harness, Report};
+use expose::dse::{
+    build_solver, parser::parse_program, run_dse_observed, solve_flip, DseCaches, EngineConfig,
+    FlipResult, Harness, TraceFlipSession,
+};
+use expose::strsolve::Solver;
 
-/// The deterministic projection both runs must agree on: everything
-/// except wall-clock and cache hit/miss splits.
-#[derive(Debug, PartialEq)]
-struct Projection {
-    coverage: Vec<u32>,
-    executions: usize,
-    tests_generated: usize,
-    bugs: Vec<(u32, Vec<String>)>,
-    verdicts: Vec<(bool, bool, bool, usize, bool)>,
+/// Session-side totals over the compared flips.
+#[derive(Debug, Default)]
+struct Compared {
+    flips: usize,
+    prefix_reuse_hits: u64,
+    verdict_replays: u64,
 }
 
-fn project(report: &Report) -> Projection {
-    let mut coverage: Vec<u32> = report.coverage.iter().copied().collect();
-    coverage.sort_unstable();
-    Projection {
-        coverage,
-        executions: report.executions,
-        tests_generated: report.tests_generated,
-        bugs: report.bugs.clone(),
-        verdicts: report
-            .queries
-            .iter()
-            .map(|q| {
-                (
-                    q.modeled_regex,
-                    q.had_captures,
-                    q.sat,
-                    q.refinements,
-                    q.limit_hit,
-                )
-            })
-            .collect(),
-    }
+/// What the session path and the scratch oracle must agree on.
+fn verdict(result: &FlipResult) -> (bool, Option<Vec<String>>, usize, bool) {
+    (
+        result.record.sat,
+        result.inputs.clone(),
+        result.record.refinements,
+        result.record.limit_hit,
+    )
 }
 
-fn run_both(source: &str, entry: &str, arity: usize, max_executions: usize) -> (Report, Report) {
+/// Runs DSE on one workload and compares every flip of every trace.
+fn compare_flips(
+    name: &str,
+    source: &str,
+    entry: &str,
+    arity: usize,
+    max_executions: usize,
+    totals: &mut Compared,
+) {
     let program = parse_program(source).expect("workload parses");
     let harness = Harness::strings(entry, arity);
-    let base = EngineConfig {
+    let config = EngineConfig {
         max_executions,
         max_steps: 50_000,
         ..EngineConfig::default()
     };
-    let mut incremental_config = base.clone();
-    incremental_config.solver.incremental = true;
-    let mut scratch_config = base;
-    scratch_config.solver.incremental = false;
-    let incremental = run_dse(&program, &harness, &incremental_config);
-    let scratch = run_dse(&program, &harness, &scratch_config);
-    (incremental, scratch)
+    // The session side shares one cache set across the run's traces, as
+    // the engine does; the oracle runs with every cache disabled.
+    let caches = DseCaches::from_config(&config);
+    let solver = build_solver(&config, &caches);
+    let disabled = DseCaches::disabled();
+    let oracle_solver = Solver::new(config.solver.clone());
+    let engine_caches = DseCaches::from_config(&config);
+    run_dse_observed(
+        &program,
+        &harness,
+        &config,
+        &engine_caches,
+        &mut |trace, flips| {
+            let session = TraceFlipSession::build(
+                trace,
+                flips,
+                config.support,
+                &solver,
+                config.refinement_limit,
+                &config.build,
+                &caches,
+            );
+            for k in 0..flips {
+                let got = session.solve(k);
+                let expected = solve_flip(
+                    trace,
+                    k,
+                    config.support,
+                    &oracle_solver,
+                    config.refinement_limit,
+                    &config.build,
+                    &disabled,
+                );
+                assert_eq!(
+                    verdict(&got),
+                    verdict(&expected),
+                    "{name}: flip {k} diverged from the scratch oracle"
+                );
+                totals.flips += 1;
+                totals.prefix_reuse_hits += got.record.prefix_reuse_hits;
+                totals.verdict_replays += got.record.verdict_replays;
+            }
+        },
+    );
 }
 
 #[test]
 fn library_workloads_agree_between_incremental_and_scratch() {
-    let mut prefix_reuse = 0u64;
-    let mut queries = 0usize;
+    let mut totals = Compared::default();
     for w in expose::corpus::library_workloads() {
-        let (incremental, scratch) = run_both(w.source, w.entry, w.arity, 8);
-        assert_eq!(
-            project(&incremental),
-            project(&scratch),
-            "{}: incremental diverged from scratch",
-            w.name
-        );
-        assert_eq!(
-            scratch.prefix_reuse_hits(),
-            0,
-            "{}: scratch run must not touch the session path",
-            w.name
-        );
-        prefix_reuse += incremental.prefix_reuse_hits();
-        queries += incremental.queries.len();
+        compare_flips(w.name, w.source, w.entry, w.arity, 8, &mut totals);
     }
-    assert!(queries > 100, "only {queries} flip queries solved");
+    assert!(totals.flips > 100, "only {} flips compared", totals.flips);
     assert!(
-        prefix_reuse > 0,
-        "the incremental runs never reused a prefix frame"
+        totals.prefix_reuse_hits > 0,
+        "the sessions never reused a prefix frame"
     );
 }
 
 #[test]
 fn generated_corpus_agrees_between_incremental_and_scratch() {
-    let mut verdict_replays = 0u64;
+    let mut totals = Compared::default();
     for p in expose::corpus::generate_dse_programs(12, 0x1c4e5eed) {
-        let (incremental, scratch) = run_both(&p.source, &p.entry, p.arity, 6);
-        assert_eq!(
-            project(&incremental),
-            project(&scratch),
-            "{}: incremental diverged from scratch",
-            p.name
-        );
-        verdict_replays += incremental.verdict_replays();
+        compare_flips(&p.name, &p.source, &p.entry, p.arity, 6, &mut totals);
     }
     assert!(
-        verdict_replays > 0,
+        totals.verdict_replays > 0,
         "the generated corpus never replayed a CEGAR run"
     );
 }

@@ -17,6 +17,10 @@
 //! iterations intern to one automaton. Verdicts are cached only as whole
 //! finished runs ([`CegarCache`]), never per iteration: learned lemmas
 //! make a refined iteration's formula context-dependent.
+//!
+//! [`CegarSolver::unrefined`] is the loop cut after its first solve (the
+//! support levels below `Refinement`), so every support level solves
+//! through the same entry points and replays from the same cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -82,16 +86,16 @@ pub struct CegarResult {
 pub struct CegarSolver {
     solver: Solver,
     refinement_limit: usize,
+    /// False for the no-refinement ablation: the loop stops after the
+    /// first solve and accepts its assignment unvalidated.
+    refines: bool,
 }
 
 impl Default for CegarSolver {
     fn default() -> CegarSolver {
-        CegarSolver {
-            solver: Solver::default(),
-            // §7.2: "We limited the refinement scheme to 20 iterations,
-            // which we identified as effective in preliminary testing."
-            refinement_limit: 20,
-        }
+        // §7.2: "We limited the refinement scheme to 20 iterations,
+        // which we identified as effective in preliminary testing."
+        CegarSolver::new(Solver::default(), 20)
     }
 }
 
@@ -101,6 +105,20 @@ impl CegarSolver {
         CegarSolver {
             solver,
             refinement_limit,
+            refines: true,
+        }
+    }
+
+    /// The Captures-without-refinement ablation (Table 7): one solve of
+    /// the problem conjoined with the constraint models, whose first
+    /// assignment is accepted without validation (its captures may be
+    /// spurious). Runs share the [`CegarCache`] with refining runs under
+    /// keys of their own.
+    pub fn unrefined(solver: Solver) -> CegarSolver {
+        CegarSolver {
+            solver,
+            refinement_limit: 0,
+            refines: false,
         }
     }
 
@@ -159,6 +177,7 @@ impl CegarSolver {
                 constraints: sigs,
                 fingerprint: session.solver().config().fingerprint(),
                 refinement_limit: self.refinement_limit,
+                refines: self.refines,
             };
             (cache, key, ext)
         });
@@ -211,6 +230,10 @@ impl CegarSolver {
         loop {
             let (outcome, solve_stats) = solver.solve(&p);
             stats.solver.absorb(&solve_stats);
+            if !self.refines {
+                stats.duration = start.elapsed();
+                return CegarResult { outcome, stats };
+            }
             let model = match outcome {
                 Outcome::Sat(m) => m,
                 other => {
@@ -434,6 +457,9 @@ struct CegarKey {
     /// [`strsolve::SolverConfig::fingerprint`] of the solving limits.
     fingerprint: u64,
     refinement_limit: usize,
+    /// False for [`CegarSolver::unrefined`] runs, whose unvalidated
+    /// verdicts must never answer a refining run (or the reverse).
+    refines: bool,
 }
 
 /// A finished run in canonical variable space.
@@ -830,6 +856,42 @@ mod tests {
         // And the replayed run still matches a from-scratch loop.
         let scratch = cegar.solve(&problem, std::slice::from_ref(&c));
         assert_eq!(second.outcome, scratch.outcome);
+    }
+
+    #[test]
+    fn unrefined_runs_replay_under_their_own_keys() {
+        let (session, assumption, problem, c) = incremental_fixture("/^a*(a)?$/", Some("aa"));
+        let unrefined = CegarSolver::unrefined(Solver::default());
+        let constraints = std::slice::from_ref(&c);
+        let cache = CegarCache::new(16);
+        let solve = |cegar: &CegarSolver| {
+            cegar.solve_incremental(
+                &session,
+                session.depth(),
+                &assumption,
+                constraints,
+                Some(&cache),
+            )
+        };
+
+        // Unrefined = one plain solve of problem ∧ models, unvalidated.
+        let (plain, _) = Solver::default().solve(&Formula::and(vec![problem, c.formula.clone()]));
+        let first = solve(&unrefined);
+        assert!(!first.stats.replayed);
+        assert_eq!(first.outcome, plain);
+        assert_eq!(first.stats.refinements, 0);
+
+        let second = solve(&unrefined);
+        assert!(second.stats.replayed);
+        assert_eq!(second.outcome, plain);
+        assert_eq!(second.stats.solver.nodes, 0, "replay must not search");
+
+        // A refining run of the same problem must not replay the
+        // unvalidated verdict.
+        let refined = solve(&CegarSolver::default());
+        assert!(!refined.stats.replayed);
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.misses(), 2);
     }
 
     #[test]

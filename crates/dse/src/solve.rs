@@ -5,14 +5,14 @@
 //! translate to [`strsolve::Formula`]s; regex events translate to
 //! Algorithm 2 models via [`expose_core::build_match_model`], with the
 //! polarity demanded by the query, and the whole problem is decided by
-//! the CEGAR solver (or the plain solver below the `Refinement` support
-//! level — the Table 7 ablation).
+//! the CEGAR solver (cut after its first solve below the `Refinement`
+//! support level — the Table 7 ablation).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use expose_core::api::CapturingConstraint;
-use expose_core::cegar::CegarSolver;
+use expose_core::cegar::{CegarResult, CegarSolver};
 use expose_core::model::BuildConfig;
 use expose_core::negate::nnf_negate;
 use expose_core::SupportLevel;
@@ -126,41 +126,47 @@ pub fn solve_flip(
     let problem = Formula::and(conjuncts);
     let constraints = builder.sorted_constraints();
 
-    let (outcome, refinements, limit_hit, solver_stats) = if support.refines() {
-        let cegar = CegarSolver::new(solver.clone(), refinement_limit);
-        let result = cegar.solve(&problem, &constraints);
-        (
-            result.outcome,
-            result.stats.refinements,
-            result.stats.limit_hit,
-            result.stats.solver,
-        )
-    } else {
-        // Captures-without-refinement ablation: conjoin the models and
-        // accept the first assignment (may be spurious — Table 7).
-        let mut parts = vec![problem];
-        parts.extend(constraints.iter().map(|c| c.formula.clone()));
-        let (outcome, stats) = solver.solve(&Formula::and(parts));
-        (outcome, 0, false, stats)
-    };
-
-    let inputs = extract_inputs(&outcome, &builder.input_vars, trace.inputs_used);
-
+    let result =
+        flip_solver(support, solver.clone(), refinement_limit).solve(&problem, &constraints);
+    let inputs = extract_inputs(&result.outcome, &builder.input_vars, trace.inputs_used);
     FlipResult {
-        record: QueryRecord {
-            duration: started.elapsed(),
-            refinements,
-            limit_hit,
-            sat: inputs.is_some(),
-            solver_nodes: solver_stats.nodes,
-            dfa_states_built: solver_stats.dfa_states_built,
-            states_after_minimize: solver_stats.states_after_minimize,
-            length_prunes: solver_stats.length_prunes,
-            dfa_cache_hits: solver_stats.dfa_cache_hits,
-            prefix_reuse_hits: solver_stats.prefix_reuse_hits,
-            ..record_base
-        },
+        record: solved_record(&result, inputs.is_some(), started, record_base),
         inputs,
+    }
+}
+
+/// The CEGAR solver a support level calls for: Algorithm 1 at
+/// `Refinement`, otherwise the no-refinement ablation that conjoins the
+/// models and accepts the first assignment (may be spurious — Table 7).
+fn flip_solver(support: SupportLevel, solver: Solver, refinement_limit: usize) -> CegarSolver {
+    if support.refines() {
+        CegarSolver::new(solver, refinement_limit)
+    } else {
+        CegarSolver::unrefined(solver)
+    }
+}
+
+/// Fills a flip's record skeleton with the counters of its solve.
+fn solved_record(
+    result: &CegarResult,
+    sat: bool,
+    started: std::time::Instant,
+    base: QueryRecord,
+) -> QueryRecord {
+    let solver_stats = &result.stats.solver;
+    QueryRecord {
+        duration: started.elapsed(),
+        refinements: result.stats.refinements,
+        limit_hit: result.stats.limit_hit,
+        sat,
+        solver_nodes: solver_stats.nodes,
+        dfa_states_built: solver_stats.dfa_states_built,
+        states_after_minimize: solver_stats.states_after_minimize,
+        length_prunes: solver_stats.length_prunes,
+        dfa_cache_hits: solver_stats.dfa_cache_hits,
+        prefix_reuse_hits: solver_stats.prefix_reuse_hits,
+        verdict_replays: u64::from(result.stats.replayed),
+        ..base
     }
 }
 
@@ -395,47 +401,23 @@ impl<'a> TraceFlipSession<'a> {
             };
         }
 
-        let (outcome, refinements, limit_hit, solver_stats, replayed) = if self.support.refines() {
-            let cegar = CegarSolver::new(self.session.solver().clone(), self.refinement_limit);
-            let verdicts =
-                (self.caches.verdicts.capacity() > 0).then_some(self.caches.verdicts.as_ref());
-            let result = cegar.solve_incremental(
-                &self.session,
-                k,
-                &plan.assumption,
-                &plan.constraints,
-                verdicts,
-            );
-            (
-                result.outcome,
-                result.stats.refinements,
-                result.stats.limit_hit,
-                result.stats.solver,
-                result.stats.replayed,
-            )
-        } else {
-            let mut assumption = plan.assumption.clone();
-            assumption.extend(plan.constraints.iter().map(|c| c.formula.clone()));
-            let (outcome, stats) = self.session.solve_at(k, &assumption);
-            (outcome, 0, false, stats, false)
-        };
-
-        let inputs = extract_inputs(&outcome, &plan.input_vars, self.inputs_used);
+        let cegar = flip_solver(
+            self.support,
+            self.session.solver().clone(),
+            self.refinement_limit,
+        );
+        let verdicts =
+            (self.caches.verdicts.capacity() > 0).then_some(self.caches.verdicts.as_ref());
+        let result = cegar.solve_incremental(
+            &self.session,
+            k,
+            &plan.assumption,
+            &plan.constraints,
+            verdicts,
+        );
+        let inputs = extract_inputs(&result.outcome, &plan.input_vars, self.inputs_used);
         FlipResult {
-            record: QueryRecord {
-                duration: started.elapsed(),
-                refinements,
-                limit_hit,
-                sat: inputs.is_some(),
-                solver_nodes: solver_stats.nodes,
-                dfa_states_built: solver_stats.dfa_states_built,
-                states_after_minimize: solver_stats.states_after_minimize,
-                length_prunes: solver_stats.length_prunes,
-                dfa_cache_hits: solver_stats.dfa_cache_hits,
-                prefix_reuse_hits: solver_stats.prefix_reuse_hits,
-                verdict_replays: u64::from(replayed),
-                ..plan.record_base.clone()
-            },
+            record: solved_record(&result, inputs.is_some(), started, plan.record_base.clone()),
             inputs,
         }
     }

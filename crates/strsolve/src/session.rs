@@ -318,20 +318,14 @@ impl SolveSession {
         }
     }
 
-    /// Solves an assembled query: a plain [`Solver::solve`] of its
-    /// conjunction. The returned stats count the reused prefix frames
-    /// as [`SolveStats::prefix_reuse_hits`].
-    pub fn solve_assembled(&self, query: &SessionQuery) -> (Outcome, SolveStats) {
+    /// [`SolveSession::assemble`] followed by a plain [`Solver::solve`]
+    /// of the conjunction. The returned stats count the reused prefix
+    /// frames as [`SolveStats::prefix_reuse_hits`].
+    pub fn solve_at(&self, depth: usize, assumption: &[Formula]) -> (Outcome, SolveStats) {
+        let query = self.assemble(depth, assumption);
         let (outcome, mut stats) = self.solver.solve(&query.original);
         stats.prefix_reuse_hits += query.reused_frames;
         (outcome, stats)
-    }
-
-    /// [`SolveSession::assemble`] followed by
-    /// [`SolveSession::solve_assembled`].
-    pub fn solve_at(&self, depth: usize, assumption: &[Formula]) -> (Outcome, SolveStats) {
-        let query = self.assemble(depth, assumption);
-        self.solve_assembled(&query)
     }
 }
 

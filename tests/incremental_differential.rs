@@ -5,10 +5,12 @@
 //! each flip is checked against `solve_flip`, which rebuilds the whole
 //! query from scratch with every cache disabled. Sat verdicts, generated
 //! inputs, refinement counts and limit hits must agree over every
-//! library workload and a seeded generated corpus. The session side
-//! must also actually reuse prefix frames and replay verdicts, so the
-//! equality is not vacuous.
+//! library workload and a seeded generated corpus, at the full support
+//! level and at the two non-refining levels that model regexes. The
+//! session side must also actually reuse prefix frames and replay
+//! verdicts, so the equality is not vacuous.
 
+use expose::core::SupportLevel;
 use expose::dse::{
     build_solver, parser::parse_program, run_dse_observed, solve_flip, DseCaches, EngineConfig,
     FlipResult, Harness, TraceFlipSession,
@@ -40,6 +42,7 @@ fn compare_flips(
     entry: &str,
     arity: usize,
     max_executions: usize,
+    support: SupportLevel,
     totals: &mut Compared,
 ) {
     let program = parse_program(source).expect("workload parses");
@@ -47,6 +50,7 @@ fn compare_flips(
     let config = EngineConfig {
         max_executions,
         max_steps: 50_000,
+        support,
         ..EngineConfig::default()
     };
     // The session side shares one cache set across the run's traces, as
@@ -85,7 +89,7 @@ fn compare_flips(
                 assert_eq!(
                     verdict(&got),
                     verdict(&expected),
-                    "{name}: flip {k} diverged from the scratch oracle"
+                    "{name} ({support:?}): flip {k} diverged from the scratch oracle"
                 );
                 totals.flips += 1;
                 totals.prefix_reuse_hits += got.record.prefix_reuse_hits;
@@ -97,22 +101,42 @@ fn compare_flips(
 
 #[test]
 fn library_workloads_agree_between_incremental_and_scratch() {
-    let mut totals = Compared::default();
-    for w in expose::corpus::library_workloads() {
-        compare_flips(w.name, w.source, w.entry, w.arity, 8, &mut totals);
+    // Below `Refinement` each flip is a single unvalidated solve; it
+    // still goes through the session and replays from the verdict cache.
+    for support in [
+        SupportLevel::Modeling,
+        SupportLevel::Captures,
+        SupportLevel::Refinement,
+    ] {
+        let mut totals = Compared::default();
+        for w in expose::corpus::library_workloads() {
+            compare_flips(w.name, w.source, w.entry, w.arity, 8, support, &mut totals);
+        }
+        assert!(
+            totals.flips > 100,
+            "{support:?}: only {} flips compared",
+            totals.flips
+        );
+        assert!(
+            totals.prefix_reuse_hits > 0 && totals.verdict_replays > 0,
+            "{support:?}: the sessions never reused a prefix frame or replayed a verdict"
+        );
     }
-    assert!(totals.flips > 100, "only {} flips compared", totals.flips);
-    assert!(
-        totals.prefix_reuse_hits > 0,
-        "the sessions never reused a prefix frame"
-    );
 }
 
 #[test]
 fn generated_corpus_agrees_between_incremental_and_scratch() {
     let mut totals = Compared::default();
     for p in expose::corpus::generate_dse_programs(12, 0x1c4e5eed) {
-        compare_flips(&p.name, &p.source, &p.entry, p.arity, 6, &mut totals);
+        compare_flips(
+            &p.name,
+            &p.source,
+            &p.entry,
+            p.arity,
+            6,
+            SupportLevel::Refinement,
+            &mut totals,
+        );
     }
     assert!(
         totals.verdict_replays > 0,

@@ -442,18 +442,6 @@ impl Scheduler {
         }
     }
 
-    /// Whether a [`Scheduler::submit`] would currently block on the
-    /// in-flight bound. A load-shedding front-end checks this to turn
-    /// backpressure into a structured `overloaded` rejection instead of
-    /// stalling its reader. Advisory: the answer can be stale by the
-    /// time a submit runs, which only means one extra job briefly
-    /// blocks.
-    pub fn at_capacity(&self) -> bool {
-        let state = self.shared.lock();
-        self.shared.max_inflight > 0
-            && (state.next_id - state.next_emit) as usize >= self.shared.max_inflight
-    }
-
     /// A snapshot of the per-job wall-time histogram.
     pub fn latency(&self) -> LatencySnapshot {
         self.shared.latency.snapshot()
@@ -754,24 +742,5 @@ mod tests {
         histogram.record_us(250_000);
         let snapshot = histogram.snapshot();
         assert!(snapshot.p99_us >= 131_071, "p99 {}", snapshot.p99_us);
-    }
-
-    #[test]
-    fn at_capacity_reflects_the_inflight_bound() {
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: 1,
-                max_inflight: 2,
-            },
-            CacheSet::session(16, 16, 16),
-        );
-        assert!(!scheduler.at_capacity());
-        scheduler.submit(simple("a", "1"));
-        scheduler.submit(simple("b", "2"));
-        // Two undrained jobs hit the bound even after both complete.
-        assert!(scheduler.at_capacity());
-        scheduler.close();
-        while scheduler.next_ordered().is_some() {}
-        assert!(!scheduler.at_capacity());
     }
 }

@@ -9,7 +9,7 @@
 //! # gracefully — stop accepting, flush in-flight, close each stream
 //! # with its done line):
 //! expose-serve --listen unix:/tmp/expose.sock [--workers N]
-//! expose-serve --listen tcp:127.0.0.1:7077 [--max-connections N] [--shed]
+//! expose-serve --listen tcp:127.0.0.1:7077 [--max-connections N]
 //!
 //! # Soak a served tcp: endpoint with concurrent closed-loop clients
 //! # and report exact end-to-end latency quantiles (seconds 0 = one
@@ -23,9 +23,6 @@
 //!
 //! # Print the benchmark corpus as submit lines (pipe back in):
 //! expose-serve --emit-corpus 10 [--budget quick|full]
-//!
-//! # Print the corpus as protocol-v2 streaming scripts (pipe back in):
-//! expose-serve --emit-stream 10 [--budget quick|full]
 //!
 //! # Print the corpus as protocol-v2 exploration requests (pipe back
 //! # in; the explore-smoke CI job byte-diffs the served output across
@@ -58,14 +55,12 @@ struct Options {
     max_inflight: usize,
     listen: Option<String>,
     max_connections: Option<usize>,
-    shed: bool,
     metrics_text: bool,
     soak: Option<String>,
     clients: usize,
     seconds: u64,
     batch: bool,
     emit_corpus: Option<usize>,
-    emit_stream: Option<usize>,
     emit_explore: Option<usize>,
     iterations: usize,
     replay_stream: Option<usize>,
@@ -80,14 +75,12 @@ fn parse_args() -> Options {
         max_inflight: 256,
         listen: None,
         max_connections: None,
-        shed: false,
         metrics_text: false,
         soak: None,
         clients: 8,
         seconds: 0,
         batch: false,
         emit_corpus: None,
-        emit_stream: None,
         emit_explore: None,
         iterations: 5,
         replay_stream: None,
@@ -113,7 +106,6 @@ fn parse_args() -> Options {
                 options.max_connections =
                     Some(value("--max-connections").parse().expect("connection cap"))
             }
-            "--shed" => options.shed = true,
             "--metrics-text" => options.metrics_text = true,
             "--soak" => {
                 let addr = value("--soak");
@@ -125,9 +117,6 @@ fn parse_args() -> Options {
             "--batch" => options.batch = true,
             "--emit-corpus" => {
                 options.emit_corpus = Some(value("--emit-corpus").parse().expect("program count"))
-            }
-            "--emit-stream" => {
-                options.emit_stream = Some(value("--emit-stream").parse().expect("program count"))
             }
             "--emit-explore" => {
                 options.emit_explore = Some(value("--emit-explore").parse().expect("program count"))
@@ -158,8 +147,7 @@ fn parse_args() -> Options {
 fn service_config(options: &Options) -> ServiceConfig {
     let mut config = ServiceConfig::default()
         .workers(options.workers)
-        .max_inflight(options.max_inflight)
-        .load_shed(options.shed);
+        .max_inflight(options.max_inflight);
     if let Some(cap) = options.max_connections {
         config = config.max_connections(cap);
     }
@@ -274,20 +262,6 @@ fn run_batch_mode(input: impl BufRead, config: &ServiceConfig) -> std::io::Resul
         writeln!(out, "{}", proto::result_line(&completion, version))?;
     }
     writeln!(out, "{}", proto::done_line(total, stream_version))?;
-    Ok(())
-}
-
-/// Prints the corpus as protocol-v2 streaming scripts: per workload,
-/// one session per executed trace, pushes and solves interleaved.
-fn run_emit_stream(generated: usize, options: &Options) -> std::io::Result<()> {
-    let config = service_config(options);
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for job in corpus_jobs(generated, options.budget, &config) {
-        for line in record_stream(&job).script {
-            writeln!(out, "{line}")?;
-        }
-    }
     Ok(())
 }
 
@@ -510,9 +484,6 @@ fn main() -> std::io::Result<()> {
             writeln!(out, "{line}")?;
         }
         return Ok(());
-    }
-    if let Some(generated) = options.emit_stream {
-        return run_emit_stream(generated, &options);
     }
     if let Some(generated) = options.emit_explore {
         let stdout = std::io::stdout();

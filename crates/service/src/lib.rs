@@ -4,7 +4,8 @@
 //! The paper's evaluation shape — thousands of independent DSE jobs —
 //! is exactly what a service should amortize: [`ServeOptions::serve`]
 //! runs one session (submit jobs, query status/stats/metrics, stream
-//! re-sequenced results), all sessions of a process share one warm
+//! re-sequenced results) by pumping a transport's lines through the
+//! thread-free [`Connection`] core, all sessions of a process share one warm
 //! [`expose_dse::CacheSet`], and the `expose-serve` binary exposes the
 //! whole thing over stdio, a Unix socket, or TCP behind one `--listen`
 //! surface ([`transport`]), with admission control and graceful drain
@@ -22,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+pub mod connection;
 pub mod json;
 pub mod proto;
 pub mod server;
@@ -31,6 +33,7 @@ pub mod stream;
 pub mod transport;
 pub mod wire;
 
+pub use connection::{Backend, Connection, Flow};
 pub use proto::{
     parse_request, result_line, verdict_digest, ErrorCode, ExploreRequest, LifetimeCounters,
     ProtoVersion, Request, RequestError, SubmitRequest, VerdictDigest,
@@ -132,9 +135,9 @@ mod tests {
                 panic!("submit line");
             };
             assert_eq!(submit.max_executions, Some(40));
-            assert_eq!(submit.max_steps, Some(50_000));
+            assert_eq!(submit.spec.max_steps, Some(50_000));
             // Programs must survive the JSON round trip intact.
-            expose_dse::parser::parse_program(&submit.program).expect("program parses");
+            expose_dse::parser::parse_program(&submit.spec.program).expect("program parses");
         }
     }
 

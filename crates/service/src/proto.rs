@@ -87,9 +87,8 @@ pub enum ErrorCode {
     BadDepth,
     /// A `push` would exceed the configured `max_session_depth`.
     DepthLimit,
-    /// Admission control shed the request or connection: the server is
-    /// at its concurrent-connection cap, or load shedding rejected a
-    /// submit at the in-flight bound. Retry later.
+    /// Admission control refused the connection: the server is at its
+    /// concurrent-connection cap. Retry later.
     Overloaded,
     /// The server is draining (SIGTERM or an operator drain): it is
     /// finishing in-flight work and accepts no new connections or
@@ -150,11 +149,10 @@ pub enum HarnessKind {
     StringArray,
 }
 
-/// A parsed `submit` request.
+/// The fields `submit` and `explore` share: the program, how its entry
+/// function is called, and the engine overrides both verbs accept.
 #[derive(Debug, Clone)]
-pub struct SubmitRequest {
-    /// Job label; defaults to `job<id>` at submission.
-    pub name: Option<String>,
+pub struct ProgramSpec {
     /// Mini-JS program source.
     pub program: String,
     /// Entry function name (default `f`).
@@ -166,16 +164,25 @@ pub struct SubmitRequest {
     /// Engine override: regex support level (absent = the session's
     /// configured default).
     pub support: Option<SupportLevel>,
-    /// Engine override: maximum concrete executions.
-    pub max_executions: Option<usize>,
     /// Engine override: interpreter step budget.
     pub max_steps: Option<u64>,
     /// Engine override: clause flips per trace.
     pub max_flips: Option<usize>,
-    /// Engine override: bucket-sampling seed.
-    pub seed: Option<u64>,
     /// Engine override: per-trace flip-solving workers.
     pub flip_workers: Option<usize>,
+}
+
+/// A parsed `submit` request.
+#[derive(Debug, Clone)]
+pub struct SubmitRequest {
+    /// Job label; defaults to `job<id>` at submission.
+    pub name: Option<String>,
+    /// The program to run and the shared engine overrides.
+    pub spec: ProgramSpec,
+    /// Engine override: maximum concrete executions.
+    pub max_executions: Option<usize>,
+    /// Engine override: bucket-sampling seed.
+    pub seed: Option<u64>,
     /// Emit an immediate `accepted` line (off by default: acks are
     /// written when the request is read, so they interleave with the
     /// result stream nondeterministically).
@@ -189,22 +196,8 @@ pub struct SubmitRequest {
 pub struct ExploreRequest {
     /// Run label; defaults to `explore<id>`.
     pub name: Option<String>,
-    /// Mini-JS program source.
-    pub program: String,
-    /// Entry function name (default `f`).
-    pub entry: String,
-    /// Entry arity (default 1).
-    pub arity: usize,
-    /// Argument construction (default [`HarnessKind::Strings`]).
-    pub harness: HarnessKind,
-    /// Engine override: regex support level.
-    pub support: Option<SupportLevel>,
-    /// Engine override: interpreter step budget.
-    pub max_steps: Option<u64>,
-    /// Engine override: clause flips per trace.
-    pub max_flips: Option<usize>,
-    /// Engine override: per-trace flip-solving workers.
-    pub flip_workers: Option<usize>,
+    /// The program to explore and the shared engine overrides.
+    pub spec: ProgramSpec,
     /// Exploration iteration budget (absent = the orchestrator
     /// default).
     pub iterations: Option<usize>,
@@ -316,6 +309,41 @@ fn opt_u64(value: &Value, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+fn opt_usize(value: &Value, key: &str) -> Result<Option<usize>, String> {
+    Ok(opt_u64(value, key)?.map(|n| n as usize))
+}
+
+/// Parses the [`ProgramSpec`] fields of a `submit` or `explore` line.
+fn parse_program_spec(
+    value: &Value,
+    verb: &str,
+    bad: &impl Fn(String) -> RequestError,
+) -> Result<ProgramSpec, RequestError> {
+    let program = opt_str(value, "program")
+        .map_err(bad)?
+        .ok_or_else(|| bad(format!("{verb} requires \"program\"")))?;
+    let support = match opt_str(value, "support").map_err(bad)? {
+        Some(s) => Some(parse_support(&s).map_err(bad)?),
+        None => None,
+    };
+    let harness = match opt_str(value, "harness").map_err(bad)? {
+        Some(s) => parse_harness(&s).map_err(bad)?,
+        None => HarnessKind::Strings,
+    };
+    Ok(ProgramSpec {
+        program,
+        entry: opt_str(value, "entry")
+            .map_err(bad)?
+            .unwrap_or_else(|| "f".to_string()),
+        arity: opt_usize(value, "arity").map_err(bad)?.unwrap_or(1),
+        harness,
+        support,
+        max_steps: opt_u64(value, "max_steps").map_err(bad)?,
+        max_flips: opt_usize(value, "max_flips").map_err(bad)?,
+        flip_workers: opt_usize(value, "flip_workers").map_err(bad)?,
+    })
+}
+
 /// Parses one request line, returning the request and the protocol
 /// version it was posed in. Failures carry a stable [`ErrorCode`] plus
 /// the best-guess version for rendering the error line.
@@ -347,41 +375,13 @@ pub fn parse_request(line: &str) -> Result<(Request, ProtoVersion), RequestError
         .and_then(Value::as_str)
         .ok_or_else(|| RequestError::new(ErrorCode::BadRequest, "missing \"type\"", version))?;
     let request = match kind {
-        "submit" => {
-            let program = opt_str(&value, "program")
-                .map_err(&bad)?
-                .ok_or_else(|| bad("submit requires \"program\"".to_string()))?;
-            let support = match opt_str(&value, "support").map_err(&bad)? {
-                Some(s) => Some(parse_support(&s).map_err(&bad)?),
-                None => None,
-            };
-            let harness = match opt_str(&value, "harness").map_err(&bad)? {
-                Some(s) => parse_harness(&s).map_err(&bad)?,
-                None => HarnessKind::Strings,
-            };
-            Request::Submit(Box::new(SubmitRequest {
-                name: opt_str(&value, "name").map_err(&bad)?,
-                program,
-                entry: opt_str(&value, "entry")
-                    .map_err(&bad)?
-                    .unwrap_or_else(|| "f".to_string()),
-                arity: opt_u64(&value, "arity").map_err(&bad)?.unwrap_or(1) as usize,
-                harness,
-                support,
-                max_executions: opt_u64(&value, "max_executions")
-                    .map_err(&bad)?
-                    .map(|n| n as usize),
-                max_steps: opt_u64(&value, "max_steps").map_err(&bad)?,
-                max_flips: opt_u64(&value, "max_flips")
-                    .map_err(&bad)?
-                    .map(|n| n as usize),
-                seed: opt_u64(&value, "seed").map_err(&bad)?,
-                flip_workers: opt_u64(&value, "flip_workers")
-                    .map_err(&bad)?
-                    .map(|n| n as usize),
-                ack: value.get("ack").and_then(Value::as_bool).unwrap_or(false),
-            }))
-        }
+        "submit" => Request::Submit(Box::new(SubmitRequest {
+            spec: parse_program_spec(&value, kind, &bad)?,
+            name: opt_str(&value, "name").map_err(&bad)?,
+            max_executions: opt_usize(&value, "max_executions").map_err(&bad)?,
+            seed: opt_u64(&value, "seed").map_err(&bad)?,
+            ack: value.get("ack").and_then(Value::as_bool).unwrap_or(false),
+        })),
         "status" => Request::Status,
         "stats" => Request::Stats,
         "metrics" => Request::Metrics,
@@ -403,10 +403,8 @@ pub fn parse_request(line: &str) -> Result<(Request, ProtoVersion), RequestError
             Request::OpenSession(Box::new(OpenSessionRequest {
                 name: opt_str(&value, "name").map_err(&bad)?,
                 support,
-                inputs_used: opt_u64(&value, "inputs_used").map_err(&bad)?.unwrap_or(0) as usize,
-                max_depth: opt_u64(&value, "max_depth")
-                    .map_err(&bad)?
-                    .map(|n| n as usize),
+                inputs_used: opt_usize(&value, "inputs_used").map_err(&bad)?.unwrap_or(0),
+                max_depth: opt_usize(&value, "max_depth").map_err(&bad)?,
             }))
         }
         "push" => {
@@ -439,51 +437,18 @@ pub fn parse_request(line: &str) -> Result<(Request, ProtoVersion), RequestError
             }))
         }
         "pop" => Request::Pop,
-        "solve" => {
-            let depth = opt_u64(&value, "depth")
+        "solve" => Request::Solve {
+            depth: opt_usize(&value, "depth")
                 .map_err(&bad)?
-                .ok_or_else(|| bad("solve requires a \"depth\"".to_string()))?;
-            Request::Solve {
-                depth: depth as usize,
-            }
-        }
+                .ok_or_else(|| bad("solve requires a \"depth\"".to_string()))?,
+        },
         "close_session" => Request::CloseSession,
-        "explore" => {
-            let program = opt_str(&value, "program")
-                .map_err(&bad)?
-                .ok_or_else(|| bad("explore requires \"program\"".to_string()))?;
-            let support = match opt_str(&value, "support").map_err(&bad)? {
-                Some(s) => Some(parse_support(&s).map_err(&bad)?),
-                None => None,
-            };
-            let harness = match opt_str(&value, "harness").map_err(&bad)? {
-                Some(s) => parse_harness(&s).map_err(&bad)?,
-                None => HarnessKind::Strings,
-            };
-            Request::Explore(Box::new(ExploreRequest {
-                name: opt_str(&value, "name").map_err(&bad)?,
-                program,
-                entry: opt_str(&value, "entry")
-                    .map_err(&bad)?
-                    .unwrap_or_else(|| "f".to_string()),
-                arity: opt_u64(&value, "arity").map_err(&bad)?.unwrap_or(1) as usize,
-                harness,
-                support,
-                max_steps: opt_u64(&value, "max_steps").map_err(&bad)?,
-                max_flips: opt_u64(&value, "max_flips")
-                    .map_err(&bad)?
-                    .map(|n| n as usize),
-                flip_workers: opt_u64(&value, "flip_workers")
-                    .map_err(&bad)?
-                    .map(|n| n as usize),
-                iterations: opt_u64(&value, "iterations")
-                    .map_err(&bad)?
-                    .map(|n| n as usize),
-                max_corpus: opt_u64(&value, "max_corpus")
-                    .map_err(&bad)?
-                    .map(|n| n as usize),
-            }))
-        }
+        "explore" => Request::Explore(Box::new(ExploreRequest {
+            spec: parse_program_spec(&value, kind, &bad)?,
+            name: opt_str(&value, "name").map_err(&bad)?,
+            iterations: opt_usize(&value, "iterations").map_err(&bad)?,
+            max_corpus: opt_usize(&value, "max_corpus").map_err(&bad)?,
+        })),
         other => {
             return Err(RequestError::new(
                 ErrorCode::UnknownVerb,
@@ -702,10 +667,11 @@ pub struct AdmissionCounters {
     pub draining: bool,
 }
 
-/// Everything a `metrics` line reports. Latency quantiles come from the
-/// scheduler's lock-free histogram ([`LatencySnapshot`]); like `stats`,
-/// the whole line is observability data, never part of the
-/// deterministic result stream.
+/// One snapshot of a connection's observability counters — what
+/// `stats` and `metrics` lines (and `--metrics-text`) render. Latency
+/// quantiles come from the scheduler's lock-free histogram
+/// ([`LatencySnapshot`]); like `stats`, the whole snapshot is
+/// observability data, never part of the deterministic result stream.
 #[derive(Debug, Clone)]
 pub struct MetricsReport<'a> {
     /// Scheduler progress (queue depths included).
@@ -720,10 +686,10 @@ pub struct MetricsReport<'a> {
     pub job_latency: LatencySnapshot,
     /// Per-`solve` wall-time quantiles from the streaming sessions.
     pub solve_latency: LatencySnapshot,
-    /// Cache counters (same data as a `stats` line).
-    pub caches: &'a CacheCounters,
+    /// Cache counters, plus the open streaming session's.
+    pub caches: CacheCounters,
     /// Per-shard scheduling counters.
-    pub shards: &'a [ShardStats],
+    pub shards: Vec<ShardStats>,
     /// Connection-lifetime session totals.
     pub lifetime: LifetimeCounters,
     /// Admission counters when serving under a socket front-end.
@@ -732,12 +698,15 @@ pub struct MetricsReport<'a> {
     pub config_json: &'a str,
 }
 
-fn write_cache_counters(out: &mut String, caches: &CacheCounters) {
+/// Writes the cache, shard, session and lifetime fields that `stats`
+/// and `metrics` lines share.
+fn write_counters(out: &mut String, report: &MetricsReport<'_>) {
     use std::fmt::Write as _;
+    let caches = &report.caches;
     let _ = write!(
         out,
         "\"model_cache\":[{},{}],\"verdict_cache\":[{},{}],\"dfa_tables\":[{},{}],\
-         \"cache_bytes\":[{},{}],\"cache_evictions\":[{},{}]",
+         \"cache_bytes\":[{},{}],\"cache_evictions\":[{},{}],\"shards\":[",
         caches.model.0,
         caches.model.1,
         caches.verdicts.0,
@@ -749,12 +718,7 @@ fn write_cache_counters(out: &mut String, caches: &CacheCounters) {
         caches.evictions.0,
         caches.evictions.1,
     );
-}
-
-fn write_shards(out: &mut String, shards: &[ShardStats]) {
-    use std::fmt::Write as _;
-    out.push_str("\"shards\":[");
-    for (i, shard) in shards.iter().enumerate() {
+    for (i, shard) in report.shards.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -765,24 +729,17 @@ fn write_shards(out: &mut String, shards: &[ShardStats]) {
         );
     }
     out.push(']');
-}
-
-fn write_session(out: &mut String, session: &Option<SessionCounters>) {
-    use std::fmt::Write as _;
-    if let Some(session) = session {
+    if let Some(session) = &caches.session {
         let _ = write!(
             out,
             ",\"session\":{{\"id\":{},\"depth\":{},\"solves\":{},\"prefix_reuse_hits\":{}}}",
             session.id, session.depth, session.solves, session.prefix_reuse_hits
         );
     }
-}
-
-fn write_lifetime(out: &mut String, lifetime: &LifetimeCounters) {
-    use std::fmt::Write as _;
+    let lifetime = &report.lifetime;
     let _ = write!(
         out,
-        "\"lifetime\":{{\"sessions_opened\":{},\"sessions_closed\":{},\
+        ",\"lifetime\":{{\"sessions_opened\":{},\"sessions_closed\":{},\
          \"solves\":{},\"prefix_reuse_hits\":{}}}",
         lifetime.sessions_opened,
         lifetime.sessions_closed,
@@ -805,30 +762,20 @@ fn write_latency(out: &mut String, key: &str, latency: &LatencySnapshot) {
 
 /// Renders a `stats` line (scheduling-dependent observability data —
 /// never part of the deterministic result stream).
-pub fn stats_line(
-    caches: &CacheCounters,
-    shards: &[ShardStats],
-    lifetime: &LifetimeCounters,
-    config_json: &str,
-    version: ProtoVersion,
-) -> String {
+pub fn stats_line(report: &MetricsReport<'_>, version: ProtoVersion) -> String {
     let mut out = String::with_capacity(256);
     open_versioned(&mut out, version);
     out.push_str(",\"type\":\"stats\",");
-    write_cache_counters(&mut out, caches);
-    out.push(',');
-    write_shards(&mut out, shards);
-    write_session(&mut out, &caches.session);
-    out.push(',');
-    write_lifetime(&mut out, lifetime);
+    write_counters(&mut out, report);
     out.push_str(",\"config\":");
-    out.push_str(config_json);
+    out.push_str(report.config_json);
     out.push('}');
     out
 }
 
 /// Renders a `metrics` line — the observability endpoint of the
-/// service.
+/// service: everything a `stats` line carries plus scheduler progress,
+/// latency quantiles and the front-end's admission counters.
 pub fn metrics_line(report: &MetricsReport<'_>, version: ProtoVersion) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(512);
@@ -851,12 +798,7 @@ pub fn metrics_line(report: &MetricsReport<'_>, version: ProtoVersion) -> String
     out.push(',');
     write_latency(&mut out, "solve_latency", &report.solve_latency);
     out.push(',');
-    write_cache_counters(&mut out, report.caches);
-    out.push(',');
-    write_shards(&mut out, report.shards);
-    write_session(&mut out, &report.caches.session);
-    out.push(',');
-    write_lifetime(&mut out, &report.lifetime);
+    write_counters(&mut out, report);
     if let Some(server) = &report.server {
         let _ = write!(
             out,
@@ -1053,10 +995,10 @@ mod tests {
         let Request::Submit(submit) = request else {
             panic!("submit");
         };
-        assert_eq!(submit.entry, "f");
-        assert_eq!(submit.arity, 1);
-        assert_eq!(submit.support, None, "absent = session default");
-        assert_eq!(submit.harness, HarnessKind::Strings);
+        assert_eq!(submit.spec.entry, "f");
+        assert_eq!(submit.spec.arity, 1);
+        assert_eq!(submit.spec.support, None, "absent = session default");
+        assert_eq!(submit.spec.harness, HarnessKind::Strings);
         assert!(!submit.ack);
     }
 
@@ -1072,15 +1014,15 @@ mod tests {
             panic!("submit");
         };
         assert_eq!(submit.name.as_deref(), Some("j"));
-        assert_eq!(submit.entry, "g");
-        assert_eq!(submit.arity, 2);
-        assert_eq!(submit.harness, HarnessKind::StringArray);
-        assert_eq!(submit.support, Some(SupportLevel::Captures));
+        assert_eq!(submit.spec.entry, "g");
+        assert_eq!(submit.spec.arity, 2);
+        assert_eq!(submit.spec.harness, HarnessKind::StringArray);
+        assert_eq!(submit.spec.support, Some(SupportLevel::Captures));
         assert_eq!(submit.max_executions, Some(8));
-        assert_eq!(submit.max_steps, Some(1000));
-        assert_eq!(submit.max_flips, Some(4));
+        assert_eq!(submit.spec.max_steps, Some(1000));
+        assert_eq!(submit.spec.max_flips, Some(4));
         assert_eq!(submit.seed, Some(7));
-        assert_eq!(submit.flip_workers, Some(2));
+        assert_eq!(submit.spec.flip_workers, Some(2));
         assert!(submit.ack);
     }
 
@@ -1123,11 +1065,11 @@ mod tests {
             panic!("explore");
         };
         assert_eq!(explore.name.as_deref(), Some("e"));
-        assert_eq!(explore.entry, "g");
+        assert_eq!(explore.spec.entry, "g");
         assert_eq!(explore.iterations, Some(5));
         assert_eq!(explore.max_corpus, Some(64));
-        assert_eq!(explore.flip_workers, Some(2));
-        assert_eq!(explore.support, None);
+        assert_eq!(explore.spec.flip_workers, Some(2));
+        assert_eq!(explore.spec.support, None);
 
         let err = parse_request(r#"{"v":2,"type":"explore"}"#).expect_err("program required");
         assert_eq!(err.code, ErrorCode::BadRequest);

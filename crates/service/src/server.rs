@@ -9,12 +9,11 @@
 //! warm each other's regex models, solver verdicts, and DFA tables
 //! while each connection keeps its own deterministic result stream.
 //!
-//! Admission control is two-layered: the accept loop refuses
+//! Admission control happens at accept time: the loop refuses
 //! connections beyond `max_connections` with a structured `overloaded`
 //! error line (and refuses everything with `draining` once a drain
-//! began), while per-connection load shedding — when enabled — turns
-//! the scheduler's in-flight backpressure into `overloaded` errors on
-//! individual submits. A drain ([`ServerState::begin_drain`], wired to
+//! began); within a connection, the scheduler's in-flight bound applies
+//! backpressure instead of refusing work. A drain ([`ServerState::begin_drain`], wired to
 //! SIGTERM by `expose-serve`) stops accepting, lets every in-flight
 //! session flush and close with its versioned `done` line, then
 //! returns.
@@ -123,14 +122,9 @@ pub fn serve_listener(
             }
             match listener.poll_accept(ACCEPT_POLL)? {
                 Accepted::Idle => continue,
-                Accepted::Exhausted => {
-                    // No further connections possible; wait out the
-                    // in-flight sessions and finish.
-                    while state.active() > 0 {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    return Ok(());
-                }
+                // No further connections possible; the scope joins the
+                // in-flight sessions.
+                Accepted::Exhausted => return Ok(()),
                 Accepted::Connection(conn) => {
                     if state.draining() {
                         state.rejected_draining.fetch_add(1, Ordering::Relaxed);

@@ -1,42 +1,28 @@
-//! One service session: a reader loop feeding the scheduler and an
-//! emitter thread streaming re-sequenced results.
+//! One service session: the driver that pumps a transport's request
+//! lines through a [`Connection`] and an emitter thread streaming
+//! re-sequenced results.
 //!
-//! The reader (the calling thread) parses NDJSON requests and submits
-//! jobs; [`expose_dse::sched::Scheduler::submit`] blocks when
-//! `max_inflight` jobs are pending, so backpressure propagates to the
-//! input — the session stops *reading* instead of buffering without
-//! bound. The emitter thread drains completions in job-id order and
-//! writes one `result` line per job as it lands; because the scheduler
+//! The reader (the calling thread) feeds each line to the connection
+//! core, whose submits go to the scheduler;
+//! [`expose_dse::sched::Scheduler::submit`] blocks when `max_inflight`
+//! jobs are pending, so backpressure propagates to the input — the
+//! session stops *reading* instead of buffering without bound. The
+//! emitter thread drains completions in job-id order and writes one
+//! `result` line per job as it lands; because the scheduler
 //! re-sequences, the result stream is byte-identical for any worker
 //! count.
-//!
-//! Protocol-v2 streaming sessions (`open_session`/`push`/`pop`/
-//! `solve`/`close_session`) are handled on the reader thread: each
-//! connection holds at most one live [`TraceFlipSession`] whose
-//! assumption stack grows clause by clause, sharing the connection's
-//! warm [`CacheSet`] (model/verdict/DFA layers) with batch jobs, so
-//! a flip solved for a submitted program warms the streamed session and
-//! vice versa. `solved` responses are synchronous and ordered with the
-//! requests, which keeps them deterministic for any worker count.
 
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use expose_dse::sched::{LatencyHistogram, Scheduler, SchedulerConfig};
-use expose_dse::sym::RegexEvent;
-use expose_dse::{
-    build_solver, explore_observed, parser::parse_program, CacheSet, EngineConfig, ExploreConfig,
-    Harness, Job, TraceFlipSession,
-};
+use expose_dse::ast::Program;
+use expose_dse::parser::parse_program;
+use expose_dse::{CacheSet, EngineConfig, ExploreConfig, Harness, Job};
 
-use crate::proto::{
-    self, CacheCounters, ErrorCode, ExploreRequest, HarnessKind, LifetimeCounters, ProtoVersion,
-    PushRequest, Request, RequestError, SessionCounters, SubmitRequest,
-};
+use crate::connection::{Backend, Connection, Flow};
+use crate::proto::{self, ExploreRequest, HarnessKind, ProgramSpec, SubmitRequest};
 use crate::server::ServerState;
-use crate::transport::{next_line, LineBuffer, LineEvent};
-use crate::wire;
+use crate::transport::{next_line, LineBuffer};
 
 /// Session configuration.
 #[derive(Debug, Clone)]
@@ -67,12 +53,6 @@ pub struct ServiceConfig {
     /// unlimited); connections beyond it are refused with
     /// `overloaded`.
     pub max_connections: usize,
-    /// Turn scheduler backpressure into load shedding: when the
-    /// in-flight bound is reached, answer a `submit` with an
-    /// `overloaded` error instead of stalling the reader. Off by
-    /// default — shedding is timing-dependent, so the deterministic
-    /// stream contract only holds without it.
-    pub load_shed: bool,
     /// Per-job engine defaults; `submit` fields override per job.
     pub engine: EngineConfig,
 }
@@ -92,7 +72,6 @@ impl Default for ServiceConfig {
             // one malicious line from ballooning memory.
             max_line_bytes: 4 << 20,
             max_connections: 64,
-            load_shed: false,
             engine: EngineConfig::default(),
         }
     }
@@ -136,12 +115,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables or disables load shedding at the in-flight bound.
-    pub fn load_shed(mut self, load_shed: bool) -> ServiceConfig {
-        self.load_shed = load_shed;
-        self
-    }
-
     /// A fresh session cache set: entry capacities from the engine
     /// defaults, each cache bounded by `cache_byte_budget`.
     pub fn cache_set(&self) -> CacheSet {
@@ -159,7 +132,7 @@ impl ServiceConfig {
     pub fn echo_json(&self) -> String {
         format!(
             "{{\"workers\":{},\"max_inflight\":{},\"max_connections\":{},\
-             \"max_line_bytes\":{},\"load_shed\":{},\"max_session_depth\":{},\
+             \"max_line_bytes\":{},\"max_session_depth\":{},\
              \"model_cache_capacity\":{},\"query_cache_capacity\":{},\
              \"dfa_table_capacity\":{},\"cache_byte_budget\":{},\"max_executions\":{},\
              \"max_steps\":{},\"max_flips\":{},\"flip_workers\":{},\"seed\":{}}}",
@@ -167,7 +140,6 @@ impl ServiceConfig {
             self.max_inflight,
             self.max_connections,
             self.max_line_bytes,
-            self.load_shed,
             self.max_session_depth,
             self.engine.model_cache_capacity,
             self.engine.query_cache_capacity,
@@ -192,28 +164,34 @@ pub struct ServiceSummary {
     pub request_errors: u64,
 }
 
-/// Builds the engine configuration of one submission.
-fn engine_for(submit: &SubmitRequest, defaults: &EngineConfig) -> EngineConfig {
+/// The engine configuration of one request: the service defaults plus
+/// the overrides `submit` and `explore` share.
+fn engine_for(spec: &ProgramSpec, defaults: &EngineConfig) -> EngineConfig {
     let mut config = defaults.clone();
-    if let Some(support) = submit.support {
+    if let Some(support) = spec.support {
         config.support = support;
     }
-    if let Some(n) = submit.max_executions {
-        config.max_executions = n;
-    }
-    if let Some(n) = submit.max_steps {
+    if let Some(n) = spec.max_steps {
         config.max_steps = n;
     }
-    if let Some(n) = submit.max_flips {
+    if let Some(n) = spec.max_flips {
         config.max_flips_per_trace = n;
     }
-    if let Some(n) = submit.seed {
-        config.seed = n;
-    }
-    if let Some(n) = submit.flip_workers {
+    if let Some(n) = spec.flip_workers {
         config.flip_workers = n;
     }
     config
+}
+
+/// Parses a request's program and builds its entry harness; the error
+/// is the `parse: …` message of a failed `result` or `explore_result`.
+pub(crate) fn program_and_harness(spec: &ProgramSpec) -> Result<(Program, Harness), String> {
+    let program = parse_program(&spec.program).map_err(|e| format!("parse: {e}"))?;
+    let harness = match spec.harness {
+        HarnessKind::Strings => Harness::strings(&spec.entry, spec.arity),
+        HarnessKind::StringArray => Harness::string_array(&spec.entry, spec.arity),
+    };
+    Ok((program, harness))
 }
 
 /// Converts a submission into a runnable job (the program must parse).
@@ -222,37 +200,27 @@ pub fn job_from_submit(
     name: &str,
     defaults: &EngineConfig,
 ) -> Result<Job, String> {
-    let program = parse_program(&submit.program).map_err(|e| format!("parse: {e}"))?;
-    let harness = match submit.harness {
-        HarnessKind::Strings => Harness::strings(&submit.entry, submit.arity),
-        HarnessKind::StringArray => Harness::string_array(&submit.entry, submit.arity),
-    };
+    let (program, harness) = program_and_harness(&submit.spec)?;
+    let mut config = engine_for(&submit.spec, defaults);
+    if let Some(n) = submit.max_executions {
+        config.max_executions = n;
+    }
+    if let Some(n) = submit.seed {
+        config.seed = n;
+    }
     Ok(Job {
         name: name.to_string(),
         program,
         harness,
-        config: engine_for(submit, defaults),
+        config,
     })
 }
 
 /// Builds the exploration configuration of one `explore` request from
 /// the service's engine defaults plus the request's overrides.
 pub fn explore_config_for(request: &ExploreRequest, defaults: &EngineConfig) -> ExploreConfig {
-    let mut engine = defaults.clone();
-    if let Some(support) = request.support {
-        engine.support = support;
-    }
-    if let Some(n) = request.max_steps {
-        engine.max_steps = n;
-    }
-    if let Some(n) = request.max_flips {
-        engine.max_flips_per_trace = n;
-    }
-    if let Some(n) = request.flip_workers {
-        engine.flip_workers = n;
-    }
     let mut config = ExploreConfig {
-        engine,
+        engine: engine_for(&request.spec, defaults),
         ..ExploreConfig::default()
     };
     if let Some(n) = request.iterations {
@@ -262,19 +230,6 @@ pub fn explore_config_for(request: &ExploreRequest, defaults: &EngineConfig) -> 
         config.max_corpus = n;
     }
     config
-}
-
-/// One connection's open streaming session: the wire-facing event
-/// table plus the incremental flip session it feeds. The event table is
-/// append-only — `pop` retracts the clause but keeps the events it
-/// introduced, so client-side event indices never shift.
-struct StreamState<'a> {
-    id: u64,
-    /// Effective depth cap: the service's `max_session_depth`, lowered
-    /// by the session's `max_depth` override if one was given.
-    max_depth: usize,
-    events: Vec<RegexEvent>,
-    flips: TraceFlipSession<'a>,
 }
 
 /// Options for serving one NDJSON session — the single serve entry
@@ -317,7 +272,7 @@ impl ServeOptions {
         self
     }
 
-    /// Attaches the shared front-end state: the session polls its
+    /// Attaches the shared front-end state: the session checks its
     /// drain flag between reads (closing gracefully when the server
     /// drains) and reports its admission counters in `metrics` lines.
     pub fn server(mut self, state: Arc<ServerState>) -> ServeOptions {
@@ -325,8 +280,8 @@ impl ServeOptions {
         self
     }
 
-    /// Dumps a human-readable metrics block to stderr when the session
-    /// ends (the `--metrics-text` flag).
+    /// Prints the session's final `metrics` line to stderr when it ends
+    /// (the `--metrics-text` flag).
     pub fn metrics_text(mut self, enabled: bool) -> ServeOptions {
         self.metrics_text = enabled;
         self
@@ -345,24 +300,15 @@ impl ServeOptions {
     /// result stream has fully drained.
     pub fn serve<R: BufRead, W: Write + Send>(
         &self,
-        input: R,
+        mut input: R,
         output: W,
     ) -> std::io::Result<ServiceSummary> {
-        let config = &self.config;
-        let caches = self.caches.clone().unwrap_or_else(|| config.cache_set());
-        let dfa_tables = caches.dfa.clone();
-        // Streaming sessions solve on the reader thread with the same
-        // cache set the scheduler's shards use (a clone shares every
-        // layer), so batch jobs and streamed sessions warm each other.
-        let stream_caches = caches.clone();
-        let stream_solver = build_solver(&config.engine, &stream_caches);
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: config.workers,
-                max_inflight: config.max_inflight,
-            },
-            caches,
-        );
+        let caches = self
+            .caches
+            .clone()
+            .unwrap_or_else(|| self.config.cache_set());
+        let backend = Backend::start(&self.config, caches);
+        let mut connection = Connection::new(&backend, self.server.as_deref());
         let output = Mutex::new(output);
         // One line per call, atomically, so emitter and reader output
         // never interleave mid-line.
@@ -372,492 +318,59 @@ impl ServeOptions {
             out.flush()
         };
 
-        let config_json = config.echo_json();
-        // Wall time of each streamed `solve`, mirroring the
-        // scheduler's per-job histogram.
-        let solve_latency = LatencyHistogram::new();
-        // Streaming-session totals survive close_session, so a
-        // drain-time `stats`/`metrics` report is complete.
-        let mut lifetime = LifetimeCounters::default();
-        let mut summary = ServiceSummary::default();
-        let mut io_error: Option<std::io::Error> = None;
-        // The final `done` line answers in the highest version any
-        // request used; a pure-v1 session sees a byte-identical stream
-        // to the pre-v2 protocol modulo the `"v":1` prefix.
-        let mut stream_version = ProtoVersion::V1;
-        // Version each job was submitted in, indexed by job id (the
-        // reader is the sole submitter, so ids are dense and the entry
-        // is pushed before the submit call that allocates the id).
-        let job_versions: Mutex<Vec<ProtoVersion>> = Mutex::new(Vec::new());
-
-        let reader_result = std::thread::scope(|scope| -> std::io::Result<()> {
+        let (reader, (jobs, emit_error)) = std::thread::scope(|scope| {
             let emitter = scope.spawn(|| {
                 let mut jobs: u64 = 0;
                 let mut first_error: Option<std::io::Error> = None;
-                while let Some(completion) = scheduler.next_ordered() {
+                while let Some(line) = backend.next_result_line() {
                     jobs += 1;
-                    if first_error.is_some() {
-                        // The sink is gone; keep draining so submitters
-                        // blocked on backpressure are not wedged.
-                        continue;
-                    }
-                    let version = job_versions
-                        .lock()
-                        .expect("versions poisoned")
-                        .get(completion.id as usize)
-                        .copied()
-                        .unwrap_or_default();
-                    if let Err(e) = write_line(&proto::result_line(&completion, version)) {
-                        first_error = Some(e);
+                    // Once the sink is gone, keep draining so submitters
+                    // blocked on backpressure are not wedged.
+                    if first_error.is_none() {
+                        first_error = write_line(&line).err();
                     }
                 }
                 (jobs, first_error)
             });
-
-            // Session-verb failures are structured v2 errors (the verbs
-            // only parse under `"v":2`).
-            let reject = |errors: &mut u64, code: ErrorCode, message: String| {
-                *errors += 1;
-                write_line(&proto::error_line(&RequestError::new(
-                    code,
-                    message,
-                    ProtoVersion::V2,
-                )))
-            };
-
-            // Cache counters assembled identically for `stats` and
-            // `metrics` lines.
-            let collect_caches = |active: &Option<StreamState>| -> CacheCounters {
-                let caches = scheduler.caches();
-                CacheCounters {
-                    model: (caches.model.stats().hits, caches.model.stats().misses),
-                    verdicts: (caches.verdicts.hits(), caches.verdicts.misses()),
-                    dfa: dfa_tables
-                        .as_ref()
-                        .map(|t| (t.hits(), t.misses()))
-                        .unwrap_or_default(),
-                    bytes: (caches.model.bytes() as u64, caches.verdicts.bytes() as u64),
-                    evictions: (caches.model.evictions(), caches.verdicts.evictions()),
-                    session: active.as_ref().map(|stream| {
-                        let stats = stream.flips.session_stats();
-                        SessionCounters {
-                            id: stream.id,
-                            depth: stream.flips.depth() as u64,
-                            solves: stats.solves,
-                            prefix_reuse_hits: stats.prefix_reuse_hits,
-                        }
-                    }),
-                }
-            };
-            // Lifetime totals including the still-open session's
-            // contribution (which close_session would fold in later).
-            let lifetime_view =
-                |lifetime: &LifetimeCounters, active: &Option<StreamState>| -> LifetimeCounters {
-                    let mut view = *lifetime;
-                    if let Some(stream) = active {
-                        let stats = stream.flips.session_stats();
-                        view.solves += stats.solves;
-                        view.prefix_reuse_hits += stats.prefix_reuse_hits;
-                    }
-                    view
-                };
-
             // The reader loop runs inside a closure so an I/O error (a
-            // dropped socket, a broken pipe on a status/ack write) cannot
-            // `?` past the `close()` below — the emitter only exits once
-            // the session is closed, and the scope joins it either way.
+            // dropped socket, a broken pipe) cannot `?` past the
+            // `close()` below — the emitter only exits once the backend
+            // is closed, and the scope joins it either way.
             let reader = (|| -> std::io::Result<()> {
-                let mut active: Option<StreamState> = None;
-                let mut next_session_id: u64 = 0;
-                let mut next_explore_id: u64 = 0;
-                let mut input = input;
-                let mut line_buf = LineBuffer::new();
+                let mut buffer = LineBuffer::new();
                 loop {
-                    let line = match next_line(&mut input, &mut line_buf, config.max_line_bytes)? {
-                        LineEvent::Eof => break,
-                        LineEvent::TimedOut => {
-                            // Socket transports wake the reader
-                            // periodically so a drain is noticed even
-                            // while the peer is idle.
-                            if self.server.as_ref().is_some_and(|s| s.draining()) {
-                                write_line(&proto::error_line(&RequestError::new(
-                                    ErrorCode::Draining,
-                                    "server draining; closing after in-flight work",
-                                    stream_version,
-                                )))?;
-                                break;
-                            }
-                            continue;
+                    let event = next_line(&mut input, &mut buffer, self.config.max_line_bytes)?;
+                    let mut write_error = None;
+                    let flow = connection.handle(event, &mut |line| {
+                        if write_error.is_none() {
+                            write_error = write_line(line).err();
                         }
-                        LineEvent::Oversized { dropped } => {
-                            summary.request_errors += 1;
-                            write_line(&proto::error_line(&RequestError::new(
-                                ErrorCode::BadRequest,
-                                format!(
-                                    "line exceeds the {}-byte limit ({dropped} bytes dropped)",
-                                    config.max_line_bytes
-                                ),
-                                stream_version,
-                            )))?;
-                            continue;
-                        }
-                        LineEvent::Line(line) => line,
-                    };
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
+                    });
+                    if let Some(error) = write_error {
+                        return Err(error);
                     }
-                    let (request, version) = match proto::parse_request(line) {
-                        Err(error) => {
-                            summary.request_errors += 1;
-                            write_line(&proto::error_line(&error))?;
-                            continue;
-                        }
-                        Ok(parsed) => parsed,
-                    };
-                    if version == ProtoVersion::V2 {
-                        stream_version = ProtoVersion::V2;
-                    }
-                    match request {
-                        Request::Submit(submit) => {
-                            if config.load_shed && scheduler.at_capacity() {
-                                summary.request_errors += 1;
-                                write_line(&proto::error_line(&RequestError::new(
-                                    ErrorCode::Overloaded,
-                                    format!(
-                                        "{} jobs in flight; submission shed — retry later",
-                                        config.max_inflight
-                                    ),
-                                    version,
-                                )))?;
-                                continue;
-                            }
-                            // The reader is the only submitter, so the next
-                            // id is stable between this read and the
-                            // submit call.
-                            let next_id = scheduler.progress().submitted;
-                            let name = submit
-                                .name
-                                .clone()
-                                .unwrap_or_else(|| format!("job{next_id}"));
-                            job_versions
-                                .lock()
-                                .expect("versions poisoned")
-                                .push(version);
-                            let id = match job_from_submit(&submit, &name, &config.engine) {
-                                Ok(job) => scheduler.submit(job),
-                                Err(error) => scheduler.submit_rejected(&name, error),
-                            };
-                            if submit.ack {
-                                write_line(&proto::accepted_line(id, &name, version))?;
-                            }
-                        }
-                        Request::Status => {
-                            write_line(&proto::status_line(
-                                &scheduler.progress(),
-                                scheduler.workers(),
-                                version,
-                            ))?;
-                        }
-                        Request::Stats => {
-                            write_line(&proto::stats_line(
-                                &collect_caches(&active),
-                                &scheduler.shard_stats(),
-                                &lifetime_view(&lifetime, &active),
-                                &config_json,
-                                version,
-                            ))?;
-                        }
-                        Request::Metrics => {
-                            let progress = scheduler.progress();
-                            let report = proto::MetricsReport {
-                                workers: scheduler.workers(),
-                                jobs: progress.drained,
-                                request_errors: summary.request_errors,
-                                job_latency: scheduler.latency(),
-                                solve_latency: solve_latency.snapshot(),
-                                progress,
-                                caches: &collect_caches(&active),
-                                shards: &scheduler.shard_stats(),
-                                lifetime: lifetime_view(&lifetime, &active),
-                                server: self.server.as_ref().map(|s| s.admission_counters()),
-                                config_json: &config_json,
-                            };
-                            write_line(&proto::metrics_line(&report, version))?;
-                        }
-                        Request::Shutdown => break,
-                        Request::OpenSession(open) => {
-                            if active.is_some() {
-                                reject(
-                                    &mut summary.request_errors,
-                                    ErrorCode::SessionOpen,
-                                    "a streaming session is already open on this connection \
-                                     (close_session first)"
-                                        .to_string(),
-                                )?;
-                                continue;
-                            }
-                            let id = next_session_id;
-                            next_session_id += 1;
-                            let name = open.name.clone().unwrap_or_else(|| format!("session{id}"));
-                            let support = open.support.unwrap_or(config.engine.support);
-                            // A tenant may lower (never raise) the
-                            // service's depth cap for this session.
-                            let max_depth = open.max_depth.map_or(config.max_session_depth, |d| {
-                                d.min(config.max_session_depth)
-                            });
-                            let flips = TraceFlipSession::new(
-                                support,
-                                &stream_solver,
-                                config.engine.refinement_limit,
-                                &config.engine.build,
-                                &stream_caches,
-                            )
-                            .retractable()
-                            .with_inputs_used(open.inputs_used);
-                            lifetime.sessions_opened += 1;
-                            active = Some(StreamState {
-                                id,
-                                max_depth,
-                                events: Vec::new(),
-                                flips,
-                            });
-                            write_line(&proto::session_opened_line(id, &name))?;
-                        }
-                        Request::Push(push) => {
-                            let Some(stream) = active.as_mut() else {
-                                reject(
-                                    &mut summary.request_errors,
-                                    ErrorCode::NoSession,
-                                    "push requires an open session (send open_session first)"
-                                        .to_string(),
-                                )?;
-                                continue;
-                            };
-                            if stream.flips.depth() >= stream.max_depth {
-                                reject(
-                                    &mut summary.request_errors,
-                                    ErrorCode::DepthLimit,
-                                    format!("session depth limit {} reached", stream.max_depth),
-                                )?;
-                                continue;
-                            }
-                            // Validate every event reference before
-                            // touching session state, so a rejected push
-                            // leaves the stack and table untouched.
-                            let PushRequest {
-                                events,
-                                cond,
-                                taken,
-                            } = *push;
-                            let base = stream.events.len();
-                            let total = base + events.len();
-                            let mut invalid = None;
-                            for (i, event) in events.iter().enumerate() {
-                                match wire::max_referenced_event(&event.subject) {
-                                    // An event subject may reference only
-                                    // strictly earlier events.
-                                    Some(max) if max >= base + i => {
-                                        invalid = Some(format!(
-                                            "event {} references event {max}, which is not \
-                                             defined before it",
-                                            base + i
-                                        ));
-                                        break;
-                                    }
-                                    _ => {}
-                                }
-                            }
-                            if invalid.is_none() {
-                                if let Some(max) = wire::max_referenced_event(&cond) {
-                                    if max >= total {
-                                        invalid = Some(format!(
-                                            "cond references event {max}, but the session \
-                                             defines {total}"
-                                        ));
-                                    }
-                                }
-                            }
-                            if let Some(message) = invalid {
-                                reject(&mut summary.request_errors, ErrorCode::BadEvent, message)?;
-                                continue;
-                            }
-                            stream.events.extend(events);
-                            stream.flips.push_clause(&stream.events, &cond, taken);
-                            write_line(&proto::pushed_line(stream.id, stream.flips.depth()))?;
-                        }
-                        Request::Pop => {
-                            let Some(stream) = active.as_mut() else {
-                                reject(
-                                    &mut summary.request_errors,
-                                    ErrorCode::NoSession,
-                                    "pop requires an open session".to_string(),
-                                )?;
-                                continue;
-                            };
-                            if !stream.flips.pop_clause() {
-                                reject(
-                                    &mut summary.request_errors,
-                                    ErrorCode::BadDepth,
-                                    "pop at depth 0".to_string(),
-                                )?;
-                                continue;
-                            }
-                            write_line(&proto::popped_line(stream.id, stream.flips.depth()))?;
-                        }
-                        Request::Solve { depth } => {
-                            let Some(stream) = active.as_ref() else {
-                                reject(
-                                    &mut summary.request_errors,
-                                    ErrorCode::NoSession,
-                                    "solve requires an open session".to_string(),
-                                )?;
-                                continue;
-                            };
-                            if depth >= stream.flips.depth() {
-                                reject(
-                                    &mut summary.request_errors,
-                                    ErrorCode::BadDepth,
-                                    format!(
-                                        "solve depth {depth} out of range (session depth {})",
-                                        stream.flips.depth()
-                                    ),
-                                )?;
-                                continue;
-                            }
-                            let started = Instant::now();
-                            let result = stream.flips.solve(depth);
-                            solve_latency.record(started.elapsed());
-                            write_line(&proto::solved_line(stream.id, depth, &result))?;
-                        }
-                        Request::CloseSession => {
-                            let Some(stream) = active.take() else {
-                                reject(
-                                    &mut summary.request_errors,
-                                    ErrorCode::NoSession,
-                                    "close_session requires an open session".to_string(),
-                                )?;
-                                continue;
-                            };
-                            let stats = stream.flips.session_stats();
-                            lifetime.sessions_closed += 1;
-                            lifetime.solves += stats.solves;
-                            lifetime.prefix_reuse_hits += stats.prefix_reuse_hits;
-                            write_line(&proto::session_closed_line(
-                                stream.id,
-                                stream.flips.depth(),
-                                stats,
-                            ))?;
-                        }
-                        Request::Explore(explore) => {
-                            // Exploration runs synchronously on the
-                            // reader thread (like streamed solves) with
-                            // the connection's shared cache set, so its
-                            // progress lines stay ordered with the
-                            // requests and the stream is deterministic
-                            // at any worker count.
-                            let id = next_explore_id;
-                            next_explore_id += 1;
-                            let name = explore
-                                .name
-                                .clone()
-                                .unwrap_or_else(|| format!("explore{id}"));
-                            let program = match parse_program(&explore.program) {
-                                Ok(program) => program,
-                                Err(e) => {
-                                    write_line(&proto::explore_error_line(
-                                        id,
-                                        &name,
-                                        &format!("parse: {e}"),
-                                    ))?;
-                                    continue;
-                                }
-                            };
-                            let harness = match explore.harness {
-                                HarnessKind::Strings => {
-                                    Harness::strings(&explore.entry, explore.arity)
-                                }
-                                HarnessKind::StringArray => {
-                                    Harness::string_array(&explore.entry, explore.arity)
-                                }
-                            };
-                            let explore_config = explore_config_for(&explore, &config.engine);
-                            let mut stream_error: Option<std::io::Error> = None;
-                            let report = explore_observed(
-                                &program,
-                                &harness,
-                                &explore_config,
-                                &stream_caches,
-                                &mut |progress| {
-                                    if stream_error.is_none() {
-                                        if let Err(e) =
-                                            write_line(&proto::explore_progress_line(id, progress))
-                                        {
-                                            stream_error = Some(e);
-                                        }
-                                    }
-                                },
-                            );
-                            if let Some(e) = stream_error {
-                                return Err(e);
-                            }
-                            write_line(&proto::explore_result_line(id, &name, &report))?;
-                        }
+                    if flow == Flow::Close {
+                        return Ok(());
                     }
                 }
-                Ok(())
             })();
-
-            scheduler.close();
-            let (jobs, emit_error) = emitter.join().expect("emitter panicked");
-            summary.jobs = jobs;
-            io_error = emit_error;
-            reader
+            backend.close();
+            (reader, emitter.join().expect("emitter panicked"))
         });
 
-        reader_result?;
+        reader?;
         if self.metrics_text {
-            let progress = scheduler.progress();
-            let job_latency = scheduler.latency();
-            let solve = solve_latency.snapshot();
-            let caches = scheduler.caches();
-            eprintln!(
-                "metrics: jobs={} request_errors={} sessions={}/{} solves={} prefix_reuse={}",
-                summary.jobs,
-                summary.request_errors,
-                lifetime.sessions_opened,
-                lifetime.sessions_closed,
-                lifetime.solves,
-                lifetime.prefix_reuse_hits,
-            );
-            eprintln!(
-                "metrics: scheduler workers={} submitted={} drained={} queued={} \
-                 job_p50_ms={:.3} job_p99_ms={:.3} job_max_ms={:.3}",
-                scheduler.workers(),
-                progress.submitted,
-                progress.drained,
-                progress.queued,
-                job_latency.p50_ms(),
-                job_latency.p99_ms(),
-                job_latency.max_ms(),
-            );
-            eprintln!(
-                "metrics: solve count={} p50_ms={:.3} p99_ms={:.3} cache_bytes=[{},{}] \
-                 cache_evictions=[{},{}]",
-                solve.count,
-                solve.p50_ms(),
-                solve.p99_ms(),
-                caches.model.bytes(),
-                caches.verdicts.bytes(),
-                caches.model.evictions(),
-                caches.verdicts.evictions(),
-            );
+            let snapshot = connection.snapshot();
+            eprintln!("{}", proto::metrics_line(&snapshot, connection.version()));
         }
-        if let Some(error) = io_error {
+        if let Some(error) = emit_error {
             return Err(error);
         }
-        write_line(&proto::done_line(summary.jobs, stream_version))?;
-        Ok(summary)
+        write_line(&proto::done_line(jobs, connection.version()))?;
+        Ok(ServiceSummary {
+            jobs,
+            request_errors: connection.request_errors(),
+        })
     }
 }
 
@@ -1307,34 +820,5 @@ mod tests {
         // The session keeps serving after the oversized line.
         assert!(lines[1].contains(r#""type":"status""#), "{}", lines[1]);
         assert_eq!(lines[2], r#"{"v":1,"type":"done","jobs":0}"#);
-    }
-
-    #[test]
-    fn load_shed_answers_overloaded_at_the_inflight_bound() {
-        // One worker, inflight bound 1, shedding on: the first submit
-        // occupies the slot, and with the reader never draining until
-        // close, later submits shed deterministically once the bound
-        // is visibly reached. Use a slow job to hold the slot.
-        let config = ServiceConfig {
-            max_inflight: 1,
-            load_shed: true,
-            ..quick_config(1)
-        };
-        let slow = r#"{"type":"submit","name":"slow","program":"function f(x) { if (/^[a-z]+[0-9]+$/.test(x)) { return 1; } return 0; }"}"#;
-        let input = format!("{slow}\n{slow}\n{slow}\n");
-        let (lines, summary) = run_lines(&input, &config);
-        // At least one later submit hit the bound and was shed; the
-        // first always runs.
-        let results = lines
-            .iter()
-            .filter(|l| l.contains(r#""type":"result""#))
-            .count();
-        let shed = lines
-            .iter()
-            .filter(|l| l.contains(r#""code":"overloaded""#))
-            .count();
-        assert_eq!(results + shed, 3, "{lines:?}");
-        assert!(results >= 1, "{lines:?}");
-        assert_eq!(summary.request_errors as usize, shed);
     }
 }

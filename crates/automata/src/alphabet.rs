@@ -174,6 +174,49 @@ impl Alphabet {
         out
     }
 
+    /// When this alphabet refines `coarser` — every class of `self`
+    /// lies inside one class of `coarser` — the coarser class of each
+    /// class of `self`, indexed by class id; `None` otherwise.
+    ///
+    /// Classes are matched through the interval tables, not through
+    /// representative characters, so a class that holds only the
+    /// surrogate gap (an empty [`CharSet`]) maps to the coarser class
+    /// that holds the gap: both stand for "in no set of the problem".
+    ///
+    /// ```
+    /// use automata::{Alphabet, CharSet};
+    ///
+    /// let coarse = Alphabet::from_sets(&[CharSet::range('a', 'z')]);
+    /// let fine = Alphabet::from_sets(&[CharSet::range('a', 'z'), CharSet::single('q')]);
+    /// let map = fine.refinement_map(&coarse).expect("fine refines coarse");
+    /// assert_eq!(map[fine.classify('q') as usize], coarse.classify('q'));
+    /// assert_eq!(map[fine.classify('b') as usize], coarse.classify('b'));
+    /// assert!(coarse.refinement_map(&fine).is_none());
+    /// ```
+    pub fn refinement_map(&self, coarser: &Alphabet) -> Option<Vec<ClassId>> {
+        let mut map: Vec<Option<ClassId>> = vec![None; self.class_count()];
+        // Both boundary lists start at 0 and end at 0x110000; walk the
+        // coarser intervals that overlap each interval of `self`.
+        let mut j = 0;
+        for (i, &class) in self.interval_class.iter().enumerate() {
+            let (lo, hi) = (self.boundaries[i], self.boundaries[i + 1]);
+            while coarser.boundaries[j + 1] <= lo {
+                j += 1;
+            }
+            let mut k = j;
+            while coarser.boundaries[k] < hi {
+                let target = coarser.interval_class[k];
+                match map[class as usize] {
+                    None => map[class as usize] = Some(target),
+                    Some(mapped) if mapped != target => return None,
+                    Some(_) => {}
+                }
+                k += 1;
+            }
+        }
+        map.into_iter().collect()
+    }
+
     /// Converts a word of class ids into a concrete string of
     /// representatives.
     pub fn realize(&self, word: &[ClassId]) -> String {
@@ -231,6 +274,45 @@ mod tests {
     fn empty_sets_one_class() {
         let alpha = Alphabet::from_sets(&[]);
         assert_eq!(alpha.class_count(), 1);
+    }
+
+    #[test]
+    fn refinement_maps_the_surrogate_only_class_through_the_gap() {
+        let az = CharSet::range('a', 'z');
+        // `coarse` has a rest class: everything outside [a-z], gap
+        // included. `fine` covers every scalar value, so its gap class
+        // holds no character at all.
+        let coarse = Alphabet::from_sets(std::slice::from_ref(&az));
+        let fine = Alphabet::from_sets(&[az.clone(), az.complement()]);
+        assert_eq!(fine.class_count(), 3);
+        let gap = fine.interval_class[fine.boundaries.binary_search(&0xD800).expect("gap bound")];
+        assert!(fine.class_set(gap).is_empty());
+        let map = fine.refinement_map(&coarse).expect("fine refines coarse");
+        let rest = coarse.classify('0');
+        assert_eq!(map[gap as usize], rest);
+        assert_eq!(map[fine.classify('0') as usize], rest);
+        assert_eq!(map[fine.classify('m') as usize], coarse.classify('m'));
+
+        // Both sides surrogate-only: the gap classes map onto each other.
+        let coarse = Alphabet::from_sets(&[CharSet::any()]);
+        let fine = Alphabet::from_sets(&[CharSet::any(), CharSet::single('x')]);
+        let map = fine.refinement_map(&coarse).expect("fine refines coarse");
+        let gap_of = |a: &Alphabet| a.interval_class[a.boundaries.binary_search(&0xD800).unwrap()];
+        assert_eq!(map[gap_of(&fine) as usize], gap_of(&coarse));
+        assert_eq!(map[fine.classify('x') as usize], coarse.classify('x'));
+    }
+
+    #[test]
+    fn refinement_map_rejects_crossing_partitions() {
+        let left = Alphabet::from_sets(&[CharSet::range('a', 'm')]);
+        let right = Alphabet::from_sets(&[CharSet::range('g', 'z')]);
+        assert!(left.refinement_map(&right).is_none());
+        assert!(right.refinement_map(&left).is_none());
+        let identity = left.refinement_map(&left).expect("reflexive");
+        assert_eq!(
+            identity,
+            (0..left.class_count() as ClassId).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -6,20 +6,22 @@
 //!
 //! * [`Dfa::intersect`]/[`Dfa::union`] — products over a shared alphabet;
 //! * [`Dfa::complement`] — for non-membership constraints;
+//! * [`Dfa::project`] — one regex's minimal DFA re-expressed over each
+//!   problem alphabet that refines its own, instead of a rebuild;
 //! * [`Dfa::is_empty`]/[`Dfa::shortest_word`] — UNSAT detection and
 //!   witness generation;
 //! * [`Dfa::words`]/[`WordIter`] — bounded enumeration in length order;
 //! * [`Dfa::step`]/[`Dfa::distance_to_accept`] — incremental runs with
 //!   dead-state pruning during word-equation search.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::alphabet::{Alphabet, ClassId};
-use crate::cregex::CRegex;
-use crate::nfa::Nfa;
-
 use crate::config::{AutomataConfig, BuildMetrics};
+use crate::cregex::CRegex;
+use crate::fxhash::FxHashMap;
+use crate::nfa::Nfa;
 
 /// A complete deterministic finite automaton.
 #[derive(Debug, Clone)]
@@ -134,33 +136,40 @@ impl Dfa {
     /// states before minimizing to a dozen); bounded construction lets
     /// batch consumers — the differential fuzzer foremost — skip
     /// pathological instances instead of stalling on them.
+    ///
+    /// States are numbered in discovery order: breadth-first from the
+    /// start set, classes in id order.
     pub fn from_nfa_bounded(nfa: &Nfa, max_states: usize) -> Option<Dfa> {
         let class_count = nfa.alphabet.class_count();
-        let mut start_set = vec![nfa.start];
-        nfa.epsilon_closure(&mut start_set);
+        let mut closure = Closure::new(nfa);
+        let mut next: Vec<u32> = Vec::new();
+        closure.of(&[nfa.start], &mut next);
 
-        let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut ids: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
+        // Subset of each state id, in id order (the BFS queue).
+        let mut sets: Vec<Vec<u32>> = Vec::new();
         let mut transitions: Vec<u32> = Vec::new();
         let mut accepting: Vec<bool> = Vec::new();
-        let mut worklist: VecDeque<Vec<u32>> = VecDeque::new();
 
-        ids.insert(start_set.clone(), 0);
-        transitions.resize(class_count, u32::MAX);
-        accepting.push(start_set.contains(&nfa.accept));
-        worklist.push_back(start_set);
+        ids.insert(next.clone(), 0);
+        accepting.push(closure.holds(nfa.accept));
+        sets.push(std::mem::take(&mut next));
 
-        while let Some(set) = worklist.pop_front() {
-            let id = ids[&set];
-            for class in 0..class_count {
-                let mut next: Vec<u32> = Vec::new();
-                for &s in &set {
-                    for &(c, t) in &nfa.states[s as usize].transitions {
-                        if c as usize == class && !next.contains(&t) {
-                            next.push(t);
-                        }
-                    }
+        // Targets of the current subset's edges, bucketed by class in
+        // one pass over its edges.
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); class_count];
+        let mut id = 0;
+        while id < sets.len() {
+            for bucket in &mut buckets {
+                bucket.clear();
+            }
+            for &s in &sets[id] {
+                for &(c, t) in &nfa.states[s as usize].transitions {
+                    buckets[c as usize].push(t);
                 }
-                nfa.epsilon_closure(&mut next);
+            }
+            for bucket in &buckets {
+                closure.of(bucket, &mut next);
                 let next_id = match ids.get(&next) {
                     Some(&id) => id,
                     None => {
@@ -169,28 +178,23 @@ impl Dfa {
                         }
                         let new_id = accepting.len() as u32;
                         ids.insert(next.clone(), new_id);
-                        transitions.extend(std::iter::repeat_n(u32::MAX, class_count));
-                        accepting.push(next.contains(&nfa.accept));
-                        worklist.push_back(next);
+                        accepting.push(closure.holds(nfa.accept));
+                        sets.push(next.clone());
                         new_id
                     }
                 };
-                transitions[id as usize * class_count + class] = next_id;
+                transitions.push(next_id);
             }
+            id += 1;
         }
 
-        let mut dfa = Dfa {
+        Some(Dfa::from_parts(
             transitions,
             accepting,
-            start: 0,
+            0,
             class_count,
-            alphabet: Arc::clone(&nfa.alphabet),
-            distances: Vec::new(),
-            infinite: std::sync::OnceLock::new(),
-            bounds: std::sync::OnceLock::new(),
-        };
-        dfa.compute_distances();
-        Some(dfa)
+            Arc::clone(&nfa.alphabet),
+        ))
     }
 
     /// [`Dfa::from_cregex_with`] under a state budget: every subset
@@ -246,45 +250,40 @@ impl Dfa {
         }
     }
 
-    /// A DFA accepting exactly one word.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics when the word's characters are not singleton
-    /// classes of `alphabet`; use [`Dfa::from_word_classes`] for words
-    /// that did not contribute to the alphabet.
-    pub fn from_word(word: &str, alphabet: &Arc<Alphabet>) -> Dfa {
-        Dfa::from_cregex(&CRegex::lit(word), alphabet)
-    }
-
     /// A DFA accepting exactly the words whose *class sequence* equals
-    /// that of `word` — an overapproximation of `{word}` at minterm
-    /// granularity, safe for any word regardless of the alphabet's
-    /// construction. Used for residual-guide pruning in the solver.
-    pub fn from_word_classes(word: &str, alphabet: &Arc<Alphabet>) -> Dfa {
+    /// that of `word`: exactly `{word}` when its characters are
+    /// singleton classes of `alphabet` (they are when the word
+    /// contributed to it, as with [`Alphabet::for_problem`]), and a
+    /// safe minterm-granularity overapproximation of it otherwise — the
+    /// solver's residual guides rely on the latter.
+    ///
+    /// Built directly as the `n + 2`-state chain (positions `0..=n`
+    /// plus a dead state), numbered exactly as the subset construction
+    /// numbers the automaton of [`CRegex::lit`]: breadth-first from
+    /// the start, classes in id order.
+    pub fn from_word(word: &str, alphabet: &Arc<Alphabet>) -> Dfa {
         let classes = alphabet.abstract_word(word);
         let class_count = alphabet.class_count();
         let n = classes.len();
-        // States 0..=n along the word, plus a dead state n+1.
-        let dead = (n + 1) as u32;
-        let mut transitions = vec![dead; (n + 2) * class_count];
-        for (i, &c) in classes.iter().enumerate() {
-            transitions[i * class_count + c as usize] = (i + 1) as u32;
+        // Discovery order: processing the start state meets the dead
+        // state at the first class other than the word's first class
+        // (class 0, or class 1 when the word starts with class 0);
+        // with a single class it is met only after the last position.
+        let dead = if class_count == 1 {
+            n + 1
+        } else if n > 0 && classes[0] == 0 {
+            2
+        } else {
+            1
+        };
+        let id = |position: usize| (position + usize::from(position >= dead)) as u32;
+        let mut transitions = vec![dead as u32; (n + 2) * class_count];
+        for (position, &class) in classes.iter().enumerate() {
+            transitions[id(position) as usize * class_count + class as usize] = id(position + 1);
         }
         let mut accepting = vec![false; n + 2];
-        accepting[n] = true;
-        let mut dfa = Dfa {
-            transitions,
-            accepting,
-            start: 0,
-            class_count,
-            alphabet: Arc::clone(alphabet),
-            distances: Vec::new(),
-            infinite: std::sync::OnceLock::new(),
-            bounds: std::sync::OnceLock::new(),
-        };
-        dfa.compute_distances();
-        dfa
+        accepting[id(n) as usize] = true;
+        Dfa::from_parts(transitions, accepting, 0, class_count, Arc::clone(alphabet))
     }
 
     /// A DFA accepting every word.
@@ -346,18 +345,79 @@ impl Dfa {
 
     /// Complement (flips acceptance; completeness makes this exact).
     pub fn complement(&self) -> Dfa {
-        let mut out = Dfa {
-            transitions: self.transitions.clone(),
-            accepting: self.accepting.iter().map(|&a| !a).collect(),
-            start: self.start,
-            class_count: self.class_count,
-            alphabet: Arc::clone(&self.alphabet),
-            distances: Vec::new(),
+        Dfa::from_parts(
+            self.transitions.clone(),
+            self.accepting.iter().map(|&a| !a).collect(),
+            self.start,
+            self.class_count,
+            Arc::clone(&self.alphabet),
+        )
+    }
+
+    /// The same language over `target`, an alphabet that refines this
+    /// DFA's own ([`Alphabet::refinement_map`]); `None` when it does
+    /// not. Each class of `target` takes the transitions of the class
+    /// it refines, and the reachable states are renumbered
+    /// breadth-first in class order.
+    ///
+    /// Projecting a [minimized](Dfa::minimized) DFA yields exactly the
+    /// minimized DFA a fresh build over `target` would: the refinement
+    /// hits every class of the coarser alphabet, so every state stays
+    /// reachable and distinguishable, and the minimal complete DFA of a
+    /// language is unique up to numbering — which the breadth-first
+    /// renumbering makes canonical. A regex is thus determinized once
+    /// over its own minterms and projected onto each problem alphabet.
+    ///
+    /// ```
+    /// use automata::{Alphabet, AutomataConfig, BuildMetrics, CRegex, CharSet, Dfa};
+    /// use std::sync::Arc;
+    ///
+    /// let re = CRegex::plus(CRegex::set(CharSet::range('a', 'c')));
+    /// let own = Arc::new(Alphabet::from_sets(&[CharSet::range('a', 'c')]));
+    /// let problem = Arc::new(Alphabet::from_sets(&[
+    ///     CharSet::range('a', 'c'),
+    ///     CharSet::single('b'),
+    /// ]));
+    /// let fresh = |alphabet: &Arc<Alphabet>| {
+    ///     let cfg = AutomataConfig::default();
+    ///     Dfa::from_cregex_with(&re, alphabet, &cfg, &mut BuildMetrics::default()).minimized()
+    /// };
+    /// let projected = fresh(&own).project(&problem).expect("problem refines own");
+    /// assert_eq!(projected.canonical_key(), fresh(&problem).canonical_key());
+    /// ```
+    pub fn project(&self, target: &Arc<Alphabet>) -> Option<Dfa> {
+        let map = target.refinement_map(&self.alphabet)?;
+        let class_count = map.len();
+        let mut canon = vec![u32::MAX; self.state_count()];
+        let mut order = vec![self.start]; // canonical id → own state
+        canon[self.start as usize] = 0;
+        let mut transitions = Vec::with_capacity(self.state_count() * class_count);
+        let mut next = 0;
+        while next < order.len() {
+            let state = order[next];
+            next += 1;
+            for &class in &map {
+                let t = self.step(state, class);
+                if canon[t as usize] == u32::MAX {
+                    canon[t as usize] = order.len() as u32;
+                    order.push(t);
+                }
+                transitions.push(canon[t as usize]);
+            }
+        }
+        // The map is onto (every coarser class holds some interval of
+        // `target`), so a state's shortest accepted suffix lifts class
+        // by class: distances carry over unchanged.
+        Some(Dfa {
+            transitions,
+            accepting: order.iter().map(|&s| self.is_accepting(s)).collect(),
+            start: 0,
+            class_count,
+            alphabet: Arc::clone(target),
+            distances: order.iter().map(|&s| self.distances[s as usize]).collect(),
             infinite: std::sync::OnceLock::new(),
             bounds: std::sync::OnceLock::new(),
-        };
-        out.compute_distances();
-        out
+        })
     }
 
     /// Intersection product.
@@ -403,7 +463,7 @@ impl Dfa {
                 ProductMode::Union => self.is_accepting(a) || other.is_accepting(b),
             }
         };
-        let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut ids: FxHashMap<(u32, u32), u32> = FxHashMap::default();
         let mut transitions: Vec<u32> = Vec::new();
         let mut accepting: Vec<bool> = Vec::new();
         let mut worklist = VecDeque::new();
@@ -459,12 +519,22 @@ impl Dfa {
     fn compute_distances(&mut self) {
         let n = self.state_count();
         let mut distances: Vec<Option<u32>> = vec![None; n];
-        // Reverse BFS from accepting states.
-        let mut reverse: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for state in 0..n {
-            for class in 0..self.class_count {
-                let next = self.transitions[state * self.class_count + class];
-                reverse[next as usize].push(state as u32);
+        // Reverse BFS from accepting states, over the reverse edges in
+        // one flat CSR array: the predecessors of `t` are
+        // `preds[offsets[t]..offsets[t + 1]]`.
+        let mut offsets: Vec<u32> = vec![0; n + 1];
+        for &t in &self.transitions {
+            offsets[t as usize + 1] += 1;
+        }
+        for t in 0..n {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut fill: Vec<u32> = offsets[..n].to_vec();
+        let mut preds: Vec<u32> = vec![0; self.transitions.len()];
+        for (state, row) in self.transitions.chunks_exact(self.class_count).enumerate() {
+            for &t in row {
+                preds[fill[t as usize] as usize] = state as u32;
+                fill[t as usize] += 1;
             }
         }
         let mut queue = VecDeque::new();
@@ -476,7 +546,8 @@ impl Dfa {
         }
         while let Some(state) = queue.pop_front() {
             let d = distances[state as usize].expect("queued states have distance");
-            for &prev in &reverse[state as usize] {
+            let (lo, hi) = (offsets[state as usize], offsets[state as usize + 1]);
+            for &prev in &preds[lo as usize..hi as usize] {
                 if distances[prev as usize].is_none() {
                     distances[prev as usize] = Some(d + 1);
                     queue.push_back(prev);
@@ -568,6 +639,60 @@ impl Dfa {
             }
         }
         false
+    }
+}
+
+/// ε-closures over one NFA, deduplicated with a generation-stamped
+/// mark array instead of linear `contains` scans.
+struct Closure<'a> {
+    nfa: &'a Nfa,
+    /// `mark[s] == stamp` iff `s` is in the latest closure.
+    mark: Vec<u32>,
+    stamp: u32,
+    stack: Vec<u32>,
+}
+
+impl<'a> Closure<'a> {
+    fn new(nfa: &'a Nfa) -> Closure<'a> {
+        Closure {
+            nfa,
+            mark: vec![0; nfa.len()],
+            stamp: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Writes the sorted ε-closure of `seeds` into `out`.
+    fn of(&mut self, seeds: &[u32], out: &mut Vec<u32>) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.mark.fill(0);
+            self.stamp = 1;
+        }
+        out.clear();
+        for &s in seeds {
+            self.visit(s, out);
+        }
+        let nfa = self.nfa;
+        while let Some(s) = self.stack.pop() {
+            for &t in &nfa.states[s as usize].epsilon {
+                self.visit(t, out);
+            }
+        }
+        out.sort_unstable();
+    }
+
+    fn visit(&mut self, s: u32, out: &mut Vec<u32>) {
+        if self.mark[s as usize] != self.stamp {
+            self.mark[s as usize] = self.stamp;
+            out.push(s);
+            self.stack.push(s);
+        }
+    }
+
+    /// True when `state` is in the latest closure.
+    fn holds(&self, state: u32) -> bool {
+        self.mark[state as usize] == self.stamp
     }
 }
 
@@ -736,6 +861,151 @@ mod tests {
         let d = Dfa::universal(&alphabet);
         assert!(d.contains(""));
         assert!(d.contains("anything at all"));
+    }
+
+    /// The subset construction as first written — per-class edge
+    /// scans, `Vec::contains` dedup, SipHash id map — kept as the
+    /// oracle the bucketed construction must match state for state.
+    fn subset_reference(nfa: &Nfa) -> Dfa {
+        let class_count = nfa.alphabet.class_count();
+        let mut start_set = vec![nfa.start];
+        nfa.epsilon_closure(&mut start_set);
+        let mut ids: std::collections::HashMap<Vec<u32>, u32> = std::collections::HashMap::new();
+        let mut transitions: Vec<u32> = Vec::new();
+        let mut accepting: Vec<bool> = Vec::new();
+        let mut worklist: VecDeque<Vec<u32>> = VecDeque::new();
+        ids.insert(start_set.clone(), 0);
+        transitions.resize(class_count, u32::MAX);
+        accepting.push(start_set.contains(&nfa.accept));
+        worklist.push_back(start_set);
+        while let Some(set) = worklist.pop_front() {
+            let id = ids[&set];
+            for class in 0..class_count {
+                let mut next: Vec<u32> = Vec::new();
+                for &s in &set {
+                    for &(c, t) in &nfa.states[s as usize].transitions {
+                        if c as usize == class && !next.contains(&t) {
+                            next.push(t);
+                        }
+                    }
+                }
+                nfa.epsilon_closure(&mut next);
+                let next_id = match ids.get(&next) {
+                    Some(&id) => id,
+                    None => {
+                        let new_id = accepting.len() as u32;
+                        ids.insert(next.clone(), new_id);
+                        transitions.extend(std::iter::repeat_n(u32::MAX, class_count));
+                        accepting.push(next.contains(&nfa.accept));
+                        worklist.push_back(next);
+                        new_id
+                    }
+                };
+                transitions[id as usize * class_count + class] = next_id;
+            }
+        }
+        Dfa::from_parts(
+            transitions,
+            accepting,
+            0,
+            class_count,
+            Arc::clone(&nfa.alphabet),
+        )
+    }
+
+    /// A small random classical regex over `a`–`d` and a non-BMP
+    /// character, with intersections and complements.
+    fn random_regex(rng: &mut rand::rngs::StdRng, depth: usize) -> CRegex {
+        use rand::RngExt;
+        let leaf = |rng: &mut rand::rngs::StdRng| match rng.random_range(0usize..6) {
+            0 => CRegex::set(CharSet::single('a')),
+            1 => CRegex::set(CharSet::range('a', 'c')),
+            2 => CRegex::lit("bd"),
+            3 => CRegex::set(CharSet::single('\u{1F600}')),
+            4 => CRegex::any_char(),
+            _ => CRegex::Epsilon,
+        };
+        if depth == 0 {
+            return leaf(rng);
+        }
+        let pick = rng.random_range(0usize..8);
+        let mut sub = || random_regex(rng, depth - 1);
+        match pick {
+            0 => CRegex::star(sub()),
+            1 => CRegex::opt(sub()),
+            2 => CRegex::concat(vec![sub(), sub()]),
+            3 => CRegex::alt(vec![sub(), sub()]),
+            4 => CRegex::and(vec![sub(), sub()]),
+            5 => CRegex::not(sub()),
+            _ => CRegex::lit("c"),
+        }
+    }
+
+    fn distances(d: &Dfa) -> Vec<Option<u32>> {
+        (0..d.state_count() as u32)
+            .map(|s| d.distance_to_accept(s))
+            .collect()
+    }
+
+    #[test]
+    fn bucketed_subset_construction_matches_the_reference() {
+        use rand::SeedableRng;
+        for seed in 0..300u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let re = random_regex(&mut rng, 3);
+            let mut sets = vec![CharSet::range('b', 'e')];
+            re.collect_sets(&mut sets);
+            let alphabet = Arc::new(Alphabet::from_sets(&sets));
+            let nfa = Nfa::thompson(&re, &alphabet);
+            let fast = Dfa::from_nfa(&nfa);
+            let reference = subset_reference(&nfa);
+            assert_eq!(
+                fast.canonical_key(),
+                reference.canonical_key(),
+                "seed {seed}: {re}"
+            );
+            assert_eq!(distances(&fast), distances(&reference), "seed {seed}");
+            // The cap trips exactly where the reference outgrows it.
+            assert!(Dfa::from_nfa_bounded(&nfa, reference.state_count()).is_some());
+            assert!(Dfa::from_nfa_bounded(&nfa, reference.state_count() - 1).is_none());
+        }
+    }
+
+    #[test]
+    fn from_word_matches_the_literal_subset_construction() {
+        // Alphabets where the words' first class is 0, is not 0, and
+        // where there is a single class; words empty and non-empty.
+        let alphabets = [
+            Alphabet::for_problem(&[CharSet::range('a', 'z')], &["hey", "a", "zz"]),
+            Alphabet::for_problem(&[], &["ab"]),
+            Alphabet::for_problem(&[CharSet::single('\0')], &["\0\0b"]),
+            Arc::new(Alphabet::from_sets(&[])),
+        ];
+        let words = ["", "hey", "a", "zz", "ab", "ba", "\0\0b", "\0"];
+        for alphabet in &alphabets {
+            for word in words {
+                let singleton = word
+                    .chars()
+                    .all(|c| alphabet.class_set(alphabet.classify(c)).len() == 1);
+                // A character in a wider class stands for its class:
+                // spell the literal as its class sets, which is the
+                // language `CRegex::lit` compiles to there.
+                let literal = if singleton {
+                    CRegex::lit(word)
+                } else {
+                    CRegex::concat(
+                        word.chars()
+                            .map(|c| CRegex::set(alphabet.class_set(alphabet.classify(c)).clone()))
+                            .collect(),
+                    )
+                };
+                let direct = Dfa::from_word(word, alphabet);
+                let built = Dfa::from_cregex(&literal, alphabet);
+                assert_eq!(direct.canonical_key(), built.canonical_key(), "{word:?}");
+                assert_eq!(distances(&direct), distances(&built), "{word:?}");
+                assert!(direct.contains(word), "{word:?}");
+            }
+        }
     }
 
     #[test]

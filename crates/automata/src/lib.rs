@@ -11,8 +11,8 @@
 //! * [`Alphabet`] — minterm partitions shared across a constraint
 //!   problem, keeping DFAs small;
 //! * [`Nfa`]/[`Dfa`] — Thompson construction, subset construction,
-//!   product, complement, emptiness, shortest-word and bounded word
-//!   enumeration;
+//!   product, complement, projection onto a refining alphabet,
+//!   emptiness, shortest-word and bounded word enumeration;
 //! * [`minimize`] — Hopcroft minimization with canonical state
 //!   numbering plus accepted-word [`LengthBounds`], driven by
 //!   [`AutomataConfig`] thresholds and reported through
@@ -40,6 +40,7 @@ pub mod charset;
 pub mod config;
 pub mod cregex;
 pub mod dfa;
+mod fxhash;
 pub mod minimize;
 pub mod nfa;
 

@@ -5,6 +5,8 @@
 //! must agree on membership for every word up to length 6 over the
 //! problem alphabet, plus oracle strings from the concrete ES6
 //! matcher. `length_bounds()` must bracket every accepted word.
+//! Projecting a minimized DFA onto a refining alphabet must equal the
+//! minimized fresh build over that alphabet, complement included.
 
 use std::sync::Arc;
 
@@ -208,4 +210,81 @@ fn minimized_agrees_with_the_es6_matcher_oracle() {
             );
         }
     }
+}
+
+/// The pipeline result the solver's cache stores: the lazy build,
+/// minimized (canonically numbered).
+fn lazy_minimal(re: &CRegex, alphabet: &Arc<Alphabet>) -> Dfa {
+    Dfa::from_cregex_with(
+        re,
+        alphabet,
+        &AutomataConfig::default(),
+        &mut BuildMetrics::default(),
+    )
+    .minimized()
+}
+
+/// `alphabet_of(re)` refined by a random handful of extra sets: single
+/// characters (inside and outside the regex's sets, one non-BMP), a
+/// range straddling `[a-c]`, and sets that cover every scalar value so
+/// the surrogate gap becomes a class of its own.
+fn refining_alphabet(re: &CRegex, rng: &mut StdRng) -> Arc<Alphabet> {
+    let pool = [
+        CharSet::single('a'),
+        CharSet::single('c'),
+        CharSet::single('z'),
+        CharSet::single('\u{1F600}'),
+        CharSet::range('b', 'q'),
+        CharSet::range('a', 'c').complement(),
+        CharSet::any(),
+    ];
+    let mut sets = Vec::new();
+    re.collect_sets(&mut sets);
+    sets.push(CharSet::range('a', 'c'));
+    for _ in 0..rng.random_range(0usize..4) {
+        sets.push(pool.choose(rng).expect("nonempty").clone());
+    }
+    Arc::new(Alphabet::from_sets(&sets))
+}
+
+fn distances(d: &Dfa) -> Vec<Option<u32>> {
+    (0..d.state_count() as u32)
+        .map(|s| d.distance_to_accept(s))
+        .collect()
+}
+
+#[test]
+fn projection_equals_a_fresh_minimal_build() {
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(0x9a0_u64 ^ seed);
+        let re = random_regex(&mut rng, 3);
+        let own = alphabet_of(&re);
+        let base = lazy_minimal(&re, &own);
+        for _ in 0..3 {
+            let target = refining_alphabet(&re, &mut rng);
+            let projected = base.project(&target).expect("target refines own");
+            let fresh = lazy_minimal(&re, &target);
+            assert_eq!(
+                projected.canonical_key(),
+                fresh.canonical_key(),
+                "seed {seed}: {re}"
+            );
+            assert_eq!(distances(&projected), distances(&fresh), "seed {seed}");
+            // Complementing commutes with projecting.
+            let fresh_not = lazy_minimal(&CRegex::not(re.clone()), &target);
+            assert_eq!(
+                projected.complement().canonical_key(),
+                fresh_not.canonical_key(),
+                "seed {seed}: complement of {re}"
+            );
+        }
+    }
+}
+
+#[test]
+fn projection_refuses_an_alphabet_that_does_not_refine() {
+    let re = CRegex::plus(CRegex::set(CharSet::range('a', 'm')));
+    let own = Arc::new(Alphabet::from_sets(&[CharSet::range('a', 'm')]));
+    let crossing = Arc::new(Alphabet::from_sets(&[CharSet::range('g', 'z')]));
+    assert!(lazy_minimal(&re, &own).project(&crossing).is_none());
 }

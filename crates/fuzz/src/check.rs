@@ -748,6 +748,7 @@ fn check_matcher_vs_dfa(
     let lang = try_wrapped_word_language(&regex.ast, regex.flags)?;
     let mut sets = Vec::new();
     lang.collect_sets(&mut sets);
+    let own_alphabet = Arc::new(Alphabet::from_sets(&sets));
     for &c in alphabet {
         sets.push(automata::CharSet::single(c));
     }
@@ -772,6 +773,29 @@ fn check_matcher_vs_dfa(
             return None;
         }
     };
+
+    // Projection: the language determinized over its own minterms and
+    // projected onto the case alphabet must be exactly the minimized
+    // direct build — the solver's DFA cache serves every conjunction
+    // alphabet this way. An own-alphabet build over the state cap
+    // skips only this comparison.
+    if let Some(own) = Dfa::try_from_cregex_with(
+        &lang,
+        &own_alphabet,
+        &automata::AutomataConfig::default(),
+        &mut automata::BuildMetrics::default(),
+        budget.max_dfa_states,
+    ) {
+        let projected = own.minimized().project(&dfa_alphabet);
+        if projected.map(|p| p.canonical_key()) != Some(dfa.minimized().canonical_key()) {
+            return Some(Disagreement {
+                layer: Layer::MatcherVsDfa,
+                detail: "own-alphabet DFA projected onto the case alphabet differs from the \
+                         direct build"
+                    .to_string(),
+            });
+        }
+    }
 
     // Positive samples: the shortest accepted wrapped word plus
     // distance-guided random walks. (Exhaustive `Dfa::words` is

@@ -154,8 +154,9 @@ impl Solver {
 
 /// Session-shareable DFA intern tables.
 ///
-/// Every [`Solver`] owns a DFA cache (compiled DFAs, canonical
-/// interning, alphabets, exact-word DFAs, intersection folds); by
+/// Every [`Solver`] owns a DFA cache (compiled DFAs, each regex's
+/// own-alphabet base DFA, canonical interning, alphabets, exact-word
+/// and universal DFAs, intersection folds); by
 /// default that cache is private to the solver. `DfaTables` lifts it to
 /// session scope: hand one instance to every solver of a scheduler
 /// session (via [`Solver::with_dfa_tables`]) and a regex determinized
@@ -226,7 +227,8 @@ impl DfaTables {
         self.shards.lock().values().map(|c| c.hit_count()).sum()
     }
 
-    /// Total lookups that built a fresh automaton, across all shards.
+    /// Total lookups that had to produce an automaton (build or
+    /// project it), across all shards.
     pub fn misses(&self) -> u64 {
         self.shards.lock().values().map(|c| c.miss_count()).sum()
     }
@@ -265,14 +267,22 @@ impl DfaTables {
 /// canonically numbered*, and a second index keyed by the canonical
 /// automaton structure interns them: structurally different but
 /// language-equal regexes (under the same alphabet) resolve to one
-/// shared entry instead of two duplicate automata.
+/// shared entry instead of two duplicate automata. Each regex is then
+/// determinized only once, over its own minterm alphabet (the `bases`
+/// tier); an `entries` miss projects that automaton onto the asking
+/// conjunction's alphabet ([`Dfa::project`]), which yields exactly the
+/// minimal DFA a fresh build would.
 #[derive(Debug)]
 pub(crate) struct DfaCache {
-    /// Lookups served from a shard (entries/words/products).
+    /// Lookups served from a shard (entries/words/universals/products).
     hits: std::sync::atomic::AtomicU64,
-    /// Lookups that fell through to a fresh construction.
+    /// Lookups that had to produce an automaton.
     misses: std::sync::atomic::AtomicU64,
     entries: Shard<DfaKey, Arc<Dfa>>,
+    /// Each regex's minimal, canonically numbered DFA over its own
+    /// minterm alphabet — the source every `entries` miss of the lazy
+    /// pipeline projects from.
+    bases: Shard<Arc<CRegex>, Arc<Dfa>>,
     /// Canonical (minimal, BFS-numbered) automaton → interned entry.
     canonical: Shard<CanonicalKey, Arc<Dfa>>,
     /// Interned minterm alphabets, keyed by the normalized problem
@@ -284,6 +294,9 @@ pub(crate) struct DfaCache {
     /// word + alphabet pointer (the alphabet `Arc` is retained in the
     /// value, so a resident key's address cannot be recycled).
     words: Shard<(String, usize, bool), WordEntry>,
+    /// Universal DFAs for unconstrained roots, keyed by alphabet
+    /// pointer (the alphabet `Arc` retained in the value, as above).
+    universals: Shard<usize, WordEntry>,
     /// Intersection folds, keyed by the sorted pointer set of their
     /// factors (each factor `Arc` retained in the value — same ABA
     /// argument). A conjunction repeated across boolean branches,
@@ -324,9 +337,11 @@ impl DfaCache {
             hits: std::sync::atomic::AtomicU64::new(0),
             misses: std::sync::atomic::AtomicU64::new(0),
             entries: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
+            bases: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
             canonical: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
             alphabets: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
             words: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
+            universals: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
             products: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
         }
     }
@@ -348,7 +363,7 @@ impl DfaCache {
         self.hits.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Total lookups that built fresh.
+    /// Total lookups that had to produce an automaton.
     pub(crate) fn miss_count(&self) -> u64 {
         self.misses.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -384,6 +399,26 @@ impl DfaCache {
         }
         let dfa = Arc::new(dfa);
         self.words
+            .lock()
+            .insert(key, (Arc::clone(&dfa), Arc::clone(alphabet)));
+        dfa
+    }
+
+    /// The DFA accepting every word over `alphabet` — the language of
+    /// an unconstrained root. Keyed by alphabet pointer: the lazy
+    /// pipeline's interned alphabets recur across conjunctions, while
+    /// an eager-pipeline alphabet is shared only by the roots of its
+    /// own conjunction.
+    fn universal_dfa(&self, alphabet: &Arc<Alphabet>, stats: &mut SolveStats) -> Arc<Dfa> {
+        let key = Arc::as_ptr(alphabet) as usize;
+        if let Some((dfa, _)) = self.universals.lock().get(&key) {
+            self.note(stats, true);
+            return Arc::clone(dfa);
+        }
+        self.note(stats, false);
+        stats.dfas_built += 1;
+        let dfa = Arc::new(Dfa::universal(alphabet));
+        self.universals
             .lock()
             .insert(key, (Arc::clone(&dfa), Arc::clone(alphabet)));
         dfa
@@ -442,7 +477,13 @@ impl DfaCache {
     }
 
     /// The DFA of `re` (complemented when asked) under `alphabet`.
-    /// `stats.dfas_built` counts only actual constructions.
+    ///
+    /// The eager pipeline (`minimize_threshold == 0`) builds every miss
+    /// fresh. The lazy pipeline projects the regex's base automaton
+    /// (see [`DfaCache::base_dfa`]) onto `alphabet`, complements it if
+    /// asked, and interns the result by canonical structure. A
+    /// projection constructs no subset or product states, so only base
+    /// builds count towards `stats.dfas_built` and the state metrics.
     fn get_or_build(
         &self,
         re: &Arc<CRegex>,
@@ -461,28 +502,19 @@ impl DfaCache {
             return Arc::clone(dfa);
         }
         self.note(stats, false);
-        stats.dfas_built += 1;
-        let mut metrics = automata::BuildMetrics::default();
-        let mut dfa = Dfa::from_cregex_with(re, alphabet, config, &mut metrics);
-        if complemented {
-            dfa = dfa.complement().reduced(config, &mut metrics);
-        }
         let dfa = if config.minimize_threshold > 0 {
-            // Cache entries must be canonical for the language-level
-            // interning below to fire. A result at or above the
-            // threshold is already minimal and canonically numbered
-            // (the last `reduced()` produced it); only the small
-            // automata the threshold skipped need a pass here. The
-            // metric reports *retained* states, so a re-minimized
-            // top-level automaton replaces its thresholded count.
-            let minimal = if dfa.state_count() < config.minimize_threshold {
-                let minimal = Arc::new(dfa.minimized());
-                metrics.states_after_minimize = metrics.states_after_minimize
-                    - dfa.state_count() as u64
-                    + minimal.state_count() as u64;
-                minimal
+            // A conjunction's alphabet partitions every set of its
+            // regexes, so it refines each regex's own alphabet.
+            let projected = self
+                .base_dfa(re, config, stats)
+                .project(alphabet)
+                .expect("a conjunction alphabet refines its regexes' own alphabets");
+            // Complementing a minimal complete DFA keeps it minimal and
+            // its breadth-first numbering canonical.
+            let minimal = if complemented {
+                projected.complement()
             } else {
-                Arc::new(dfa)
+                projected
             };
             let canon_key = CanonicalKey {
                 alphabet: Arc::clone(alphabet),
@@ -492,17 +524,63 @@ impl DfaCache {
             match canonical.get(&canon_key) {
                 Some(shared) => Arc::clone(shared),
                 None => {
+                    let minimal = Arc::new(minimal);
                     canonical.insert(canon_key, Arc::clone(&minimal));
                     minimal
                 }
             }
         } else {
+            stats.dfas_built += 1;
+            let mut metrics = automata::BuildMetrics::default();
+            let mut dfa = Dfa::from_cregex_with(re, alphabet, config, &mut metrics);
+            if complemented {
+                dfa = dfa.complement().reduced(config, &mut metrics);
+            }
+            stats.dfa_states_built += metrics.states_built;
+            stats.states_after_minimize += metrics.states_after_minimize;
+            Arc::new(dfa)
+        };
+        self.entries.lock().insert(key, Arc::clone(&dfa));
+        dfa
+    }
+
+    /// The minimal, canonically numbered DFA of `re` over its own
+    /// minterm alphabet (lazy pipeline only), built on first use.
+    fn base_dfa(
+        &self,
+        re: &Arc<CRegex>,
+        config: &automata::AutomataConfig,
+        stats: &mut SolveStats,
+    ) -> Arc<Dfa> {
+        if let Some(base) = self.bases.lock().get(re) {
+            return Arc::clone(base);
+        }
+        stats.dfas_built += 1;
+        let mut sets = Vec::new();
+        re.collect_sets(&mut sets);
+        sets.sort_unstable();
+        sets.dedup();
+        let alphabet = Arc::new(Alphabet::from_sets(&sets));
+        let mut metrics = automata::BuildMetrics::default();
+        let dfa = Dfa::from_cregex_with(re, &alphabet, config, &mut metrics);
+        // A result at or above the threshold is already minimal and
+        // canonically numbered (the last `reduced()` produced it); only
+        // the small automata the threshold skipped need a pass here.
+        // The metric reports *retained* states, so a re-minimized
+        // top-level automaton replaces its thresholded count.
+        let base = if dfa.state_count() < config.minimize_threshold {
+            let minimal = dfa.minimized();
+            metrics.states_after_minimize = metrics.states_after_minimize
+                - dfa.state_count() as u64
+                + minimal.state_count() as u64;
+            Arc::new(minimal)
+        } else {
             Arc::new(dfa)
         };
         stats.dfa_states_built += metrics.states_built;
         stats.states_after_minimize += metrics.states_after_minimize;
-        self.entries.lock().insert(key, Arc::clone(&dfa));
-        dfa
+        self.bases.lock().insert(Arc::clone(re), Arc::clone(&base));
+        base
     }
 }
 
@@ -860,9 +938,6 @@ impl Search<'_> {
         };
 
         // --- Per-root DFAs -----------------------------------------------
-        // The universal DFA is only needed for unconstrained roots;
-        // build it lazily (most roots carry at least one constraint).
-        let mut universal: Option<Arc<Dfa>> = None;
         let mut dfas: HashMap<StrVar, Arc<Dfa>> = HashMap::new();
         let mut roots: Vec<StrVar> = cons.keys().copied().collect();
         for (lhs, parts) in &equations {
@@ -931,14 +1006,9 @@ impl Search<'_> {
                     }
                     factors.sort_by_key(|d| d.state_count());
                     match factors.len() {
-                        0 => match &universal {
-                            Some(u) => Arc::clone(u),
-                            None => {
-                                let u = Arc::new(Dfa::universal(&alphabet));
-                                universal = Some(Arc::clone(&u));
-                                u
-                            }
-                        },
+                        // An unconstrained root: the universal DFA of
+                        // the alphabet, built once per alphabet.
+                        0 => self.dfas.universal_dfa(&alphabet, &mut self.stats),
                         1 => factors.into_iter().next().expect("one factor"),
                         _ => {
                             // Per-conjunction fold products are built
@@ -1217,7 +1287,7 @@ impl Search<'_> {
                     Some(dfa) => Arc::clone(dfa),
                     None => {
                         self.stats.dfas_built += 1;
-                        let dfa = Arc::new(Dfa::from_word_classes(value, &ctx.alphabet));
+                        let dfa = Arc::new(Dfa::from_word(value, &ctx.alphabet));
                         self.word_dfa_memo.insert(value.clone(), Arc::clone(&dfa));
                         dfa
                     }
@@ -2238,6 +2308,98 @@ mod tests {
         let (outcome, stats) = eager.solve(&f);
         assert_eq!(outcome, Outcome::Unsat);
         assert_eq!(stats.length_prunes, 0);
+    }
+
+    /// The lazy pipeline's stored form of `re` under `alphabet`, built
+    /// from scratch.
+    fn fresh_minimal(re: &CRegex, alphabet: &Arc<Alphabet>) -> Dfa {
+        let cfg = automata::AutomataConfig::default();
+        Dfa::from_cregex_with(re, alphabet, &cfg, &mut automata::BuildMetrics::default())
+            .minimized()
+    }
+
+    #[test]
+    fn lazy_cache_projects_each_regex_from_one_base_build() {
+        let cfg = automata::AutomataConfig::default();
+        let cache = DfaCache::new(64);
+        let mut stats = SolveStats::default();
+        let re = Arc::new(CRegex::concat(vec![
+            CRegex::plus(CRegex::set(CharSet::range('a', 'f'))),
+            CRegex::not(CRegex::lit("cab")),
+        ]));
+        let mut sets = Vec::new();
+        re.collect_sets(&mut sets);
+        let own = cache.alphabet_for(sets.clone(), "");
+        let wider = cache.alphabet_for(sets, "bxz\u{1F600}");
+        for alphabet in [&own, &wider] {
+            for complemented in [false, true] {
+                let got = cache.get_or_build(&re, alphabet, complemented, &cfg, &mut stats);
+                let fresh = if complemented {
+                    fresh_minimal(&CRegex::not((*re).clone()), alphabet)
+                } else {
+                    fresh_minimal(&re, alphabet)
+                };
+                assert_eq!(got.canonical_key(), fresh.canonical_key());
+                assert!(Arc::ptr_eq(got.alphabet(), alphabet));
+            }
+        }
+        // Four entries, one determinization: the other three are
+        // projections and complements, which build no states.
+        assert_eq!(cache.miss_count(), 4);
+        assert_eq!(stats.dfas_built, 1);
+        let mut base = automata::BuildMetrics::default();
+        Dfa::from_cregex_with(&re, &own, &cfg, &mut base);
+        assert_eq!(stats.dfa_states_built, base.states_built);
+    }
+
+    #[test]
+    fn eager_cache_builds_every_entry_fresh() {
+        let cfg = automata::AutomataConfig::disabled();
+        let cache = DfaCache::new(64);
+        let mut stats = SolveStats::default();
+        let re = Arc::new(CRegex::star(CRegex::lit("ab")));
+        let a = Alphabet::for_problem(&[], &["ab"]);
+        let b = Alphabet::for_problem(&[], &["abc"]);
+        for alphabet in [&a, &b] {
+            let got = cache.get_or_build(&re, alphabet, true, &cfg, &mut stats);
+            let fresh = Dfa::from_cregex(&re, alphabet).complement();
+            assert_eq!(got.canonical_key(), fresh.canonical_key());
+        }
+        assert_eq!(stats.dfas_built, 2);
+    }
+
+    #[test]
+    fn universal_dfa_is_served_once_per_alphabet() {
+        let cache = DfaCache::new(64);
+        let mut stats = SolveStats::default();
+        let alphabet = cache.alphabet_for(vec![CharSet::range('a', 'c')], "z");
+        let first = cache.universal_dfa(&alphabet, &mut stats);
+        let second = cache.universal_dfa(&alphabet, &mut stats);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(
+            first.canonical_key(),
+            Dfa::universal(&alphabet).canonical_key()
+        );
+        assert_eq!((stats.dfas_built, stats.dfa_cache_hits), (1, 1));
+
+        // An unconstrained root reaches it through the solver: the
+        // second solve over the same tables builds nothing.
+        let tables = DfaTables::new(64);
+        let mut pool = VarPool::new();
+        let (w, x, y) = (
+            pool.fresh_str("w"),
+            pool.fresh_str("x"),
+            pool.fresh_str("y"),
+        );
+        let formula = Formula::and(vec![
+            Formula::eq_concat(w, vec![Term::Var(x), Term::Var(y)]),
+            Formula::in_re(w, CRegex::lit("ab")),
+        ]);
+        let solver = Solver::default().with_dfa_tables(&tables);
+        let (first, _) = solver.solve(&formula);
+        let (second, stats) = solver.solve(&formula);
+        assert!(first.is_sat() && second == first);
+        assert_eq!(stats.dfas_built, 0);
     }
 
     #[test]

@@ -16,10 +16,13 @@ pub struct SolveStats {
     /// True when any enumeration was cut short by a limit (the query
     /// outcome can then be `Unknown` instead of `Unsat`).
     pub truncated: bool,
-    /// Number of DFA products/complements built.
+    /// Automata constructed: regex DFAs (in the lazy pipeline, one per
+    /// regex over its own alphabet — projections onto a conjunction's
+    /// alphabet are not constructions), exact-word, guide and
+    /// universal DFAs.
     pub dfas_built: u64,
     /// DFA states produced by subset constructions and boolean
-    /// operations, before minimization.
+    /// operations, before minimization (projections produce none).
     pub dfa_states_built: u64,
     /// DFA states remaining after the thresholded Hopcroft pass
     /// (equals `dfa_states_built` when minimization is disabled).
@@ -27,8 +30,8 @@ pub struct SolveStats {
     /// Conjunctions refuted by the length-abstraction pass before any
     /// word search started.
     pub length_prunes: u64,
-    /// DFA-cache lookups (compiled regexes, exact words, folded
-    /// products) served from resident entries — shared-table reuse
+    /// DFA-cache lookups (compiled regexes, exact words, universal
+    /// DFAs, folded products) served from resident entries — shared-table reuse
     /// when the solver holds session [`crate::DfaTables`].
     pub dfa_cache_hits: u64,
     /// Assumption-stack frames whose canonical form was reused from a

@@ -36,6 +36,14 @@ impl AutomataConfig {
         }
     }
 
+    /// A configuration that minimizes every result with at least
+    /// `states` states.
+    pub const fn minimizing_from(states: usize) -> AutomataConfig {
+        AutomataConfig {
+            minimize_threshold: states,
+        }
+    }
+
     /// True when `states` is large enough to be worth a Hopcroft pass.
     pub fn should_minimize(&self, states: usize) -> bool {
         self.minimize_threshold > 0 && states >= self.minimize_threshold

@@ -4,25 +4,27 @@
 //! Two configurations run the same workload set (the Table 6 library
 //! programs plus a slice of the generated Table 7 population):
 //!
-//! * **baseline** — `flip_workers = 1`, every cache disabled, the
-//!   seed's eager automata pipeline: the engine as close to the paper's
-//!   serial reproduction as its one flip-solve path allows;
+//! * **baseline** — `flip_workers = 1`, every cache disabled, no
+//!   length abstraction: the engine as close to the paper's serial
+//!   reproduction as its one flip-solve path and one automata pipeline
+//!   allow;
 //! * **optimized** — `flip_workers ≥ 4`, model + verdict caches shared
 //!   across all workloads (the per-config blocks record
 //!   `prefix_reuse_hits` and `verdict_replays`).
 //!
 //! Both must produce byte-identical query verdicts (`verdict_diffs`
-//! must be 0 — the caches, the fan-out, the minimized automata and the
-//! length abstraction are proven behavior-preserving, not just fast).
+//! must be 0 — the caches, the fan-out and the length abstraction are
+//! proven behavior-preserving, not just fast).
 //! Each configuration runs three times with fresh caches and the
 //! min-wall repetition is reported (the noise-robust estimator on
 //! shared runners); the repetitions must also agree verdict-for-verdict,
 //! which doubles as a run-to-run determinism gate. The emitted artifact
 //! is uploaded by the `perf-smoke` CI job; with `--check
 //! <baseline.json>` the binary gates on a >2× wall-clock regression
-//! *and* a >2× `solver_nodes` regression against the checked-in
-//! baseline (nodes are deterministic, so that gate is
-//! machine-independent).
+//! against the checked-in baseline, and on any change of the optimized
+//! `solver_nodes` or (with `--explore`) the `explore_trajectory`
+//! digest: both are deterministic and worker-count-invariant, so those
+//! gates are exact and machine-independent.
 //!
 //! Every run also pushes a small fixed seed range through the
 //! differential fuzzer (`expose-fuzz`) and records `fuzz_cases`,
@@ -231,6 +233,14 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// Pulls `"key": "<string>"` out of a flat JSON document (no escapes).
+fn extract_string<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let pattern = format!("\"{key}\":");
+    let at = json.find(&pattern)? + pattern.len();
+    let rest = json[at..].trim_start().strip_prefix('"')?;
+    Some(&rest[..rest.find('"')?])
 }
 
 /// Pushes the workload corpus through the NDJSON job service (the
@@ -483,9 +493,8 @@ fn main() {
             ..engine_config(SupportLevel::Refinement, budget)
         };
         // The baseline is the engine as the serial reproduction ran it:
-        // caches off, eager unminimized automata, no length abstraction.
+        // caches off, no length abstraction.
         config.solver.dfa_cache_capacity = 0;
-        config.solver.minimize_threshold = 0;
         config.solver.length_abstraction = false;
         config
     };
@@ -929,19 +938,19 @@ fn main() {
             eprintln!("perf: FAIL — same-run speedup {speedup:.2}x fell below the 1.2x floor");
             std::process::exit(4);
         }
-        // Search-effort gate, fully machine-independent: solver nodes
-        // are deterministic per engine version, so a >2x jump against
-        // the checked-in baseline means the automata/length pruning
-        // genuinely regressed, not that the runner was slow.
+        // Search-effort gate, exact and machine-independent: solver
+        // nodes are deterministic per engine version and invariant in
+        // the worker count, so any change against the checked-in
+        // baseline means the search itself changed. A change that is
+        // meant to move them must regenerate the baseline.
         let reference_nodes = extract_number(&reference, "optimized_solver_nodes")
             .unwrap_or_else(|| panic!("no optimized_solver_nodes in {path}"));
-        let node_limit = reference_nodes * 2.0;
         eprintln!(
-            "perf: check {} solver nodes against baseline {:.0} (limit {:.0})",
-            optimized.solver_nodes, reference_nodes, node_limit
+            "perf: check {} solver nodes against baseline {reference_nodes:.0} (exact)",
+            optimized.solver_nodes
         );
-        if optimized.solver_nodes as f64 > node_limit {
-            eprintln!("perf: FAIL — optimized solver_nodes regressed more than 2x the baseline");
+        if optimized.solver_nodes as f64 != reference_nodes {
+            eprintln!("perf: FAIL — optimized solver_nodes differ from the baseline");
             std::process::exit(5);
         }
         // Service-throughput gate: only when this run measured it and
@@ -984,9 +993,23 @@ fn main() {
                 }
             }
         }
-        // Exploration-rate gate, mirroring the throughput one: only
-        // when this run measured it and the baseline carries the key.
+        // Exploration gates, skipped (like the throughput one) unless
+        // this run measured them and the baseline carries the key. The
+        // trajectory digest is deterministic, so it must match exactly.
         if let Some(e) = &explore_numbers {
+            if let Some(reference_digest) = extract_string(&reference, "explore_trajectory") {
+                let digest = format!("{:016x}", e.trajectory);
+                eprintln!(
+                    "perf: check explore_trajectory {digest} against baseline \
+                     {reference_digest} (exact)"
+                );
+                if digest != reference_digest {
+                    eprintln!("perf: FAIL — explore_trajectory differs from the baseline");
+                    std::process::exit(9);
+                }
+            } else {
+                eprintln!("perf: baseline has no explore_trajectory; gate skipped");
+            }
             if let Some(reference_pps) = extract_number(&reference, "unique_paths_per_sec") {
                 let floor = reference_pps / 2.0;
                 eprintln!(

@@ -99,8 +99,12 @@ impl DseCaches {
         )
     }
 
-    /// A fully disabled cache set (every lookup misses and stores
-    /// nothing) — the uncached baseline of the perf harness.
+    /// A cache set whose model and verdict caches are disabled (every
+    /// lookup misses and stores nothing). With `dfa: None`, each solver
+    /// still keeps a private DFA cache of
+    /// [`strsolve::SolverConfig::dfa_cache_capacity`] entries per index;
+    /// set that capacity to `0` as well for a fully uncached run, as
+    /// the perf harness's baseline does.
     pub fn disabled() -> DseCaches {
         DseCaches::new(0, 0)
     }

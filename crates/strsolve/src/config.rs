@@ -23,15 +23,6 @@ pub struct SolverConfig {
     /// never affects verdicts (and is therefore *not* part of
     /// [`SolverConfig::fingerprint`]).
     pub dfa_cache_capacity: usize,
-    /// Minimize (Hopcroft) constraint DFAs with at least this many
-    /// states after every boolean operation and subset construction.
-    /// `0` selects the seed's *eager* pipeline wholesale: no
-    /// minimization, no canonical interning, and no lazy
-    /// product-avoidance for pinned variables. Neither mode changes
-    /// any accepted language — the candidate enumeration is a pure
-    /// function of the languages involved — so this is an amortization
-    /// knob, not part of the fingerprint.
-    pub minimize_threshold: usize,
     /// Enable the length-abstraction pass: `[lo, hi]` accepted-length
     /// intervals from each constraint DFA are propagated through
     /// concat equations as integer arithmetic, failing doomed
@@ -51,7 +42,6 @@ impl Default for SolverConfig {
             max_nodes: 100_000,
             max_bool_branches: 4_096,
             dfa_cache_capacity: 512,
-            minimize_threshold: 8,
             length_abstraction: true,
         }
     }
@@ -72,7 +62,6 @@ impl SolverConfig {
             max_nodes,
             max_bool_branches,
             dfa_cache_capacity: _,
-            minimize_threshold: _,
             length_abstraction,
         } = self;
         let mut hasher = std::collections::hash_map::DefaultHasher::new();

@@ -113,11 +113,10 @@ impl Solver {
     /// Replaces the solver-private DFA cache with session-scoped
     /// [`DfaTables`]: compiled automata, interned alphabets and folded
     /// products are then shared with every other solver holding the
-    /// same tables. The solver uses the shard matching its own
-    /// `minimize_threshold`, so a hit is byte-identical to a fresh
-    /// build (see [`DfaTables`]).
+    /// same tables. A hit is byte-identical to a fresh build (see
+    /// [`DfaTables`]).
     pub fn with_dfa_tables(mut self, tables: &DfaTables) -> Solver {
-        self.dfas = tables.for_threshold(self.config.minimize_threshold);
+        self.dfas = Arc::clone(&tables.cache);
         self
     }
 
@@ -134,9 +133,6 @@ impl Solver {
         let start = Instant::now();
         let mut search = Search {
             config: &self.config,
-            automata_cfg: automata::AutomataConfig {
-                minimize_threshold: self.config.minimize_threshold,
-            },
             dfas: &self.dfas,
             stats: SolveStats::default(),
             nodes_left: self.config.max_nodes,
@@ -155,22 +151,17 @@ impl Solver {
 /// Session-shareable DFA intern tables.
 ///
 /// Every [`Solver`] owns a DFA cache (compiled DFAs, each regex's
-/// own-alphabet base DFA, canonical interning, alphabets, exact-word
-/// and universal DFAs, intersection folds); by
+/// own-alphabet base DFA, alphabets, exact-word and universal DFAs,
+/// intersection folds); by
 /// default that cache is private to the solver. `DfaTables` lifts it to
 /// session scope: hand one instance to every solver of a scheduler
 /// session (via [`Solver::with_dfa_tables`]) and a regex determinized
 /// for one job is free for every other job.
 ///
-/// Stored automata depend on the automata pipeline configuration — with
-/// minimization enabled entries are minimal and canonically numbered,
-/// in eager mode (`minimize_threshold == 0`) they are the raw subset
-/// construction — so the tables are internally sharded by
-/// `minimize_threshold`: solvers with different pipelines never
-/// exchange automata, and a hit is always byte-identical to what the
-/// asking solver would have built itself. Sharing is therefore
-/// verdict- and candidate-order-preserving, not just
-/// language-preserving.
+/// Every solver builds its automata the same way, so a hit is always
+/// byte-identical to what the asking solver would have built itself.
+/// Sharing is therefore verdict- and candidate-order-preserving, not
+/// just language-preserving.
 ///
 /// # Examples
 ///
@@ -192,45 +183,33 @@ impl Solver {
 #[derive(Debug, Clone)]
 pub struct DfaTables {
     capacity: usize,
-    shards: Arc<parking_lot::Mutex<HashMap<usize, Arc<DfaCache>>>>,
+    cache: Arc<DfaCache>,
 }
 
 impl DfaTables {
-    /// Creates tables whose per-pipeline shards each hold at most
-    /// `capacity` entries per index (`0` disables storage, turning
-    /// every lookup into a miss).
+    /// Creates tables holding at most `capacity` entries per index
+    /// (`0` disables storage, turning every lookup into a miss).
     pub fn new(capacity: usize) -> DfaTables {
         DfaTables {
             capacity,
-            shards: Arc::new(parking_lot::Mutex::new(HashMap::new())),
+            cache: Arc::new(DfaCache::new(capacity)),
         }
     }
 
-    /// The per-shard capacity the tables were created with.
+    /// The per-index capacity the tables were created with.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// The cache shard for a `minimize_threshold` pipeline, created on
-    /// first use.
-    pub(crate) fn for_threshold(&self, threshold: usize) -> Arc<DfaCache> {
-        Arc::clone(
-            self.shards
-                .lock()
-                .entry(threshold)
-                .or_insert_with(|| Arc::new(DfaCache::new(self.capacity))),
-        )
-    }
-
-    /// Total lookups served from the tables, across all shards.
+    /// Total lookups served from the tables.
     pub fn hits(&self) -> u64 {
-        self.shards.lock().values().map(|c| c.hit_count()).sum()
+        self.cache.hit_count()
     }
 
     /// Total lookups that had to produce an automaton (build or
-    /// project it), across all shards.
+    /// project it).
     pub fn misses(&self) -> u64 {
-        self.shards.lock().values().map(|c| c.miss_count()).sum()
+        self.cache.miss_count()
     }
 
     /// Hit rate in `[0, 1]` (`0` before any lookup).
@@ -244,9 +223,9 @@ impl DfaTables {
         }
     }
 
-    /// Resident compiled-DFA entries, across all shards.
+    /// Resident compiled-DFA entries.
     pub fn len(&self) -> usize {
-        self.shards.lock().values().map(|c| c.entry_count()).sum()
+        self.cache.entry_count()
     }
 
     /// True when no compiled DFA is resident.
@@ -263,11 +242,7 @@ impl DfaTables {
 /// compiled automaton is free of behavioral risk — the construction is
 /// deterministic, so a hit is byte-identical to a rebuild.
 ///
-/// When minimization is enabled, stored DFAs are *minimal and
-/// canonically numbered*, and a second index keyed by the canonical
-/// automaton structure interns them: structurally different but
-/// language-equal regexes (under the same alphabet) resolve to one
-/// shared entry instead of two duplicate automata. Each regex is then
+/// Stored DFAs are *minimal and canonically numbered*. Each regex is
 /// determinized only once, over its own minterm alphabet (the `bases`
 /// tier); an `entries` miss projects that automaton onto the asking
 /// conjunction's alphabet ([`Dfa::project`]), which yields exactly the
@@ -280,11 +255,9 @@ pub(crate) struct DfaCache {
     misses: std::sync::atomic::AtomicU64,
     entries: Shard<DfaKey, Arc<Dfa>>,
     /// Each regex's minimal, canonically numbered DFA over its own
-    /// minterm alphabet — the source every `entries` miss of the lazy
-    /// pipeline projects from.
+    /// minterm alphabet — the source every `entries` miss projects
+    /// from.
     bases: Shard<Arc<CRegex>, Arc<Dfa>>,
-    /// Canonical (minimal, BFS-numbered) automaton → interned entry.
-    canonical: Shard<CanonicalKey, Arc<Dfa>>,
     /// Interned minterm alphabets, keyed by the normalized problem
     /// (sorted deduped sets + literal characters). Building the
     /// partition is pure per-conjunction overhead, and interning also
@@ -305,6 +278,12 @@ pub(crate) struct DfaCache {
     products: Shard<Vec<usize>, ProductEntry>,
 }
 
+/// The pipeline of [`DfaCache::product`]'s intersection folds. Fold
+/// products are built far more often than cache-resident DFAs, so they
+/// are minimized only once they reach 64 states: small intermediates
+/// cost more to minimize than they save.
+const FOLD_CONFIG: automata::AutomataConfig = automata::AutomataConfig::minimizing_from(64);
+
 /// One locked LRU index of the [`DfaCache`].
 type Shard<K, V> = parking_lot::Mutex<crate::cache::Lru<K, V>>;
 /// A cached exact-word DFA plus the alphabet `Arc` that keeps its
@@ -323,14 +302,6 @@ struct DfaKey {
     complemented: bool,
 }
 
-/// Language identity of a minimized, canonically numbered DFA: the
-/// alphabet (content compare) plus the canonical transition structure.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CanonicalKey {
-    alphabet: Arc<Alphabet>,
-    structure: (u32, Vec<u32>, Vec<bool>),
-}
-
 impl DfaCache {
     fn new(capacity: usize) -> DfaCache {
         DfaCache {
@@ -338,7 +309,6 @@ impl DfaCache {
             misses: std::sync::atomic::AtomicU64::new(0),
             entries: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
             bases: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
-            canonical: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
             alphabets: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
             words: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
             universals: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
@@ -405,10 +375,8 @@ impl DfaCache {
     }
 
     /// The DFA accepting every word over `alphabet` — the language of
-    /// an unconstrained root. Keyed by alphabet pointer: the lazy
-    /// pipeline's interned alphabets recur across conjunctions, while
-    /// an eager-pipeline alphabet is shared only by the roots of its
-    /// own conjunction.
+    /// an unconstrained root. Keyed by alphabet pointer: interned
+    /// alphabets recur across conjunctions.
     fn universal_dfa(&self, alphabet: &Arc<Alphabet>, stats: &mut SolveStats) -> Arc<Dfa> {
         let key = Arc::as_ptr(alphabet) as usize;
         if let Some((dfa, _)) = self.universals.lock().get(&key) {
@@ -427,12 +395,7 @@ impl DfaCache {
     /// The intersection of `factors` (at least two, pre-sorted
     /// smallest-first by the caller), folded pairwise with thresholded
     /// minimization and cached by factor identity.
-    fn product(
-        &self,
-        factors: Vec<Arc<Dfa>>,
-        config: &automata::AutomataConfig,
-        stats: &mut SolveStats,
-    ) -> Arc<Dfa> {
+    fn product(&self, factors: Vec<Arc<Dfa>>, stats: &mut SolveStats) -> Arc<Dfa> {
         let mut key: Vec<usize> = factors.iter().map(|f| Arc::as_ptr(f) as usize).collect();
         key.sort_unstable();
         key.dedup(); // intersection is idempotent
@@ -445,7 +408,7 @@ impl DfaCache {
         let mut acc: Dfa = (**iter.next().expect("at least two factors")).clone();
         for factor in iter {
             let mut metrics = automata::BuildMetrics::default();
-            acc = acc.intersect(factor).reduced(config, &mut metrics);
+            acc = acc.intersect(factor).reduced(&FOLD_CONFIG, &mut metrics);
             stats.dfa_states_built += metrics.states_built;
             stats.states_after_minimize += metrics.states_after_minimize;
         }
@@ -478,18 +441,16 @@ impl DfaCache {
 
     /// The DFA of `re` (complemented when asked) under `alphabet`.
     ///
-    /// The eager pipeline (`minimize_threshold == 0`) builds every miss
-    /// fresh. The lazy pipeline projects the regex's base automaton
-    /// (see [`DfaCache::base_dfa`]) onto `alphabet`, complements it if
-    /// asked, and interns the result by canonical structure. A
-    /// projection constructs no subset or product states, so only base
-    /// builds count towards `stats.dfas_built` and the state metrics.
+    /// A miss projects the regex's base automaton (see
+    /// [`DfaCache::base_dfa`]) onto `alphabet` and complements it if
+    /// asked. A projection constructs no subset or product states, so
+    /// only base builds count towards `stats.dfas_built` and the state
+    /// metrics.
     fn get_or_build(
         &self,
         re: &Arc<CRegex>,
         alphabet: &Arc<Alphabet>,
         complemented: bool,
-        config: &automata::AutomataConfig,
         stats: &mut SolveStats,
     ) -> Arc<Dfa> {
         let key = DfaKey {
@@ -502,56 +463,26 @@ impl DfaCache {
             return Arc::clone(dfa);
         }
         self.note(stats, false);
-        let dfa = if config.minimize_threshold > 0 {
-            // A conjunction's alphabet partitions every set of its
-            // regexes, so it refines each regex's own alphabet.
-            let projected = self
-                .base_dfa(re, config, stats)
-                .project(alphabet)
-                .expect("a conjunction alphabet refines its regexes' own alphabets");
-            // Complementing a minimal complete DFA keeps it minimal and
-            // its breadth-first numbering canonical.
-            let minimal = if complemented {
-                projected.complement()
-            } else {
-                projected
-            };
-            let canon_key = CanonicalKey {
-                alphabet: Arc::clone(alphabet),
-                structure: minimal.canonical_key(),
-            };
-            let mut canonical = self.canonical.lock();
-            match canonical.get(&canon_key) {
-                Some(shared) => Arc::clone(shared),
-                None => {
-                    let minimal = Arc::new(minimal);
-                    canonical.insert(canon_key, Arc::clone(&minimal));
-                    minimal
-                }
-            }
+        // A conjunction's alphabet partitions every set of its regexes,
+        // so it refines each regex's own alphabet.
+        let projected = self
+            .base_dfa(re, stats)
+            .project(alphabet)
+            .expect("a conjunction alphabet refines its regexes' own alphabets");
+        // Complementing a minimal complete DFA keeps it minimal and its
+        // breadth-first numbering canonical.
+        let dfa = Arc::new(if complemented {
+            projected.complement()
         } else {
-            stats.dfas_built += 1;
-            let mut metrics = automata::BuildMetrics::default();
-            let mut dfa = Dfa::from_cregex_with(re, alphabet, config, &mut metrics);
-            if complemented {
-                dfa = dfa.complement().reduced(config, &mut metrics);
-            }
-            stats.dfa_states_built += metrics.states_built;
-            stats.states_after_minimize += metrics.states_after_minimize;
-            Arc::new(dfa)
-        };
+            projected
+        });
         self.entries.lock().insert(key, Arc::clone(&dfa));
         dfa
     }
 
     /// The minimal, canonically numbered DFA of `re` over its own
-    /// minterm alphabet (lazy pipeline only), built on first use.
-    fn base_dfa(
-        &self,
-        re: &Arc<CRegex>,
-        config: &automata::AutomataConfig,
-        stats: &mut SolveStats,
-    ) -> Arc<Dfa> {
+    /// minterm alphabet, built on first use.
+    fn base_dfa(&self, re: &Arc<CRegex>, stats: &mut SolveStats) -> Arc<Dfa> {
         if let Some(base) = self.bases.lock().get(re) {
             return Arc::clone(base);
         }
@@ -561,14 +492,15 @@ impl DfaCache {
         sets.sort_unstable();
         sets.dedup();
         let alphabet = Arc::new(Alphabet::from_sets(&sets));
+        let config = automata::AutomataConfig::default();
         let mut metrics = automata::BuildMetrics::default();
-        let dfa = Dfa::from_cregex_with(re, &alphabet, config, &mut metrics);
+        let dfa = Dfa::from_cregex_with(re, &alphabet, &config, &mut metrics);
         // A result at or above the threshold is already minimal and
         // canonically numbered (the last `reduced()` produced it); only
         // the small automata the threshold skipped need a pass here.
         // The metric reports *retained* states, so a re-minimized
         // top-level automaton replaces its thresholded count.
-        let base = if dfa.state_count() < config.minimize_threshold {
+        let base = if !config.should_minimize(dfa.state_count()) {
             let minimal = dfa.minimized();
             metrics.states_after_minimize = metrics.states_after_minimize
                 - dfa.state_count() as u64
@@ -586,7 +518,6 @@ impl DfaCache {
 
 struct Search<'a> {
     config: &'a SolverConfig,
-    automata_cfg: automata::AutomataConfig,
     dfas: &'a DfaCache,
     stats: SolveStats,
     nodes_left: u64,
@@ -626,42 +557,14 @@ impl Search<'_> {
         if let Some((dfa, _, _)) = self.query_dfa_memo.get(&key) {
             return Arc::clone(dfa);
         }
-        let dfa = self.dfas.get_or_build(
-            re,
-            alphabet,
-            complemented,
-            &self.automata_cfg,
-            &mut self.stats,
-        );
+        let dfa = self
+            .dfas
+            .get_or_build(re, alphabet, complemented, &mut self.stats);
         self.query_dfa_memo.insert(
             key,
             (Arc::clone(&dfa), Arc::clone(re), Arc::clone(alphabet)),
         );
         dfa
-    }
-
-    /// The exact-word DFA of an equality/disequality literal, through
-    /// the shared cache (the same pinned literals recur in every
-    /// conjunction, every CEGAR iteration, and across queries). In
-    /// eager mode alphabets are built per conjunction, so the
-    /// pointer-keyed cache could never hit — build directly, as the
-    /// seed did.
-    fn exact_word_dfa(
-        &mut self,
-        word: &str,
-        alphabet: &Arc<Alphabet>,
-        complemented: bool,
-    ) -> Arc<Dfa> {
-        if self.config.minimize_threshold == 0 {
-            self.stats.dfas_built += 1;
-            let mut dfa = Dfa::from_word(word, alphabet);
-            if complemented {
-                dfa = dfa.complement();
-            }
-            return Arc::new(dfa);
-        }
-        self.dfas
-            .word_dfa(word, alphabet, complemented, &mut self.stats)
     }
 
     /// Explores disjunctions; `pending` are formulas still to flatten,
@@ -927,15 +830,9 @@ impl Search<'_> {
                 }
             }
         }
-        // The lazy pipeline normalizes (sorts + dedups) the sets and
-        // interns the partition through the shared cache; eager mode
-        // (`minimize_threshold == 0`) keeps the seed's construction
-        // verbatim.
-        let alphabet: Arc<Alphabet> = if self.config.minimize_threshold > 0 {
-            self.dfas.alphabet_for(sets, &literal_chars)
-        } else {
-            Alphabet::for_problem(&sets, &[&literal_chars])
-        };
+        // Normalized (sorted + deduped) and interned through the shared
+        // cache.
+        let alphabet = self.dfas.alphabet_for(sets, &literal_chars);
 
         // --- Per-root DFAs -----------------------------------------------
         let mut dfas: HashMap<StrVar, Arc<Dfa>> = HashMap::new();
@@ -954,21 +851,16 @@ impl Search<'_> {
         }
         roots.sort_unstable();
         roots.dedup();
-        // `minimize_threshold == 0` selects the seed's eager pipeline
-        // (used as the bench baseline); otherwise products that can be
-        // decided without materialization are skipped entirely.
-        let lazy = self.config.minimize_threshold > 0;
         for &root in &roots {
             let dfa: Arc<Dfa> = match cons.get(&root) {
-                // Pinned root, lazy pipeline: the language is `{eq}`
-                // or `∅`, so *run the word* through each constraint
-                // instead of building any product — and never build
-                // the complement DFAs of negative constraints at all.
-                // (`ne ≠ eq` was already checked above.) The verdict
-                // is identical to the eager fold's: the fold's
-                // language is exactly `{eq}` when every membership
-                // holds and empty otherwise.
-                Some(info) if lazy && info.eq.is_some() => {
+                // Pinned root: the language is `{eq}` or `∅`, so *run
+                // the word* through each constraint instead of building
+                // any product — and never build the complement DFAs of
+                // negative constraints at all. (`ne ≠ eq` was already
+                // checked above.) The verdict is identical to the
+                // fold's: its language is exactly `{eq}` when every
+                // membership holds and empty otherwise.
+                Some(info) if info.eq.is_some() => {
                     let eq = info.eq.as_deref().expect("checked is_some");
                     for re in &info.pos {
                         if !self.constraint_dfa(re, &alphabet, false).contains(eq) {
@@ -980,7 +872,7 @@ impl Search<'_> {
                             return Outcome::Unsat;
                         }
                     }
-                    self.exact_word_dfa(eq, &alphabet, false)
+                    self.dfas.word_dfa(eq, &alphabet, false, &mut self.stats)
                 }
                 // Otherwise collect every constraint automaton and
                 // fold the intersection smallest-first: the product
@@ -998,10 +890,10 @@ impl Search<'_> {
                             factors.push(self.constraint_dfa(re, &alphabet, true));
                         }
                         if let Some(eq) = &info.eq {
-                            factors.push(self.exact_word_dfa(eq, &alphabet, false));
+                            factors.push(self.dfas.word_dfa(eq, &alphabet, false, &mut self.stats));
                         }
                         for ne in &info.ne {
-                            factors.push(self.exact_word_dfa(ne, &alphabet, true));
+                            factors.push(self.dfas.word_dfa(ne, &alphabet, true, &mut self.stats));
                         }
                     }
                     factors.sort_by_key(|d| d.state_count());
@@ -1010,20 +902,7 @@ impl Search<'_> {
                         // the alphabet, built once per alphabet.
                         0 => self.dfas.universal_dfa(&alphabet, &mut self.stats),
                         1 => factors.into_iter().next().expect("one factor"),
-                        _ => {
-                            // Per-conjunction fold products are built
-                            // far more often than cache-resident DFAs,
-                            // so only run Hopcroft on them when they
-                            // get genuinely large — small intermediates
-                            // cost more to minimize than they save.
-                            let fold_cfg = automata::AutomataConfig {
-                                minimize_threshold: match self.automata_cfg.minimize_threshold {
-                                    0 => 0,
-                                    t => t.max(64),
-                                },
-                            };
-                            self.dfas.product(factors, &fold_cfg, &mut self.stats)
-                        }
+                        _ => self.dfas.product(factors, &mut self.stats),
                     }
                 }
             };
@@ -2301,17 +2180,17 @@ mod tests {
         assert_eq!(outcome, Outcome::Unsat);
         assert!(stats.length_prunes >= 1, "pass did not fire: {stats:?}");
         // Disabled, the verdict is the same but found by search.
-        let eager = Solver::new(SolverConfig {
+        let unpruned = Solver::new(SolverConfig {
             length_abstraction: false,
             ..SolverConfig::default()
         });
-        let (outcome, stats) = eager.solve(&f);
+        let (outcome, stats) = unpruned.solve(&f);
         assert_eq!(outcome, Outcome::Unsat);
         assert_eq!(stats.length_prunes, 0);
     }
 
-    /// The lazy pipeline's stored form of `re` under `alphabet`, built
-    /// from scratch.
+    /// The cache's stored form of `re` under `alphabet`, built from
+    /// scratch.
     fn fresh_minimal(re: &CRegex, alphabet: &Arc<Alphabet>) -> Dfa {
         let cfg = automata::AutomataConfig::default();
         Dfa::from_cregex_with(re, alphabet, &cfg, &mut automata::BuildMetrics::default())
@@ -2320,7 +2199,6 @@ mod tests {
 
     #[test]
     fn lazy_cache_projects_each_regex_from_one_base_build() {
-        let cfg = automata::AutomataConfig::default();
         let cache = DfaCache::new(64);
         let mut stats = SolveStats::default();
         let re = Arc::new(CRegex::concat(vec![
@@ -2333,7 +2211,7 @@ mod tests {
         let wider = cache.alphabet_for(sets, "bxz\u{1F600}");
         for alphabet in [&own, &wider] {
             for complemented in [false, true] {
-                let got = cache.get_or_build(&re, alphabet, complemented, &cfg, &mut stats);
+                let got = cache.get_or_build(&re, alphabet, complemented, &mut stats);
                 let fresh = if complemented {
                     fresh_minimal(&CRegex::not((*re).clone()), alphabet)
                 } else {
@@ -2348,24 +2226,9 @@ mod tests {
         assert_eq!(cache.miss_count(), 4);
         assert_eq!(stats.dfas_built, 1);
         let mut base = automata::BuildMetrics::default();
+        let cfg = automata::AutomataConfig::default();
         Dfa::from_cregex_with(&re, &own, &cfg, &mut base);
         assert_eq!(stats.dfa_states_built, base.states_built);
-    }
-
-    #[test]
-    fn eager_cache_builds_every_entry_fresh() {
-        let cfg = automata::AutomataConfig::disabled();
-        let cache = DfaCache::new(64);
-        let mut stats = SolveStats::default();
-        let re = Arc::new(CRegex::star(CRegex::lit("ab")));
-        let a = Alphabet::for_problem(&[], &["ab"]);
-        let b = Alphabet::for_problem(&[], &["abc"]);
-        for alphabet in [&a, &b] {
-            let got = cache.get_or_build(&re, alphabet, true, &cfg, &mut stats);
-            let fresh = Dfa::from_cregex(&re, alphabet).complement();
-            assert_eq!(got.canonical_key(), fresh.canonical_key());
-        }
-        assert_eq!(stats.dfas_built, 2);
     }
 
     #[test]

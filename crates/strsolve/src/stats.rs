@@ -16,16 +16,14 @@ pub struct SolveStats {
     /// True when any enumeration was cut short by a limit (the query
     /// outcome can then be `Unknown` instead of `Unsat`).
     pub truncated: bool,
-    /// Automata constructed: regex DFAs (in the lazy pipeline, one per
-    /// regex over its own alphabet — projections onto a conjunction's
-    /// alphabet are not constructions), exact-word, guide and
-    /// universal DFAs.
+    /// Automata constructed: regex DFAs (one per regex over its own
+    /// alphabet — projections onto a conjunction's alphabet are not
+    /// constructions), exact-word, guide and universal DFAs.
     pub dfas_built: u64,
     /// DFA states produced by subset constructions and boolean
     /// operations, before minimization (projections produce none).
     pub dfa_states_built: u64,
-    /// DFA states remaining after the thresholded Hopcroft pass
-    /// (equals `dfa_states_built` when minimization is disabled).
+    /// DFA states remaining after the thresholded Hopcroft pass.
     pub states_after_minimize: u64,
     /// Conjunctions refuted by the length-abstraction pass before any
     /// word search started.

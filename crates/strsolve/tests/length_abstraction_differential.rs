@@ -2,16 +2,16 @@
 //! random-formula corpus (the same constraint families the
 //! capturing-language models emit), solving with the pass enabled and
 //! disabled must yield identical verdicts, and every `Sat` model from
-//! the enabled solver must satisfy its formula. The lazy/minimizing
-//! automata pipeline is exercised on top: verdicts must also match the
-//! fully eager configuration.
+//! the enabled solver must satisfy its formula. The DFA caches are
+//! exercised on top: verdicts must also match an uncached solver, and
+//! a warm shared table must return the same models as a cold one.
 
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
 use automata::{CRegex, CharSet};
-use strsolve::{Formula, Outcome, Solver, SolverConfig, StrVar, Term, VarPool};
+use strsolve::{DfaTables, Formula, Outcome, Solver, SolverConfig, StrVar, Term, VarPool};
 
 /// A small random classical regex over {a, b, c}.
 fn random_regex(rng: &mut StdRng, depth: usize) -> CRegex {
@@ -113,27 +113,41 @@ fn verdicts_identical_with_length_abstraction_on_and_off() {
 }
 
 #[test]
-fn verdicts_identical_between_eager_and_lazy_pipelines() {
-    // The full tentpole stack — minimization, canonical interning,
-    // lazy pinned-root products, length abstraction — against the
-    // seed's eager configuration.
-    let lazy = Solver::new(SolverConfig::default());
-    let eager = Solver::new(SolverConfig {
-        minimize_threshold: 0,
+fn verdicts_identical_with_and_without_dfa_caches() {
+    // Minimization, projection from per-regex base DFAs, pinned-root
+    // shortcuts and length abstraction, with and without cached
+    // automata. A table hit must equal a fresh build, so the two
+    // default solvers (cold tables, then the same tables warm) must
+    // agree on models too, not just on verdicts.
+    let formulas: Vec<Formula> = (0..300u64)
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(0xea10 ^ seed);
+            random_formula(&mut rng, &mut VarPool::new())
+        })
+        .collect();
+    let uncached = Solver::new(SolverConfig {
         length_abstraction: false,
         dfa_cache_capacity: 0,
         ..SolverConfig::default()
     });
-    for seed in 0..300u64 {
-        let mut rng = StdRng::seed_from_u64(0xea10 ^ seed);
-        let mut pool = VarPool::new();
-        let formula = random_formula(&mut rng, &mut pool);
-        let (a, _) = lazy.solve(&formula);
-        let (b, _) = eager.solve(&formula);
+    let tables = DfaTables::new(SolverConfig::default().dfa_cache_capacity);
+    let solve_all =
+        |solver: &Solver| -> Vec<Outcome> { formulas.iter().map(|f| solver.solve(f).0).collect() };
+    let plain = solve_all(&uncached);
+    let cold = solve_all(&Solver::default().with_dfa_tables(&tables));
+    let hits_after_cold = tables.hits();
+    let warm = solve_all(&Solver::default().with_dfa_tables(&tables));
+    assert!(tables.hits() > hits_after_cold, "the warm pass hit nothing");
+    for (seed, formula) in formulas.iter().enumerate() {
+        let (plain, cold, warm) = (&plain[seed], &cold[seed], &warm[seed]);
         assert_eq!(
-            verdict(&a),
-            verdict(&b),
-            "seed {seed}: pipeline changed the verdict of {formula}"
+            verdict(plain),
+            verdict(cold),
+            "seed {seed}: DFA caching changed the verdict of {formula}"
+        );
+        assert_eq!(
+            cold, warm,
+            "seed {seed}: warm tables changed the outcome of {formula}"
         );
     }
 }
@@ -142,7 +156,7 @@ fn verdicts_identical_between_eager_and_lazy_pipelines() {
 fn models_from_the_length_abstracted_solver_are_valid() {
     // Model soundness under the pass: every Sat model satisfies its
     // formula (checked with the solver's own final model — membership
-    // via an independent eager DFA).
+    // via an independent unminimized DFA).
     let solver = Solver::new(SolverConfig {
         length_abstraction: true,
         ..SolverConfig::default()
@@ -160,7 +174,8 @@ fn models_from_the_length_abstracted_solver_are_valid() {
     }
 }
 
-/// Independent evaluator (eager DFA membership, direct concatenation).
+/// Independent evaluator (unminimized DFA membership, direct
+/// concatenation).
 fn eval(formula: &Formula, model: &strsolve::Model) -> bool {
     use std::sync::Arc;
     use strsolve::Atom;

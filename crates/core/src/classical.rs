@@ -5,7 +5,9 @@
 //! * [`try_wrapped_word_language`] — the *exact* word language of the
 //!   Algorithm 2 wrapping `(?:.|\n)*?(R)(?:.|\n)*?` over marked input
 //!   `⟨input⟩`, available when `R` is backreference-free and uses anchors
-//!   only at its top level. Used for exact non-membership constraints
+//!   only at its top level. Under the `m` flag those anchors test one
+//!   character of context (a line terminator or a marker), so the
+//!   language stays classical. Used for exact non-membership constraints
 //!   (`∀C: (w, C) ∉ Lc(R)` reduces to `w ∉ L(...)` because captures do
 //!   not affect the word language).
 //! * [`overapprox_word_regex`] — a total overapproximation of the same
@@ -20,7 +22,7 @@ use regex_syntax_es6::ast::{AssertionKind, Ast};
 use regex_syntax_es6::rewrite::strip_captures;
 use regex_syntax_es6::Flags;
 
-use crate::meta::{INPUT_END, INPUT_START};
+use crate::meta::{line_terminators, INPUT_END, INPUT_START};
 
 /// Compile options for user regexes: meta-characters are excluded from
 /// wildcards and negated classes, and flags are applied.
@@ -66,70 +68,72 @@ fn split_top_anchors(ast: &Ast) -> Option<(bool, Vec<Ast>, bool)> {
     if body.iter().any(Ast::has_assertion) {
         return None;
     }
-    Some((start, end, body.to_vec())).map(|(s, e, b)| (s, b, e))
+    Some((start, body.to_vec(), end))
+}
+
+/// The wrapper's left and right contexts around the body: what
+/// Algorithm 2's wildcards may consume before and after the match,
+/// given the body's top-level anchors.
+///
+/// Unanchored, the wrapper consumes `⟨·Σ'*` and `Σ'*·⟩`, where Σ'
+/// excludes the markers. A top-level `^` leaves only `⟨`, and `$` only
+/// `⟩`. Under `m` an anchor is a one-character context test — "at
+/// input start or after a LineTerminator", "at input end or before
+/// one" — so `^` becomes `⟨·(Σ'*·LT)?` and `$` becomes `(LT·Σ'*)?·⟩`.
+fn wrapper_contexts(anchored_start: bool, anchored_end: bool, flags: Flags) -> (CRegex, CRegex) {
+    let start_marker = CRegex::set(CharSet::single(INPUT_START));
+    let end_marker = CRegex::set(CharSet::single(INPUT_END));
+    let line_break = || CRegex::set(line_terminators());
+    let left = match (anchored_start, flags.multiline) {
+        (false, _) => vec![start_marker, no_meta_star()],
+        (true, false) => vec![start_marker],
+        (true, true) => vec![
+            start_marker,
+            CRegex::opt(CRegex::concat(vec![no_meta_star(), line_break()])),
+        ],
+    };
+    let right = match (anchored_end, flags.multiline) {
+        (false, _) => vec![no_meta_star(), end_marker],
+        (true, false) => vec![end_marker],
+        (true, true) => vec![
+            CRegex::opt(CRegex::concat(vec![line_break(), no_meta_star()])),
+            end_marker,
+        ],
+    };
+    (CRegex::concat(left), CRegex::concat(right))
 }
 
 /// The exact word language of the wrapped pattern over marked input, if
 /// computable classically.
 ///
 /// Returns `None` when the regex contains backreferences, word
-/// boundaries, multiline anchors, or anchors below the top level.
+/// boundaries, or anchors below the top level.
 pub fn try_wrapped_word_language(ast: &Ast, flags: Flags) -> Option<CRegex> {
     if ast.has_backref() {
         return None;
     }
-    if flags.multiline && ast.has_assertion() {
-        return None;
-    }
     let (anchored_start, body, anchored_end) = split_top_anchors(ast)?;
-    let body = Ast::concat(body);
-    let opts = user_compile_options(flags);
-    // Marker uniqueness: an anchored start means the wrapper consumed
-    // exactly `⟨`; unanchored, it consumed `⟨` plus arbitrary text.
-    let start_marker = CRegex::set(CharSet::single(INPUT_START));
-    let end_marker = CRegex::set(CharSet::single(INPUT_END));
-    let left = if anchored_start {
-        start_marker
-    } else {
-        CRegex::concat(vec![start_marker, no_meta_star()])
-    };
-    let right = if anchored_end {
-        end_marker
-    } else {
-        CRegex::concat(vec![no_meta_star(), end_marker])
-    };
+    let (left, right) = wrapper_contexts(anchored_start, anchored_end, flags);
     // The body is compiled *into* the rest-of-word language so that
     // lookaheads in (or at the end of) the body inspect the real
     // continuation — the suffix and the `⟩` marker, which correctly
     // plays "end of input" because no user atom can consume it.
+    let body = strip_captures(&Ast::concat(body));
     let inner_and_right =
-        automata::compile_classical_into(&strip_captures(&body), &opts, right).ok()?;
+        automata::compile_classical_into(&body, &user_compile_options(flags), right).ok()?;
     Some(CRegex::concat(vec![left, inner_and_right]))
 }
 
 /// A total overapproximation of the wrapped word language, used to guide
 /// word enumeration for positive membership queries.
 pub fn overapprox_word_regex(ast: &Ast, flags: Flags) -> CRegex {
-    let opts = user_compile_options(flags);
     let (anchored_start, body, anchored_end) = match split_top_anchors(ast) {
         Some(split) => split,
         // Anchors in odd positions: ignore anchoring (overapproximate).
         None => (false, vec![ast.clone()], false),
     };
-    let body = Ast::concat(body);
-    let inner = overapprox_body(&body, ast, &opts, 0);
-    let start_marker = CRegex::set(CharSet::single(INPUT_START));
-    let end_marker = CRegex::set(CharSet::single(INPUT_END));
-    let left = if anchored_start && !flags.multiline {
-        start_marker
-    } else {
-        CRegex::concat(vec![start_marker, no_meta_star()])
-    };
-    let right = if anchored_end && !flags.multiline {
-        end_marker
-    } else {
-        CRegex::concat(vec![no_meta_star(), end_marker])
-    };
+    let inner = overapprox_body(&Ast::concat(body), ast, &user_compile_options(flags), 0);
+    let (left, right) = wrapper_contexts(anchored_start, anchored_end, flags);
     CRegex::concat(vec![left, inner, right])
 }
 
@@ -298,6 +302,74 @@ mod tests {
         let dfa = dfa_of(&re);
         assert!(dfa.contains(&wrap_input("aaa")));
         assert!(!dfa.contains(&wrap_input("baa")));
+    }
+
+    const LINE_TERMINATORS: [char; 4] = ['\n', '\r', '\u{2028}', '\u{2029}'];
+
+    /// Asserts the wrapped word language of `/pattern/flags` on inputs
+    /// where `~` stands for the line terminator `lt`, after checking
+    /// each expectation against the concrete matcher.
+    fn assert_language(pattern: &str, flags: &str, lt: char, accepts: &[&str], rejects: &[&str]) {
+        let ast = parse(pattern).expect("parse");
+        let re = try_wrapped_word_language(&ast, flags.parse().expect("flags")).expect("classical");
+        let dfa = dfa_of(&re);
+        let mut oracle = es6_matcher::RegExp::new(pattern, flags).expect("regexp");
+        for (inputs, expected) in [(accepts, true), (rejects, false)] {
+            for input in inputs.iter().map(|t| t.replace('~', &lt.to_string())) {
+                let context = format!("/{pattern}/{flags} on {input:?}");
+                assert_eq!(oracle.test(&input), expected, "matcher: {context}");
+                assert_eq!(
+                    dfa.contains(&wrap_input(&input)),
+                    expected,
+                    "language: {context}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn multiline_anchors_are_line_contexts() {
+        let lines = ["x~ab", "ab~x", "ab"];
+        for lt in LINE_TERMINATORS {
+            assert_language("^ab$", "m", lt, &lines, &["xab", "abx", "a~b"]);
+            assert_language("^ab", "m", lt, &lines, &["xab", "a~b"]);
+            assert_language("ab$", "m", lt, &lines, &["abx", "a~b"]);
+        }
+    }
+
+    #[test]
+    fn multiline_anchors_with_ignore_case_and_dot_all() {
+        for lt in LINE_TERMINATORS {
+            assert_language(
+                "^AB$",
+                "im",
+                lt,
+                &["x~ab", "aB~x", "Ab"],
+                &["xab", "abx", "a~b"],
+            );
+            // Without `s` the dot stops at a line terminator; with it,
+            // the dot may consume one while the anchors still see lines.
+            assert_language("^a.b$", "m", lt, &["x~axb", "axb~"], &["a~b", "xaxb"]);
+            assert_language("^a.b$", "ms", lt, &["a~b", "x~a~b~y"], &["xa~b", "a~bx"]);
+        }
+    }
+
+    #[test]
+    fn multiline_inner_anchor_rejected() {
+        let ast = parse("(?:^a|b)").expect("parse");
+        assert!(try_wrapped_word_language(&ast, "m".parse().expect("flags")).is_none());
+    }
+
+    #[test]
+    fn multiline_overapprox_keeps_line_contexts() {
+        let ast = parse("^a+$").expect("parse");
+        let re = overapprox_word_regex(&ast, "m".parse().expect("flags"));
+        let dfa = dfa_of(&re);
+        assert!(!dfa.contains(&wrap_input("baa")));
+        for lt in LINE_TERMINATORS {
+            assert!(dfa.contains(&wrap_input(&format!("b{lt}aa"))));
+            assert!(dfa.contains(&wrap_input(&format!("aa{lt}b"))));
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@ pub fn meta_set() -> CharSet {
     CharSet::single(INPUT_START).union(&CharSet::single(INPUT_END))
 }
 
+/// The ES6 line terminators (§11.3): `\n`, `\r`, U+2028 and U+2029.
+/// Multiline anchors test for them in both the positive model and the
+/// classical word language.
+pub fn line_terminators() -> CharSet {
+    CharSet::from_ranges(vec![(0x0A, 0x0A), (0x0D, 0x0D), (0x2028, 0x2029)])
+}
+
 /// Wraps a subject string in the meta-characters:
 /// `input′ = ⟨ + input + ⟩` (Algorithm 2 line 1).
 pub fn wrap_input(input: &str) -> String {
@@ -57,6 +64,18 @@ mod tests {
         assert!(!space.contains(INPUT_START));
         let digit = regex_syntax_es6::class::ClassSet::digit();
         assert!(!digit.contains(INPUT_END));
+    }
+
+    #[test]
+    fn line_terminators_agree_with_the_matcher() {
+        let set = line_terminators();
+        for c in (0..=char::MAX as u32).filter_map(char::from_u32) {
+            assert_eq!(
+                set.contains(c),
+                regex_syntax_es6::class::is_line_terminator(c),
+                "{c:?}"
+            );
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@ use regex_syntax_es6::Flags;
 use strsolve::{BoolVar, Formula, StrVar, Term, VarPool};
 
 use crate::classical::{try_hat_star, user_compile_options};
+use crate::meta::line_terminators;
 
 /// A capture variable `Cᵢ`: a string value plus a definedness flag
 /// distinguishing `⊥` from `ε`.
@@ -810,8 +811,4 @@ impl<'p> ModelBuilder<'p> {
         }
         self.captures[(index - 1) as usize]
     }
-}
-
-fn line_terminators() -> CharSet {
-    CharSet::from_ranges(vec![(0x0A, 0x0A), (0x0D, 0x0D), (0x2028, 0x2029)])
 }

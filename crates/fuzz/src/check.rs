@@ -21,7 +21,7 @@ use es6_matcher::{MatchResult, RegExp};
 use expose_core::api::{build_match_model, CapturingConstraint};
 use expose_core::cegar::{CegarCache, CegarResult};
 use expose_core::classical::try_wrapped_word_language;
-use expose_core::meta::{wrap_input, INPUT_END, INPUT_START};
+use expose_core::meta::{line_terminators, wrap_input, INPUT_END, INPUT_START};
 use expose_core::model::BuildConfig;
 use expose_core::{CegarSolver, SupportLevel};
 use rand::rngs::StdRng;
@@ -817,11 +817,17 @@ fn check_matcher_vs_dfa(
             words.push(chars[1..chars.len() - 1].iter().collect());
         }
     }
-    // Random samples over the case alphabet (mostly negative).
+    // Random samples over the case alphabet (mostly negative). Under `m`
+    // the line terminators join it: the anchors' line contexts test for
+    // them, yet patterns rarely contain one.
+    let mut sample_alphabet = alphabet.to_vec();
+    if regex.flags.multiline {
+        sample_alphabet.extend(line_terminators().iter());
+    }
     for _ in 0..budget.sample_words {
         let len = rng.random_range(0usize..=budget.enum_len + 1);
         let word: String = (0..len)
-            .map(|_| *alphabet.choose(rng).expect("non-empty alphabet"))
+            .map(|_| *sample_alphabet.choose(rng).expect("non-empty alphabet"))
             .collect();
         words.push(word);
     }

@@ -144,3 +144,37 @@ fn negative_literal_queries_agree_with_oracle() {
         }
     }
 }
+
+#[test]
+fn multiline_anchored_negation_is_exact() {
+    // Under `m`, `^` and `$` test one character of context, so the
+    // negation keeps a classical word language: CEGAR decides it in one
+    // solve instead of banning one word per round, and Unsat is a proof.
+    let literal = "/^[éé][0-_]$/m";
+    let regex = Regex::parse_literal(literal).expect("literal parses");
+    let mut pool = VarPool::new();
+    let constraint = build_match_model(&regex, false, &mut pool, &BuildConfig::default());
+    assert!(constraint.exact, "{literal} negation must be exact");
+    let mut oracle = RegExp::from_regex(regex);
+
+    let result = CegarSolver::default().solve(&Formula::top(), std::slice::from_ref(&constraint));
+    assert_eq!(result.stats.refinements, 0);
+    assert!(!result.stats.limit_hit);
+    match result.outcome {
+        Outcome::Sat(model) => {
+            let input = model.get_str(constraint.input).expect("input assigned");
+            assert!(!oracle.test(input), "witness {input:?} matches {literal}");
+        }
+        other => panic!("{literal} negation should be satisfiable, got {other:?}"),
+    }
+
+    let matching = "x\né0";
+    assert!(oracle.test(matching));
+    let problem = Formula::eq_lit(constraint.input, matching);
+    let result = CegarSolver::default().solve(&problem, std::slice::from_ref(&constraint));
+    assert!(
+        matches!(result.outcome, Outcome::Unsat),
+        "{literal} ∌ {matching:?} must be refuted, got {:?}",
+        result.outcome
+    );
+}

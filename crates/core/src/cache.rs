@@ -110,6 +110,8 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct ModelCache {
     entries: Mutex<Lru<ModelKey, Arc<Entry>>>,
+    capacity: usize,
+    byte_budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -128,14 +130,21 @@ impl ModelCache {
     pub fn with_byte_budget(capacity: usize, byte_budget: usize) -> ModelCache {
         ModelCache {
             entries: Mutex::new(Lru::with_byte_budget(capacity, byte_budget)),
+            capacity,
+            byte_budget,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
+    /// The configured entry capacity (`0` = caching is disabled).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// The configured byte budget (`0` = unlimited).
     pub fn byte_budget(&self) -> usize {
-        self.entries.lock().byte_budget()
+        self.byte_budget
     }
 
     /// Approximate bytes held by resident models.

@@ -553,6 +553,8 @@ fn constraint_signatures(
 #[derive(Debug)]
 pub struct CegarCache {
     entries: Mutex<Lru<CegarKey, CachedRun>>,
+    capacity: usize,
+    byte_budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -568,6 +570,8 @@ impl CegarCache {
     pub fn with_byte_budget(capacity: usize, byte_budget: usize) -> CegarCache {
         CegarCache {
             entries: Mutex::new(Lru::with_byte_budget(capacity, byte_budget)),
+            capacity,
+            byte_budget,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -575,12 +579,12 @@ impl CegarCache {
 
     /// The configured entry capacity (`0` = the cache is disabled).
     pub fn capacity(&self) -> usize {
-        self.entries.lock().capacity()
+        self.capacity
     }
 
     /// The configured byte budget (`0` = unlimited).
     pub fn byte_budget(&self) -> usize {
-        self.entries.lock().byte_budget()
+        self.byte_budget
     }
 
     /// Runs replayed from the cache.

@@ -12,18 +12,26 @@
 //! `expose_core::cegar::CegarCache` (whole validated CEGAR runs, keyed
 //! by the canonical problem plus a [`crate::SolverConfig`] fingerprint).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use crate::formula::{Atom, Formula};
 use crate::vars::{BoolVar, StrVar, Term};
 
 /// A capacity- and byte-bounded map with least-recently-used eviction.
 ///
-/// Recency is tracked with a monotonic tick; eviction scans for the
-/// minimum (capacities are small and evictions rare, so the linear scan
-/// beats the bookkeeping of an intrusive list). A capacity of `0`
-/// disables the map: inserts are dropped and lookups always miss.
+/// Entries live in a slab threaded by an intrusive doubly linked
+/// recency list (most recent at the head), with a hash index from key
+/// to slot. A lookup hit relinks its slot to the head and an eviction
+/// unlinks the tail, so `get`, `insert_weighted` and every eviction are
+/// O(1) — cold workloads evict on nearly every insert, so a scan for
+/// the oldest entry would cost a pass over all resident entries (under
+/// the owning cache's lock) per insert. The key is shared between the
+/// index and its slot through an `Arc`, so a hit neither allocates nor
+/// clones a key. A capacity of `0` disables the map: inserts are
+/// dropped and lookups always miss.
 ///
 /// Besides the entry-count capacity, a map can carry an *approximate
 /// byte budget* ([`Lru::with_byte_budget`]): entries inserted through
@@ -37,11 +45,29 @@ pub struct Lru<K, V> {
     byte_budget: usize,
     bytes: usize,
     evictions: u64,
-    tick: u64,
-    entries: HashMap<K, (V, u64, usize)>,
+    index: HashMap<Arc<K>, usize>,
+    slots: Vec<Slot<K, V>>,
+    /// Vacated slots, reused before the slab grows.
+    free: Vec<usize>,
+    /// Most recently used slot ([`NIL`] when empty).
+    head: usize,
+    /// Least recently used slot — the next eviction.
+    tail: usize,
 }
 
-impl<K: Eq + Hash + Clone, V> Lru<K, V> {
+/// One slab slot; `entry` is `None` only while the slot is free.
+#[derive(Debug)]
+struct Slot<K, V> {
+    entry: Option<(Arc<K>, V)>,
+    weight: usize,
+    prev: usize,
+    next: usize,
+}
+
+/// The null link of the recency list.
+const NIL: usize = usize::MAX;
+
+impl<K: Eq + Hash, V> Lru<K, V> {
     /// Creates a map holding at most `capacity` entries, with no byte
     /// budget.
     pub fn new(capacity: usize) -> Lru<K, V> {
@@ -57,19 +83,12 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             byte_budget,
             bytes: 0,
             evictions: 0,
-            tick: 0,
-            entries: HashMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The configured byte budget (`0` = unlimited).
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
     }
 
     /// Approximate bytes held by resident weighted entries.
@@ -84,22 +103,19 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True when no entry is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Looks up a key, refreshing its recency.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|(value, last, _)| {
-            *last = tick;
-            &*value
-        })
+        let slot = *self.index.get(key)?;
+        self.touch(slot);
+        self.slots[slot].entry.as_ref().map(|(_, value)| value)
     }
 
     /// Inserts an entry with zero weight (entry-count bounding only).
@@ -114,31 +130,89 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         if self.capacity == 0 {
             return;
         }
-        self.tick += 1;
-        if let Some((_, _, old)) = self.entries.remove(&key) {
-            self.bytes -= old;
-        }
-        self.entries.insert(key, (value, self.tick, weight));
-        self.bytes += weight;
-        // The fresh entry carries the maximal tick, so it is evicted
-        // only when it alone exceeds the budget — an oversized entry is
-        // not retained.
-        while self.entries.len() > self.capacity
-            || (self.byte_budget > 0 && self.bytes > self.byte_budget)
-        {
-            let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, last, _))| *last)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            if let Some((_, _, w)) = self.entries.remove(&oldest) {
-                self.bytes -= w;
-                self.evictions += 1;
+        match self.index.entry(Arc::new(key)) {
+            Entry::Occupied(resident) => {
+                let slot = *resident.get();
+                let s = &mut self.slots[slot];
+                self.bytes = self.bytes - s.weight + weight;
+                s.weight = weight;
+                if let Some((_, old)) = &mut s.entry {
+                    *old = value;
+                }
+                self.touch(slot);
+            }
+            Entry::Vacant(vacant) => {
+                let fresh = Slot {
+                    entry: Some((Arc::clone(vacant.key()), value)),
+                    weight,
+                    prev: NIL,
+                    next: NIL,
+                };
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.slots[slot] = fresh;
+                        slot
+                    }
+                    None => {
+                        self.slots.push(fresh);
+                        self.slots.len() - 1
+                    }
+                };
+                vacant.insert(slot);
+                self.bytes += weight;
+                self.push_front(slot);
             }
         }
+        // The fresh entry heads the recency list, so it is evicted only
+        // when it alone exceeds the budget — an oversized entry is not
+        // retained.
+        while self.index.len() > self.capacity
+            || (self.byte_budget > 0 && self.bytes > self.byte_budget)
+        {
+            self.evict_lru();
+        }
+    }
+
+    /// Moves a resident slot to the head of the recency list.
+    fn touch(&mut self, slot: usize) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, slot: usize) {
+        self.slots[slot].prev = NIL;
+        self.slots[slot].next = self.head;
+        match self.head {
+            NIL => self.tail = slot,
+            h => self.slots[h].prev = slot,
+        }
+        self.head = slot;
+    }
+
+    /// Drops the least recently used entry and frees its slot.
+    fn evict_lru(&mut self) {
+        let slot = self.tail;
+        self.unlink(slot);
+        let s = &mut self.slots[slot];
+        let (key, _value) = s.entry.take().expect("linked slots are occupied");
+        self.bytes -= s.weight;
+        self.index.remove(&key);
+        self.free.push(slot);
+        self.evictions += 1;
     }
 }
 
@@ -371,6 +445,135 @@ mod tests {
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.bytes(), 70);
         assert_eq!(lru.evictions(), 0);
+    }
+
+    /// The min-tick-scan map `Lru` replaced, kept as the eviction-order
+    /// oracle: recency is a monotonic tick and eviction scans for the
+    /// minimum.
+    struct ScanLru {
+        capacity: usize,
+        byte_budget: usize,
+        bytes: usize,
+        evictions: u64,
+        tick: u64,
+        entries: HashMap<u32, (u32, u64, usize)>,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, key: &u32) -> Option<&u32> {
+            self.tick += 1;
+            let tick = self.tick;
+            self.entries.get_mut(key).map(|(value, last, _)| {
+                *last = tick;
+                &*value
+            })
+        }
+
+        fn insert_weighted(&mut self, key: u32, value: u32, weight: usize) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.tick += 1;
+            if let Some((_, _, old)) = self.entries.remove(&key) {
+                self.bytes -= old;
+            }
+            self.entries.insert(key, (value, self.tick, weight));
+            self.bytes += weight;
+            while self.entries.len() > self.capacity
+                || (self.byte_budget > 0 && self.bytes > self.byte_budget)
+            {
+                let Some(oldest) = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, (_, last, _))| *last)
+                    .map(|(k, _)| *k)
+                else {
+                    break;
+                };
+                if let Some((_, _, w)) = self.entries.remove(&oldest) {
+                    self.bytes -= w;
+                    self.evictions += 1;
+                }
+            }
+        }
+
+        /// Resident keys, least recently used first.
+        fn recency(&self) -> Vec<u32> {
+            let mut keys: Vec<(u64, u32)> = self
+                .entries
+                .iter()
+                .map(|(k, (_, last, _))| (*last, *k))
+                .collect();
+            keys.sort_unstable();
+            keys.into_iter().map(|(_, k)| k).collect()
+        }
+    }
+
+    /// Resident keys of the slab map, least recently used first.
+    fn recency(lru: &Lru<u32, u32>) -> Vec<u32> {
+        let mut keys = Vec::new();
+        let mut slot = lru.tail;
+        while slot != NIL {
+            let (key, _) = lru.slots[slot].entry.as_ref().expect("linked slot");
+            keys.push(**key);
+            slot = lru.slots[slot].prev;
+        }
+        keys
+    }
+
+    #[test]
+    fn slab_lru_matches_the_min_tick_scan() {
+        // Seeded mixed get/insert/insert_weighted sequences over small
+        // key spaces (so re-inserts and hits are frequent), including a
+        // disabled map, entry-capacity eviction, byte-budget eviction
+        // and entries heavier than the whole budget.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for (capacity, byte_budget) in [
+            (0, 0),
+            (1, 0),
+            (3, 0),
+            (8, 0),
+            (16, 100),
+            (4, 50),
+            (64, 300),
+        ] {
+            let mut lru: Lru<u32, u32> = Lru::with_byte_budget(capacity, byte_budget);
+            let mut oracle = ScanLru {
+                capacity,
+                byte_budget,
+                bytes: 0,
+                evictions: 0,
+                tick: 0,
+                entries: HashMap::new(),
+            };
+            for op in 0..3_000u32 {
+                let key = next(24) as u32;
+                match next(3) {
+                    0 => assert_eq!(lru.get(&key), oracle.get(&key), "get {key} at op {op}"),
+                    1 => {
+                        lru.insert(key, op);
+                        oracle.insert_weighted(key, op, 0);
+                    }
+                    _ => {
+                        // Mostly budget-sized weights, sometimes one
+                        // larger than the whole budget.
+                        let weight = next(byte_budget.max(1) as u64 * 6 / 5 + 1) as usize;
+                        lru.insert_weighted(key, op, weight);
+                        oracle.insert_weighted(key, op, weight);
+                    }
+                }
+                assert_eq!(recency(&lru), oracle.recency(), "resident order at op {op}");
+                assert_eq!(lru.len(), oracle.entries.len());
+                assert_eq!(lru.bytes(), oracle.bytes);
+                assert_eq!(lru.evictions(), oracle.evictions);
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! against every atom before being returned). Budget exhaustion yields
 //! `Unknown`, which DSE treats like an SMT timeout (paper §5.3).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -1092,29 +1093,42 @@ impl Search<'_> {
                 retract(assignment, &trail, &units);
                 return StepResult::Exhausted;
             };
-            let (mut candidates, truncated) = self.generate_candidates(ctx, assignment, var);
-            if truncated {
-                self.stats.truncated = true;
+            let mut words = self.candidates(ctx, assignment, var);
+            let mut next = words.next(&mut self.stats);
+            let mut queued = match next {
+                Some(_) => words.next(&mut self.stats),
+                None => None,
+            };
+            if queued.is_none() && !words.truncated {
+                if let Some(word) = next.take() {
+                    // A complete enumeration with a single word:
+                    // committing it is the only way forward, so no
+                    // branch is opened.
+                    assignment.insert(var, word);
+                    units.push(var);
+                    continue;
+                }
             }
-            if candidates.len() == 1 && !truncated {
-                // A complete enumeration with a single word: committing
-                // it is the only way forward, so no branch is opened.
-                assignment.insert(var, candidates.pop().expect("len checked"));
-                units.push(var);
-                continue;
-            }
-            let mut any_truncated = truncated;
-            for cand in candidates {
-                assignment.insert(var, cand);
+            let mut any_truncated = false;
+            while let Some(word) = next {
+                if self.nodes_left == 0 {
+                    // The child would return at once on the spent node
+                    // budget, and so would every later one.
+                    self.stats.truncated = true;
+                    any_truncated = true;
+                    break;
+                }
+                assignment.insert(var, word);
                 match self.assign(ctx, assignment) {
                     StepResult::Sat => return StepResult::Sat,
                     StepResult::Truncated => any_truncated = true,
                     StepResult::Exhausted => {}
                 }
                 assignment.remove(&var);
+                next = queued.take().or_else(|| words.next(&mut self.stats));
             }
             retract(assignment, &trail, &units);
-            return if any_truncated {
+            return if any_truncated || words.truncated {
                 StepResult::Truncated
             } else {
                 StepResult::Exhausted
@@ -1122,35 +1136,14 @@ impl Search<'_> {
         }
     }
 
-    /// Enumerates candidate words for `var`, guided by the residual
-    /// states of the equations it participates in.
-    fn generate_candidates(
+    /// Starts the candidate enumeration for `var`, guided by the
+    /// residual states of the equations it participates in.
+    fn candidates(
         &mut self,
         ctx: &StringCtx,
         assignment: &HashMap<StrVar, String>,
         var: StrVar,
-    ) -> (Vec<String>, bool) {
-        let var_dfa = &ctx.dfas[&var];
-        /// A literal run of the forced tail, or a repeated occurrence
-        /// of the searched variable (which takes the candidate's own
-        /// value once one is proposed).
-        enum TailPiece {
-            Str(String),
-            Own,
-        }
-        /// One residual guide: the lhs DFA after running the assigned
-        /// prefix, plus — when every part after the first occurrence of
-        /// the searched variable is concrete or the variable itself —
-        /// the forced tail. A candidate that cannot run that tail to
-        /// acceptance would complete the equation and be rejected by
-        /// the very next `propagate`, so it is filtered here instead of
-        /// burning a search node (the surviving candidates and their
-        /// order are unchanged, so the found model is identical).
-        struct Guide {
-            dfa: Arc<Dfa>,
-            state: u32,
-            tail: Option<Vec<TailPiece>>,
-        }
+    ) -> Candidates {
         // Guides are collected for every equation where all parts
         // before the first occurrence of `var` are assigned. When the
         // lhs value is already pinned, the guide is the exact-word DFA
@@ -1216,51 +1209,19 @@ impl Search<'_> {
         // Disequalities that become decidable the moment `var` is
         // assigned: candidates equal to the other side's pinned value
         // are rejected by the next `propagate` unconditionally.
-        let banned: Vec<&str> = ctx
+        let banned: Vec<String> = ctx
             .ne_pairs
             .iter()
             .filter_map(|&(a, b)| {
                 if a == var {
-                    assignment.get(&b).map(String::as_str)
+                    assignment.get(&b).cloned()
                 } else if b == var {
-                    assignment.get(&a).map(String::as_str)
+                    assignment.get(&a).cloned()
                 } else {
                     None
                 }
             })
             .collect();
-
-        // Best-first (A*-style) search over (var state, guide states):
-        // priority = word length + residual distances to acceptance in
-        // the variable DFA and every guide. This finds words that
-        // *complete* the surrounding equations early, instead of
-        // flooding the budget with short irrelevant words.
-        //
-        // Heap entries are indices into a parent-pointer arena — the
-        // class-word and guide-state vectors live once per *node*
-        // (shared-prefix via parent links, guide states in one flat
-        // buffer) instead of being cloned on every heap push; the word
-        // is only reconstructed when a candidate is accepted.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let mut out = Vec::new();
-        let mut truncated = false;
-        let max_expansions = self
-            .config
-            .max_candidates_per_var
-            .saturating_mul(64)
-            .max(4_096);
-        let mut expansions = 0usize;
-        let class_count = ctx.alphabet.class_count();
-        let guide_count = guides.len();
-        let g0: Vec<u32> = guides.iter().map(|g| g.state).collect();
-        if guides
-            .iter()
-            .any(|g| g.dfa.distance_to_accept(g.state).is_none())
-        {
-            return (out, false);
-        }
         // The variable's length window from the abstraction pass.
         // Cutting at the interval's upper bound is *exact* — no longer
         // word can be part of any solution — so only a cut at the
@@ -1271,70 +1232,145 @@ impl Search<'_> {
             .copied()
             .unwrap_or_else(LenInterval::full);
         let hard_cap = self.config.max_word_len as u64;
-        let cap = bounds.hi.map_or(hard_cap, |h| h.min(hard_cap));
-        let cap_is_exact = bounds.hi.is_some_and(|h| h <= hard_cap);
-        let priority = |len: u64, vs: u32, gs: &[u32]| -> u64 {
-            let mut p = len;
-            p += u64::from(var_dfa.distance_to_accept(vs).unwrap_or(0));
-            for (i, g) in guides.iter().enumerate() {
-                p += u64::from(g.dfa.distance_to_accept(gs[i]).unwrap_or(0));
-            }
-            p
+        let var_dfa = Arc::clone(&ctx.dfas[&var]);
+        let mut words = Candidates {
+            alphabet: Arc::clone(&ctx.alphabet),
+            min_len: bounds.lo,
+            cap: bounds.hi.map_or(hard_cap, |h| h.min(hard_cap)),
+            cap_is_exact: bounds.hi.is_some_and(|h| h <= hard_cap),
+            max_candidates: self.config.max_candidates_per_var,
+            max_expansions: self
+                .config
+                .max_candidates_per_var
+                .saturating_mul(64)
+                .max(4_096),
+            yielded: 0,
+            expansions: 0,
+            truncated: false,
+            nodes: vec![Node {
+                parent: u32::MAX,
+                class: 0,
+                len: 0,
+                vs: var_dfa.start_state(),
+            }],
+            guide_states: guides.iter().map(|g| g.state).collect(),
+            counter: 0,
+            heap: BinaryHeap::new(),
+            var_dfa,
+            guides,
+            banned,
         };
-
-        /// One prefix in the arena; `parent == u32::MAX` marks the root.
-        struct Node {
-            parent: u32,
-            class: u16,
-            len: u32,
-            vs: u32,
+        if words
+            .guides
+            .iter()
+            .all(|g| g.dfa.distance_to_accept(g.state).is_some())
+        {
+            let root = words.priority(0, words.var_dfa.start_state(), 0);
+            words.heap.push(Reverse((root, 0, 0)));
         }
-        let reconstruct = |nodes: &[Node], mut idx: u32| -> Vec<u16> {
-            let mut word = Vec::with_capacity(nodes[idx as usize].len as usize);
-            while nodes[idx as usize].parent != u32::MAX {
-                word.push(nodes[idx as usize].class);
-                idx = nodes[idx as usize].parent;
-            }
-            word.reverse();
-            word
-        };
-        let mut nodes: Vec<Node> = vec![Node {
-            parent: u32::MAX,
-            class: 0,
-            len: 0,
-            vs: var_dfa.start_state(),
-        }];
-        // Node i's guide states live at `i * guide_count ..`.
-        let mut guide_states: Vec<u32> = g0.clone();
+        words
+    }
+}
 
-        let mut counter = 0u64; // FIFO tiebreak → length order among ties
-        let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        heap.push(Reverse((
-            priority(0, var_dfa.start_state(), &g0),
-            counter,
-            0,
-        )));
-        while let Some(Reverse((_, _, idx))) = heap.pop() {
-            if out.len() >= self.config.max_candidates_per_var || expansions >= max_expansions {
-                truncated = true;
-                break;
+/// A literal run of a guide's forced tail, or a repeated occurrence of
+/// the searched variable (which takes the candidate's own value once
+/// one is proposed).
+enum TailPiece {
+    Str(String),
+    Own,
+}
+
+/// One residual guide: the lhs DFA after running the assigned prefix,
+/// plus — when every part after the first occurrence of the searched
+/// variable is concrete or the variable itself — the forced tail. A
+/// candidate that cannot run that tail to acceptance would complete
+/// the equation and be rejected by the very next `propagate`, so it is
+/// filtered by the enumeration instead of burning a search node (the
+/// surviving candidates and their order are unchanged, so the found
+/// model is identical).
+struct Guide {
+    dfa: Arc<Dfa>,
+    state: u32,
+    tail: Option<Vec<TailPiece>>,
+}
+
+/// One prefix in a [`Candidates`] arena; `parent == u32::MAX` marks the
+/// root.
+struct Node {
+    parent: u32,
+    class: u16,
+    len: u32,
+    vs: u32,
+}
+
+/// The pull-based candidate enumeration for one variable.
+///
+/// Best-first (A*-style) search over (var state, guide states):
+/// priority = word length + residual distances to acceptance in the
+/// variable DFA and every guide. This finds words that *complete* the
+/// surrounding equations early, instead of flooding the budget with
+/// short irrelevant words. Words are produced on demand, so a search
+/// that commits to its first candidate never pays for the rest.
+///
+/// Heap entries are indices into a parent-pointer arena — the
+/// class-word and guide-state vectors live once per *node* (shared
+/// prefix via parent links, guide states in one flat buffer) instead of
+/// being cloned on every heap push; a word is only realized when it is
+/// accepted.
+struct Candidates {
+    var_dfa: Arc<Dfa>,
+    alphabet: Arc<Alphabet>,
+    guides: Vec<Guide>,
+    banned: Vec<String>,
+    /// The length window: shorter words are not yielded, and prefixes
+    /// are not extended past `cap`.
+    min_len: u64,
+    cap: u64,
+    cap_is_exact: bool,
+    max_candidates: usize,
+    max_expansions: usize,
+    yielded: usize,
+    expansions: usize,
+    /// Set once the enumeration hit a limit (candidate or expansion
+    /// count, or an inexact length cap): words may be missing.
+    truncated: bool,
+    nodes: Vec<Node>,
+    /// Node i's guide states live at `i * guides.len() ..`.
+    guide_states: Vec<u32>,
+    /// FIFO tiebreak → length order among ties.
+    counter: u64,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+}
+
+impl Candidates {
+    /// The next candidate word, or `None` once the enumeration is
+    /// exhausted or hit a limit (then `truncated` is set). Yields are
+    /// counted in `stats.candidates`, limits in `stats.truncated`.
+    fn next(&mut self, stats: &mut SolveStats) -> Option<String> {
+        let guide_count = self.guides.len();
+        while let Some(Reverse((_, _, idx))) = self.heap.pop() {
+            if self.yielded >= self.max_candidates || self.expansions >= self.max_expansions {
+                self.truncate(stats);
+                self.heap.clear();
+                return None;
             }
             let (vs, len) = {
-                let node = &nodes[idx as usize];
+                let node = &self.nodes[idx as usize];
                 (node.vs, u64::from(node.len))
             };
-            if var_dfa.is_accepting(vs) && len >= bounds.lo {
-                // A candidate only reaches the output if no equation it
+            let mut found = None;
+            if self.var_dfa.is_accepting(vs) && len >= self.min_len {
+                // A candidate is only yielded if no equation it
                 // completes (guides with a fully concrete tail) rejects
                 // it and no decidable disequality pins it to a banned
                 // word — `propagate` would refute such a child at the
                 // cost of a search node. Survivors keep their order, so
                 // the first model found is unchanged.
-                let gs = &guide_states[idx as usize * guide_count..][..guide_count];
-                let word = ctx.alphabet.realize(&reconstruct(&nodes, idx));
-                let viable = guides.iter().enumerate().all(|(i, g)| match &g.tail {
+                let gs = &self.guide_states[idx as usize * guide_count..][..guide_count];
+                let word = self.alphabet.realize(&self.class_word(idx));
+                let viable = self.guides.iter().zip(gs).all(|(g, &st)| match &g.tail {
                     Some(pieces) => {
-                        let end = pieces.iter().fold(gs[i], |st, p| match p {
+                        let end = pieces.iter().fold(st, |st, p| match p {
                             TailPiece::Str(s) => g.dfa.run(st, s),
                             TailPiece::Own => g.dfa.run(st, &word),
                         });
@@ -1342,53 +1378,92 @@ impl Search<'_> {
                     }
                     None => true,
                 });
-                if viable && !banned.iter().any(|b| *b == word) {
-                    self.stats.candidates += 1;
-                    out.push(word);
+                if viable && !self.banned.contains(&word) {
+                    found = Some(word);
                 }
             }
-            if len >= cap {
-                if !cap_is_exact {
-                    truncated = true;
+            if len >= self.cap {
+                if !self.cap_is_exact {
+                    self.truncate(stats);
                 }
-                continue;
+            } else {
+                self.expand(idx, vs, len);
             }
-            let gs_base = idx as usize * guide_count;
-            for class in 0..class_count {
-                expansions += 1;
-                let nvs = var_dfa.step(vs, class as u16);
-                if var_dfa.distance_to_accept(nvs).is_none() {
-                    continue;
-                }
-                // Step the guides into the tail of the flat buffer; on
-                // a dead guide the partial segment is rolled back.
-                let segment = guide_states.len();
-                let mut live = true;
-                for (i, g) in guides.iter().enumerate() {
-                    let next = g.dfa.step(guide_states[gs_base + i], class as u16);
-                    if g.dfa.distance_to_accept(next).is_none() {
-                        live = false;
-                        break;
-                    }
-                    guide_states.push(next);
-                }
-                if !live {
-                    guide_states.truncate(segment);
-                    continue;
-                }
-                let new_idx = nodes.len() as u32;
-                nodes.push(Node {
-                    parent: idx,
-                    class: class as u16,
-                    len: (len + 1) as u32,
-                    vs: nvs,
-                });
-                counter += 1;
-                let p = priority(len + 1, nvs, &guide_states[segment..]);
-                heap.push(Reverse((p, counter, new_idx)));
+            if found.is_some() {
+                self.yielded += 1;
+                stats.candidates += 1;
+                return found;
             }
         }
-        (out, truncated)
+        None
+    }
+
+    fn truncate(&mut self, stats: &mut SolveStats) {
+        self.truncated = true;
+        stats.truncated = true;
+    }
+
+    /// Pushes every live one-class extension of node `idx`.
+    fn expand(&mut self, idx: u32, vs: u32, len: u64) {
+        let guide_count = self.guides.len();
+        let gs_base = idx as usize * guide_count;
+        for class in 0..self.alphabet.class_count() {
+            self.expansions += 1;
+            let nvs = self.var_dfa.step(vs, class as u16);
+            if self.var_dfa.distance_to_accept(nvs).is_none() {
+                continue;
+            }
+            // Step the guides into the tail of the flat buffer; on a
+            // dead guide the partial segment is rolled back.
+            let segment = self.guide_states.len();
+            let mut live = true;
+            for i in 0..guide_count {
+                let g = &self.guides[i].dfa;
+                let next = g.step(self.guide_states[gs_base + i], class as u16);
+                if g.distance_to_accept(next).is_none() {
+                    live = false;
+                    break;
+                }
+                self.guide_states.push(next);
+            }
+            if !live {
+                self.guide_states.truncate(segment);
+                continue;
+            }
+            let new_idx = self.nodes.len() as u32;
+            self.nodes.push(Node {
+                parent: idx,
+                class: class as u16,
+                len: (len + 1) as u32,
+                vs: nvs,
+            });
+            self.counter += 1;
+            let p = self.priority(len + 1, nvs, segment);
+            self.heap.push(Reverse((p, self.counter, new_idx)));
+        }
+    }
+
+    /// Word length plus the residual distances to acceptance of the
+    /// variable DFA at `vs` and of every guide at its states stored
+    /// from `guide_states[at..]`.
+    fn priority(&self, len: u64, vs: u32, at: usize) -> u64 {
+        let mut p = len;
+        p += u64::from(self.var_dfa.distance_to_accept(vs).unwrap_or(0));
+        for (g, &st) in self.guides.iter().zip(&self.guide_states[at..]) {
+            p += u64::from(g.dfa.distance_to_accept(st).unwrap_or(0));
+        }
+        p
+    }
+
+    /// The class word spelled by the path from the root to `idx`.
+    fn class_word(&self, mut idx: u32) -> Vec<u16> {
+        let mut word = Vec::with_capacity(self.nodes[idx as usize].len as usize);
+        while self.nodes[idx as usize].parent != u32::MAX {
+            word.push(self.nodes[idx as usize].class);
+            idx = self.nodes[idx as usize].parent;
+        }
+        word.reverse();
+        word
     }
 }
 
@@ -2011,6 +2086,31 @@ mod tests {
         let model = solve(&f).model().expect("sat");
         assert_eq!(model.get_str(a), Some("xx"));
         assert_eq!(model.get_str(b), Some("yy"));
+    }
+
+    #[test]
+    fn enumeration_stops_at_the_committed_word() {
+        // The search commits to the first candidate of each variable,
+        // so a lazy enumeration realizes only the words it pulls: two
+        // to tell a unit from a branch, for each decided variable.
+        let mut pool = VarPool::new();
+        let x = pool.fresh_str("x");
+        let y = pool.fresh_str("y");
+        let z = pool.fresh_str("z");
+        let lower = CharSet::range('a', 'z');
+        let digit = CharSet::range('0', '9');
+        let f = Formula::and(vec![
+            Formula::eq_concat(x, vec![Term::Var(y), Term::Var(z)]),
+            Formula::in_re(y, CRegex::plus(CRegex::set(lower.clone()))),
+            Formula::in_re(z, CRegex::plus(CRegex::set(digit.clone()))),
+            Formula::in_re(x, CRegex::star(CRegex::set(lower.union(&digit)))),
+        ]);
+        let (outcome, stats) = Solver::new(SolverConfig::fast()).solve(&f);
+        let model = outcome.model().expect("sat");
+        assert_eq!(model.get_str(x), Some("a0"));
+        assert_eq!(stats.nodes, 3);
+        assert_eq!(stats.candidates, 4);
+        assert!(!stats.truncated);
     }
 
     #[test]

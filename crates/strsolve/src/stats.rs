@@ -11,10 +11,12 @@ pub struct SolveStats {
     pub nodes: u64,
     /// Boolean branches explored.
     pub bool_branches: u64,
-    /// Candidate words generated across all variables.
+    /// Candidate words yielded across all variables. Enumeration is
+    /// lazy, so words the search never pulled are not counted.
     pub candidates: u64,
-    /// True when any enumeration was cut short by a limit (the query
-    /// outcome can then be `Unknown` instead of `Unsat`).
+    /// True when an enumeration reached a limit, or the node budget ran
+    /// out, before the search ended (the query outcome can then be
+    /// `Unknown` instead of `Unsat`).
     pub truncated: bool,
     /// Automata constructed: regex DFAs (one per regex over its own
     /// alphabet — projections onto a conjunction's alphabet are not

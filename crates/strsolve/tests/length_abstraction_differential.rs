@@ -118,7 +118,8 @@ fn verdicts_identical_with_and_without_dfa_caches() {
     // shortcuts and length abstraction, with and without cached
     // automata. A table hit must equal a fresh build, so the two
     // default solvers (cold tables, then the same tables warm) must
-    // agree on models too, not just on verdicts.
+    // agree on models too, not just on verdicts — and so must a pass
+    // through tables small enough to evict on nearly every insert.
     let formulas: Vec<Formula> = (0..300u64)
         .map(|seed| {
             let mut rng = StdRng::seed_from_u64(0xea10 ^ seed);
@@ -138,6 +139,8 @@ fn verdicts_identical_with_and_without_dfa_caches() {
     let hits_after_cold = tables.hits();
     let warm = solve_all(&Solver::default().with_dfa_tables(&tables));
     assert!(tables.hits() > hits_after_cold, "the warm pass hit nothing");
+    // Two-entry tables evict on nearly every insert.
+    let evicting = solve_all(&Solver::default().with_dfa_tables(&DfaTables::new(2)));
     for (seed, formula) in formulas.iter().enumerate() {
         let (plain, cold, warm) = (&plain[seed], &cold[seed], &warm[seed]);
         assert_eq!(
@@ -148,6 +151,10 @@ fn verdicts_identical_with_and_without_dfa_caches() {
         assert_eq!(
             cold, warm,
             "seed {seed}: warm tables changed the outcome of {formula}"
+        );
+        assert_eq!(
+            cold, &evicting[seed],
+            "seed {seed}: evicting tables changed the outcome of {formula}"
         );
     }
 }

@@ -7,7 +7,9 @@
 use expose::core::{
     build_match_model, BuildConfig, CegarCache, CegarSolver, ModelCache, SupportLevel,
 };
-use expose::dse::{parser::parse_program, run_dse, DseCaches, EngineConfig, Harness, Report};
+use expose::dse::{
+    parser::parse_program, run_dse, run_dse_with_caches, DseCaches, EngineConfig, Harness, Report,
+};
 use expose::strsolve::{Formula, SolveSession, Solver, Term, VarPool};
 use expose::syntax::Regex;
 
@@ -176,5 +178,38 @@ fn shared_caches_across_runs_preserve_reports() {
     assert!(
         warm.model_cache_hits > 0 && warm.model_cache_misses == 0,
         "warm run must be all model-cache hits: {warm:?}"
+    );
+}
+
+#[test]
+fn two_entry_caches_preserve_reports() {
+    // Model, verdict and DFA caches of two entries each, shared by
+    // several programs, evict on nearly every store; every lookup that
+    // still hits must replay exactly what a fresh build or solve gives,
+    // so each report equals the uncached run's.
+    let config = EngineConfig {
+        max_executions: 10,
+        ..EngineConfig::default()
+    };
+    let tiny = DseCaches::session(2, 2, 2);
+    for w in expose::corpus::library_workloads()
+        .into_iter()
+        .filter(|w| matches!(w.name, "semver" | "yn" | "query-string"))
+    {
+        let program = parse_program(w.source).expect("parse");
+        let harness = Harness::strings(w.entry, w.arity);
+        let plain = run_dse_with_caches(&program, &harness, &config, &DseCaches::disabled());
+        let evicting = run_dse_with_caches(&program, &harness, &config, &tiny);
+        assert_eq!(
+            comparable(&plain),
+            comparable(&evicting),
+            "{}: evicting caches changed the report",
+            w.name
+        );
+    }
+    assert!(tiny.model.evictions() > 0, "the model cache never evicted");
+    assert!(
+        tiny.verdicts.evictions() > 0,
+        "the verdict cache never evicted"
     );
 }

@@ -1,13 +1,17 @@
 //! A small Fx-style hasher for the state-id maps of the subset and
-//! product constructions.
+//! product constructions, and for the structural conjunct digests of
+//! `strsolve`'s solve sessions.
 //!
-//! Those maps are keyed by state-id sets and pairs the constructions
-//! generate themselves, hashed once per transition. SipHash's
-//! per-call setup dominated those lookups; one multiply-rotate round
-//! per word is enough for dense small integers. Keys never come from
-//! raw outside input, and every construction that outside input can
-//! inflate is bounded by a state budget, so the lost collision
-//! resistance buys an attacker nothing the budgets do not already cap.
+//! The state-id maps are keyed by state-id sets and pairs the
+//! constructions generate themselves, hashed once per transition.
+//! SipHash's per-call setup dominated those lookups; one
+//! multiply-rotate round per word is enough for dense small integers.
+//! Those keys never come from raw outside input, and every construction
+//! that outside input can inflate is bounded by a state budget, so the
+//! lost collision resistance buys an attacker nothing the budgets do
+//! not already cap. The session digests only *select* a cached verdict;
+//! a full key comparison decides every hit, so a digest collision —
+//! forced or not — costs one solve, never a wrong answer.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -17,7 +21,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// An Fx-style word-at-a-time hasher.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 

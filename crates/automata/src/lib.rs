@@ -49,5 +49,6 @@ pub use charset::CharSet;
 pub use config::{AutomataConfig, BuildMetrics};
 pub use cregex::{compile_classical, compile_classical_into, CRegex, CompileOptions, NotClassical};
 pub use dfa::{Dfa, WordIter};
+pub use fxhash::FxHasher;
 pub use minimize::LengthBounds;
 pub use nfa::{Nfa, NfaState, StateId};

@@ -434,6 +434,25 @@ fn measure_explore(
     }
 }
 
+const USAGE: &str = "usage: perf [--out PATH] [--check BASELINE.json] [--flip-workers N>=4] \
+     [--programs N] [--budget quick|full] [--throughput] [--explore] [--summary-md PATH]";
+
+/// Prints the usage line and exits: 0 for `--help` (no `problem`), 64
+/// (`EX_USAGE`) for an unknown or malformed argument.
+fn usage(problem: Option<&str>) -> ! {
+    match problem {
+        None => {
+            println!("{USAGE}");
+            std::process::exit(0)
+        }
+        Some(problem) => {
+            eprintln!("perf: {problem}");
+            eprintln!("{USAGE}");
+            std::process::exit(64)
+        }
+    }
+}
+
 fn main() {
     let mut out = String::from("BENCH_dse.json");
     let mut check: Option<String> = None;
@@ -447,32 +466,36 @@ fn main() {
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
+                .unwrap_or_else(|| usage(Some(&format!("{name} needs a value"))))
+        };
+        let mut count = |name: &str| {
+            let raw = value(name);
+            raw.parse::<usize>()
+                .unwrap_or_else(|_| usage(Some(&format!("{name} wants a count, got {raw:?}"))))
         };
         match arg.as_str() {
             "--out" => out = value("--out"),
             "--check" => check = Some(value("--check")),
-            "--flip-workers" => {
-                flip_workers = value("--flip-workers").parse().expect("worker count")
-            }
-            "--programs" => programs = value("--programs").parse().expect("program count"),
+            "--flip-workers" => flip_workers = count("--flip-workers"),
+            "--programs" => programs = count("--programs"),
             "--budget" => {
                 budget_name = value("--budget");
-                assert!(
-                    matches!(budget_name.as_str(), "quick" | "full"),
-                    "unknown budget {budget_name:?} (expected quick|full)"
-                );
+                if !matches!(budget_name.as_str(), "quick" | "full") {
+                    usage(Some(&format!(
+                        "unknown budget {budget_name:?} (expected quick|full)"
+                    )));
+                }
             }
             "--throughput" => throughput = true,
             "--explore" => explore = true,
             "--summary-md" => summary_md = Some(value("--summary-md")),
-            other => panic!("unknown argument {other:?}"),
+            "--help" | "-h" => usage(None),
+            other => usage(Some(&format!("unknown argument {other:?}"))),
         }
     }
-    assert!(
-        flip_workers >= 4,
-        "the tracked configuration uses flip_workers >= 4"
-    );
+    if flip_workers < 4 {
+        usage(Some("the tracked configuration uses flip_workers >= 4"));
+    }
     let budget = if budget_name == "full" {
         Budget::full()
     } else {

@@ -13,6 +13,24 @@
 
 use bench::redos::{redos_corpus, run_case};
 
+const USAGE: &str = "usage: redos [--bt-budget N]";
+
+/// Prints the usage line and exits: 0 for `--help` (no `problem`), 64
+/// (`EX_USAGE`) for an unknown or malformed argument.
+fn usage(problem: Option<&str>) -> ! {
+    match problem {
+        None => {
+            println!("{USAGE}");
+            std::process::exit(0)
+        }
+        Some(problem) => {
+            eprintln!("redos: {problem}");
+            eprintln!("{USAGE}");
+            std::process::exit(64)
+        }
+    }
+}
+
 fn main() {
     let mut bt_budget = 2_000_000u64;
     let mut args = std::env::args().skip(1);
@@ -22,9 +40,10 @@ fn main() {
                 bt_budget = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--bt-budget needs a number")
+                    .unwrap_or_else(|| usage(Some("--bt-budget needs a number")))
             }
-            other => panic!("unknown argument {other:?}"),
+            "--help" | "-h" => usage(None),
+            other => usage(Some(&format!("unknown argument {other:?}"))),
         }
     }
 

@@ -22,12 +22,18 @@
 //! support levels below `Refinement`), so every support level solves
 //! through the same entry points and replays from the same cache.
 
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
+use automata::FxHasher;
 use es6_matcher::RegExp;
 use parking_lot::Mutex;
-use strsolve::{Canonicalizer, Formula, Lru, Model, Outcome, SolveSession, SolveStats, Solver};
+use strsolve::{
+    Canonicalizer, Formula, Lru, Model, Outcome, SessionView, SolveSession, SolveStats, Solver,
+};
 
 use crate::api::CapturingConstraint;
 
@@ -131,12 +137,17 @@ impl CegarSolver {
     /// capture assignments (Algorithm 1).
     ///
     /// `problem` carries the rest of the path condition; `constraints`
-    /// are the modeled capturing-language constraints.
-    pub fn solve(&self, problem: &Formula, constraints: &[CapturingConstraint]) -> CegarResult {
+    /// are the modeled capturing-language constraints, owned or shared
+    /// (`Arc<CapturingConstraint>`).
+    pub fn solve<C: Borrow<CapturingConstraint>>(
+        &self,
+        problem: &Formula,
+        constraints: &[C],
+    ) -> CegarResult {
         let start = Instant::now();
         // P := problem ∧ all constraint models.
         let mut parts = vec![problem.clone()];
-        parts.extend(constraints.iter().map(|c| c.formula.clone()));
+        parts.extend(constraints.iter().map(|c| c.borrow().formula.clone()));
         let p = Formula::and(parts);
         self.run(&self.solver, p, constraints, start)
     }
@@ -146,55 +157,45 @@ impl CegarSolver {
     /// only `problem_items` — the flipped clause tie — plus the
     /// constraint models form the per-flip assumption.
     ///
-    /// The session assembles the iteration-0 problem without
-    /// re-canonicalizing the shared prefix; from there the loop runs
-    /// exactly like the from-scratch one. When a [`CegarCache`] is
-    /// supplied, a finished run (verdict, model, refinement count)
-    /// keyed by the *complete* canonical problem plus constraint
-    /// signatures is replayed wholesale for structurally identical
-    /// re-posings — the
-    /// dominant cross-trace case, since a child trace re-poses its
-    /// parent's prefix flips verbatim. Replay is exact: the solver and
-    /// oracle are deterministic, so a fresh loop on an identical
-    /// canonical problem reproduces the identical result.
-    pub fn solve_incremental(
+    /// The session poses the iteration-0 problem as a [`SessionView`]
+    /// without re-canonicalizing or copying the shared prefix. When a
+    /// [`CegarCache`] is supplied, a finished run (verdict, model,
+    /// refinement count) whose stored key — the complete canonical
+    /// conjunct list plus constraint signatures and solver limits —
+    /// equals this query's is replayed wholesale: the dominant
+    /// cross-trace case, since a child trace re-poses its parent's
+    /// prefix flips verbatim. Replay is exact: the solver and oracle are
+    /// deterministic, so a fresh loop on an identical canonical problem
+    /// reproduces the identical result. Only on a miss is the
+    /// caller-space conjunction assembled and the loop run, exactly like
+    /// the from-scratch one.
+    pub fn solve_incremental<C: Borrow<CapturingConstraint>>(
         &self,
         session: &SolveSession,
         depth: usize,
         problem_items: &[Formula],
-        constraints: &[CapturingConstraint],
+        constraints: &[C],
         verdicts: Option<&CegarCache>,
     ) -> CegarResult {
         let start = Instant::now();
         let mut assumption: Vec<Formula> = problem_items.to_vec();
-        assumption.extend(constraints.iter().map(|c| c.formula.clone()));
-        let query = session.assemble(depth, &assumption);
+        assumption.extend(constraints.iter().map(|c| c.borrow().formula.clone()));
+        let view = session.view(depth, &assumption);
 
-        let keyed = verdicts.map(|cache| {
-            let (sigs, ext) = constraint_signatures(&query.canonical, constraints);
-            let key = CegarKey {
-                formula: query.canonical.formula.clone(),
-                constraints: sigs,
-                fingerprint: session.solver().config().fingerprint(),
-                refinement_limit: self.refinement_limit,
-                refines: self.refines,
-            };
-            (cache, key, ext)
-        });
-
-        if let Some((cache, key, ext)) = &keyed {
-            if let Some(run) = cache.lookup(key) {
-                let outcome = run.rehydrate(ext);
+        let probed = verdicts.map(|cache| (cache, self.cache_probe(session, &view, constraints)));
+        if let Some((cache, probe)) = &probed {
+            if let Some(entry) = cache.lookup(probe, &view) {
+                let outcome = entry.run.rehydrate(&probe.ext);
                 let elapsed = start.elapsed();
                 return CegarResult {
                     outcome,
                     stats: CegarStats {
-                        refinements: run.refinements,
-                        limit_hit: run.limit_hit,
+                        refinements: entry.run.refinements,
+                        limit_hit: entry.run.limit_hit,
                         had_captures: had_captures(constraints),
                         solver: SolveStats {
                             duration: elapsed,
-                            prefix_reuse_hits: query.reused_frames(),
+                            prefix_reuse_hits: view.reused_frames(),
                             ..SolveStats::default()
                         },
                         duration: elapsed,
@@ -204,22 +205,47 @@ impl CegarSolver {
             }
         }
 
-        let reused_frames = query.reused_frames();
-        let mut result = self.run(session.solver(), query.original, constraints, start);
-        result.stats.solver.prefix_reuse_hits += reused_frames;
-        if let Some((cache, key, ext)) = keyed {
-            cache.store(key, &result, &ext);
+        let mut result = self.run(session.solver(), view.original(), constraints, start);
+        result.stats.solver.prefix_reuse_hits += view.reused_frames();
+        if let Some((cache, probe)) = probed {
+            cache.store(probe, &view, &result);
         }
         result
     }
 
+    /// The verdict-cache probe for this solver's run of `view` under
+    /// `constraints`: the digest that selects an entry, and everything
+    /// besides the canonical conjunct list that decides it.
+    fn cache_probe<C: Borrow<CapturingConstraint>>(
+        &self,
+        session: &SolveSession,
+        view: &SessionView<'_>,
+        constraints: &[C],
+    ) -> CacheProbe {
+        let (constraints, ext) = constraint_signatures(view.canonicalizer(), constraints);
+        let params = RunParams {
+            constraints,
+            fingerprint: session.solver().config().fingerprint(),
+            refinement_limit: self.refinement_limit,
+            refines: self.refines,
+        };
+        let mut hasher = FxHasher::default();
+        hasher.write_u64(view.digest());
+        params.hash(&mut hasher);
+        CacheProbe {
+            digest: hasher.finish(),
+            params,
+            ext,
+        }
+    }
+
     /// The Algorithm 1 loop: every iteration and probe is a plain solve
     /// through `solver`.
-    fn run(
+    fn run<C: Borrow<CapturingConstraint>>(
         &self,
         solver: &Solver,
         mut p: Formula,
-        constraints: &[CapturingConstraint],
+        constraints: &[C],
         start: Instant,
     ) -> CegarResult {
         let mut stats = CegarStats {
@@ -242,7 +268,10 @@ impl CegarSolver {
                     // Sat — the oracle validates — but its Unsat is not
                     // a proof), so refusal must be downgraded.
                     let unsound_unsat = matches!(other, Outcome::Unsat)
-                        && constraints.iter().any(|c| !c.positive && !c.exact);
+                        && constraints
+                            .iter()
+                            .map(C::borrow)
+                            .any(|c| !c.positive && !c.exact);
                     stats.duration = start.elapsed();
                     return CegarResult {
                         outcome: if unsound_unsat {
@@ -260,7 +289,7 @@ impl CegarSolver {
             // their words still satisfy the constraint polarity, only
             // the capture split was spurious.
             let mut mismatches = Vec::new();
-            for constraint in constraints {
+            for constraint in constraints.iter().map(C::borrow) {
                 match self.validate(constraint, &model) {
                     Validation::Valid => {}
                     Validation::Refine(refinement) => {
@@ -310,9 +339,9 @@ impl CegarSolver {
                 stats.solver.absorb(&solve_stats);
                 match outcome {
                     Outcome::Sat(m)
-                        if constraints
-                            .iter()
-                            .all(|c| matches!(self.validate(c, &m), Validation::Valid)) =>
+                        if constraints.iter().all(|c| {
+                            matches!(self.validate(c.borrow(), &m), Validation::Valid)
+                        }) =>
                     {
                         stats.duration = start.elapsed();
                         return CegarResult {
@@ -424,9 +453,10 @@ enum Validation {
 }
 
 /// Whether any constraint models a capture group or backreference.
-fn had_captures(constraints: &[CapturingConstraint]) -> bool {
+fn had_captures<C: Borrow<CapturingConstraint>>(constraints: &[C]) -> bool {
     constraints
         .iter()
+        .map(C::borrow)
         .any(|c| c.captures.len() > 1 || c.regex.ast.has_backref())
 }
 
@@ -447,11 +477,10 @@ struct ConstraintSig {
     captures: Vec<(u32, u32)>,
 }
 
-/// The cache key of one whole CEGAR run.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CegarKey {
-    /// The canonical iteration-0 formula (problem ∧ constraint models).
-    formula: Formula,
+/// Everything the CEGAR loop's outcome depends on besides the canonical
+/// conjunct list: the constraint signatures and the solving limits.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct RunParams {
     /// Constraint signatures, in event order.
     constraints: Vec<ConstraintSig>,
     /// [`strsolve::SolverConfig::fingerprint`] of the solving limits.
@@ -462,15 +491,42 @@ struct CegarKey {
     refines: bool,
 }
 
+/// One query's side of a verdict-cache probe: the digest that selects
+/// an entry, the parameters that (with the view's conjunct list) decide
+/// it, and the renumbering that rehydrates a replayed model.
+struct CacheProbe {
+    /// Fx digest of the view's conjunct digest and `params`.
+    digest: u64,
+    params: RunParams,
+    /// The view's renumbering, extended with the constraint variables.
+    ext: Canonicalizer,
+}
+
+/// The full key of one cached run, stored in its entry.
+#[derive(Debug)]
+struct CegarKey {
+    /// The canonical iteration-0 conjunct list (problem ∧ constraint
+    /// models), as [`SessionView::conjuncts`] lists it.
+    conjuncts: Vec<Formula>,
+    params: RunParams,
+}
+
+/// A resident verdict-cache entry: the full key and the run it keys.
+#[derive(Debug)]
+struct CegarEntry {
+    key: CegarKey,
+    run: CachedRun,
+}
+
 /// A finished run in canonical variable space.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CachedRun {
     outcome: CachedOutcome,
     refinements: usize,
     limit_hit: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum CachedOutcome {
     Sat {
         strs: Vec<(u32, String)>,
@@ -505,13 +561,14 @@ impl CachedRun {
 /// model can cover every variable a refined solve might assign. The
 /// extension is a pure function of (query, constraints), so store and
 /// lookup sides always agree.
-fn constraint_signatures(
-    canonical: &strsolve::CanonicalQuery,
-    constraints: &[CapturingConstraint],
+fn constraint_signatures<C: Borrow<CapturingConstraint>>(
+    canonical: &Canonicalizer,
+    constraints: &[C],
 ) -> (Vec<ConstraintSig>, Canonicalizer) {
-    let mut ext = canonical.canonicalizer();
+    let mut ext = canonical.clone();
     let sigs = constraints
         .iter()
+        .map(C::borrow)
         .map(|c| ConstraintSig {
             source: c.regex.source.clone(),
             flags: crate::cache::pack_flags(c.regex.flags),
@@ -537,22 +594,35 @@ fn constraint_signatures(
 /// A shared, thread-safe cache of *whole validated CEGAR runs*.
 ///
 /// Replays the entire Algorithm 1 loop — final validated outcome,
-/// refinement count and limit flag — keyed by the complete canonical
-/// iteration-0 problem, the constraint signatures, the solver
-/// fingerprint and the refinement limit. Since the solver and the
-/// concrete ES6 oracle are both deterministic, a fresh run of an
-/// identical canonical problem necessarily retraces the identical
-/// refinement chain to the identical result, so replay is exact — this
-/// is how banned words and capture-pinning lemmas learned for one flip
-/// are soundly carried to its verbatim re-posings (retraction-free: a
-/// different assumption produces a different key by construction).
+/// refinement count and limit flag — for a query whose complete
+/// canonical iteration-0 conjunct list, constraint signatures, solver
+/// fingerprint and refinement limit equal a stored run's. Since the
+/// solver and the concrete ES6 oracle are both deterministic, a fresh
+/// run of an identical canonical problem necessarily retraces the
+/// identical refinement chain to the identical result, so replay is
+/// exact — this is how banned words and capture-pinning lemmas learned
+/// for one flip are soundly carried to its verbatim re-posings
+/// (retraction-free: a different assumption produces a different key by
+/// construction).
+///
+/// Entries are indexed by one 64-bit digest: the session's chained
+/// conjunct digest ([`SessionView::digest`]) folded with the signatures
+/// and limits. The digest only *selects* an entry. Each entry stores its
+/// full key, and a lookup counts as a hit only if that key compares
+/// equal to the borrowed session prefix plus the canonical tail — a
+/// comparison that allocates nothing and short-circuits on shared
+/// `Arc<CRegex>` pointers. A digest collision, even one forced from
+/// service input, is therefore a miss, and the store that follows
+/// replaces the colliding entry: Unsat stays a proof, and a collision
+/// costs one solve. Entries are shared (`Arc`), so a hit clones a
+/// pointer, not a run.
 ///
 /// This is the cross-trace node sink in DSE: a child trace re-poses
 /// every prefix flip of its parent verbatim, and each re-posing skips
 /// the whole refinement chain instead of just iteration 0.
 #[derive(Debug)]
 pub struct CegarCache {
-    entries: Mutex<Lru<CegarKey, CachedRun>>,
+    entries: Mutex<Lru<u64, Arc<CegarEntry>>>,
     capacity: usize,
     byte_budget: usize,
     hits: AtomicU64,
@@ -617,8 +687,13 @@ impl CegarCache {
         self.entries.lock().evictions()
     }
 
-    fn lookup(&self, key: &CegarKey) -> Option<CachedRun> {
-        let found = self.entries.lock().get(key).cloned();
+    /// The entry stored under the probe's digest, if its full key
+    /// equals this query's; the comparison runs outside the lock.
+    fn lookup(&self, probe: &CacheProbe, view: &SessionView<'_>) -> Option<Arc<CegarEntry>> {
+        let resident = self.entries.lock().get(&probe.digest).cloned();
+        let found = resident.filter(|entry| {
+            entry.key.params == probe.params && view.same_conjuncts(&entry.key.conjuncts)
+        });
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -626,7 +701,8 @@ impl CegarCache {
         found
     }
 
-    fn store(&self, key: CegarKey, result: &CegarResult, ext: &Canonicalizer) {
+    fn store(&self, probe: CacheProbe, view: &SessionView<'_>, result: &CegarResult) {
+        let ext = &probe.ext;
         let outcome = match &result.outcome {
             Outcome::Sat(model) => CachedOutcome::Sat {
                 // Only solver-assigned variables, so a rehydrated model
@@ -647,8 +723,9 @@ impl CegarCache {
             Outcome::Unsat => CachedOutcome::Unsat,
             Outcome::Unknown => CachedOutcome::Unknown,
         };
-        let weight = key.formula.approx_bytes()
-            + key
+        let weight = view.approx_bytes()
+            + probe
+                .params
                 .constraints
                 .iter()
                 .map(|c| 64 + c.source.len() + c.captures.len() * 8)
@@ -659,12 +736,20 @@ impl CegarCache {
                 }
                 _ => 16,
             };
-        let run = CachedRun {
-            outcome,
-            refinements: result.stats.refinements,
-            limit_hit: result.stats.limit_hit,
+        let entry = CegarEntry {
+            key: CegarKey {
+                conjuncts: view.conjuncts().cloned().collect(),
+                params: probe.params,
+            },
+            run: CachedRun {
+                outcome,
+                refinements: result.stats.refinements,
+                limit_hit: result.stats.limit_hit,
+            },
         };
-        self.entries.lock().insert_weighted(key, run, weight);
+        self.entries
+            .lock()
+            .insert_weighted(probe.digest, Arc::new(entry), weight);
     }
 }
 
@@ -896,6 +981,98 @@ mod tests {
         assert!(!refined.stats.replayed);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn verdict_cache_replays_across_posings() {
+        // One canonical problem A ∧ B ∧ C ∧ model posed three ways: as
+        // frames [A],[B] with assumption [C] at depth 2, as frame [A]
+        // with assumption [B, C] at depth 1, and renamed into a fresh
+        // pool with skewed raw indices. All three share one entry.
+        let regex = Regex::parse_literal("/^a*(a)?$/").expect("literal");
+        let cegar = CegarSolver::default();
+        let cache = CegarCache::new(16);
+        let mut outcomes = Vec::new();
+        for (padding, split) in [(0usize, 2usize), (0, 1), (3, 2)] {
+            let mut pool = VarPool::new();
+            for i in 0..padding {
+                pool.fresh_str(format!("pad{i}"));
+            }
+            let guard = pool.fresh_str("guard");
+            let c = build_match_model(&regex, true, &mut pool, &BuildConfig::default());
+            let conjuncts = [
+                Formula::ne_lit(guard, "off"),
+                Formula::eq_lit(c.input, "aa"),
+                Formula::ne_lit(c.input, "zzz"),
+            ];
+            let mut session = SolveSession::new(Solver::default());
+            for a in &conjuncts[..split] {
+                session.push(vec![a.clone()]);
+            }
+            let result = cegar.solve_incremental(
+                &session,
+                split,
+                &conjuncts[split..],
+                std::slice::from_ref(&c),
+                Some(&cache),
+            );
+            assert_eq!(result.stats.replayed, !outcomes.is_empty(), "split {split}");
+            let model = result.outcome.model().expect("sat");
+            assert!(!model.get_bool(c.captures[1].defined));
+            outcomes.push(model.get_str(c.input).map(str::to_string));
+        }
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.len(), 1);
+        assert!(outcomes.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn digest_collision_is_a_miss() {
+        let (session, assumption, _, c) = incremental_fixture("/^a*(a)?$/", Some("aa"));
+        let constraints = std::slice::from_ref(&c);
+        let cegar = CegarSolver::default();
+        let cache = CegarCache::new(16);
+        cegar.solve_incremental(
+            &session,
+            session.depth(),
+            &assumption,
+            constraints,
+            Some(&cache),
+        );
+        let posed = |items: &[Formula]| {
+            let mut all = items.to_vec();
+            all.push(c.formula.clone());
+            let view = session.view(session.depth(), &all);
+            cegar.cache_probe(&session, &view, constraints).digest
+        };
+        // Force a collision: file the stored run under the digest of a
+        // different query.
+        let other = vec![Formula::ne_lit(c.input, "qqq")];
+        let stored = cache
+            .entries
+            .lock()
+            .get(&posed(&assumption))
+            .cloned()
+            .expect("stored");
+        cache.entries.lock().insert(posed(&other), stored);
+
+        let result =
+            cegar.solve_incremental(&session, session.depth(), &other, constraints, Some(&cache));
+        assert!(!result.stats.replayed);
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.hits(), 0);
+        let uncached =
+            cegar.solve_incremental(&session, session.depth(), &other, constraints, None);
+        assert_eq!(result.outcome, uncached.outcome);
+        assert_eq!(result.stats.refinements, uncached.stats.refinements);
+        assert_eq!(result.stats.limit_hit, uncached.stats.limit_hit);
+        // The store after the miss replaced the colliding entry, so the
+        // query now replays its own run.
+        let again =
+            cegar.solve_incremental(&session, session.depth(), &other, constraints, Some(&cache));
+        assert!(again.stats.replayed);
+        assert_eq!(again.outcome, uncached.outcome);
     }
 
     #[test]

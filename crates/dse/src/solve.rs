@@ -198,8 +198,9 @@ struct FlipPlan {
     /// The flipped clause tie `¬tieₖ` (plus nothing else: the shared
     /// prefix lives in the session frames).
     assumption: Vec<Formula>,
-    /// The capturing constraints of the query, in event order.
-    constraints: Vec<CapturingConstraint>,
+    /// The capturing constraints of the query, in event order, shared
+    /// with the builder that made them.
+    constraints: Vec<Arc<CapturingConstraint>>,
     /// Input variables allocated by the time this flip was planned.
     input_vars: HashMap<usize, StrVar>,
     /// True when the flip demanded contradictory polarities of one
@@ -460,12 +461,12 @@ impl<'a> QueryBuilder<'a> {
     /// The built constraints in event order — the conjunct (and with it
     /// the solver search) order of the CEGAR problem; map iteration
     /// order would make verdicts vary run to run.
-    fn sorted_constraints(&self) -> Vec<CapturingConstraint> {
+    fn sorted_constraints(&self) -> Vec<Arc<CapturingConstraint>> {
         let mut events: Vec<usize> = self.constraints.keys().copied().collect();
         events.sort_unstable();
         events
             .into_iter()
-            .map(|e| self.constraints[&e].as_ref().clone())
+            .map(|e| Arc::clone(&self.constraints[&e]))
             .collect()
     }
 

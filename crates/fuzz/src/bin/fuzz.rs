@@ -23,14 +23,29 @@ use expose_fuzz::{
     generate_case, render_repro_test, run_case, shrink, FuzzBudget, FuzzStats, GenConfig,
 };
 
-fn parse_seed_range(s: &str) -> Range<u64> {
-    let (a, b) = s
-        .split_once("..")
-        .unwrap_or_else(|| panic!("--seed-range wants A..B, got {s:?}"));
-    let start: u64 = a.parse().unwrap_or_else(|e| panic!("bad range start: {e}"));
-    let end: u64 = b.parse().unwrap_or_else(|e| panic!("bad range end: {e}"));
-    assert!(start < end, "--seed-range must be non-empty");
-    start..end
+const USAGE: &str = "usage: fuzz [--seed-range A..B] [--budget quick|full] [--incremental] \
+     [--shrink] [--stats] [--summary-md PATH] [--repro-out PATH] [--max-failures N]";
+
+/// Prints the usage line and exits: 0 for `--help` (no `problem`), 64
+/// (`EX_USAGE`) for an unknown or malformed argument.
+fn usage(problem: Option<&str>) -> ! {
+    match problem {
+        None => {
+            println!("{USAGE}");
+            std::process::exit(0)
+        }
+        Some(problem) => {
+            eprintln!("fuzz: {problem}");
+            eprintln!("{USAGE}");
+            std::process::exit(64)
+        }
+    }
+}
+
+fn parse_seed_range(s: &str) -> Option<Range<u64>> {
+    let (a, b) = s.split_once("..")?;
+    let (start, end): (u64, u64) = (a.parse().ok()?, b.parse().ok()?);
+    (start < end).then_some(start..end)
 }
 
 fn main() {
@@ -46,16 +61,24 @@ fn main() {
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
+                .unwrap_or_else(|| usage(Some(&format!("{name} needs a value"))))
         };
         match arg.as_str() {
-            "--seed-range" => seeds = parse_seed_range(&value("--seed-range")),
+            "--seed-range" => {
+                let range = value("--seed-range");
+                seeds = parse_seed_range(&range).unwrap_or_else(|| {
+                    usage(Some(&format!(
+                        "--seed-range wants a non-empty A..B, got {range:?}"
+                    )))
+                });
+            }
             "--budget" => {
                 budget_name = value("--budget");
-                assert!(
-                    matches!(budget_name.as_str(), "quick" | "full"),
-                    "unknown budget {budget_name:?} (expected quick|full)"
-                );
+                if !matches!(budget_name.as_str(), "quick" | "full") {
+                    usage(Some(&format!(
+                        "unknown budget {budget_name:?} (expected quick|full)"
+                    )));
+                }
             }
             "--shrink" => do_shrink = true,
             "--incremental" => incremental = true,
@@ -63,9 +86,15 @@ fn main() {
             "--summary-md" => summary_md = Some(value("--summary-md")),
             "--repro-out" => repro_out = Some(value("--repro-out")),
             "--max-failures" => {
-                max_failures = value("--max-failures").parse().expect("failure count")
+                let count = value("--max-failures");
+                max_failures = count.parse().unwrap_or_else(|_| {
+                    usage(Some(&format!(
+                        "--max-failures wants a count, got {count:?}"
+                    )))
+                });
             }
-            other => panic!("unknown argument {other:?}"),
+            "--help" | "-h" => usage(None),
+            other => usage(Some(&format!("unknown argument {other:?}"))),
         }
     }
     let mut budget = if budget_name == "full" {

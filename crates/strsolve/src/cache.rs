@@ -9,8 +9,9 @@
 //! first-occurrence order) closes that gap, and [`Lru`] bounds the
 //! resident entries. The caches built from them live upstream:
 //! `expose_core::cache::ModelCache` (regex models) and
-//! `expose_core::cegar::CegarCache` (whole validated CEGAR runs, keyed
-//! by the canonical problem plus a [`crate::SolverConfig`] fingerprint).
+//! `expose_core::cegar::CegarCache` (whole validated CEGAR runs,
+//! selected by a session's conjunct digest and decided by the full
+//! canonical conjunct list plus a [`crate::SolverConfig`] fingerprint).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -342,13 +343,13 @@ impl Canonicalizer {
 }
 
 /// A formula renumbered into canonical variable space, with the maps
-/// back to the original variables.
+/// back to the original variables — the from-scratch oracle that
+/// [`crate::SessionView`] must agree with.
 #[derive(Debug, Clone)]
 pub struct CanonicalQuery {
-    /// The renumbered formula (the cache key, together with the solver
-    /// fingerprint).
+    /// The renumbered formula.
     pub formula: Formula,
-    pub(crate) canon: Canonicalizer,
+    canon: Canonicalizer,
 }
 
 impl CanonicalQuery {
@@ -372,13 +373,6 @@ impl CanonicalQuery {
     /// occurs in the query.
     pub fn bool_id(&self, v: BoolVar) -> Option<u32> {
         self.canon.bool_id(v)
-    }
-
-    /// A clone of the renumbering state, for callers that need to
-    /// extend the canonical space deterministically beyond the
-    /// formula's own variables.
-    pub fn canonicalizer(&self) -> Canonicalizer {
-        self.canon.clone()
     }
 }
 

@@ -44,7 +44,7 @@ pub use cache::{canonical_query, CanonicalQuery, Canonicalizer, Lru};
 pub use config::SolverConfig;
 pub use formula::{Atom, Formula};
 pub use model::Model;
-pub use session::{SessionQuery, SessionStats, SolveSession};
+pub use session::{conjunct_digest, SessionStats, SessionView, SolveSession};
 pub use solver::{DfaTables, Outcome, Solver};
 pub use stats::SolveStats;
 pub use vars::{BoolVar, StrVar, Term, VarPool};

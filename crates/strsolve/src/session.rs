@@ -4,15 +4,21 @@
 //! flip `k` asks `tie₀ ∧ … ∧ tieₖ₋₁ ∧ ¬tieₖ`, so siblings differ only
 //! in their final assumption. A [`SolveSession`] holds that shared
 //! prefix as a stack of *frames* — one per taken clause — and
-//! canonicalizes each frame's conjuncts exactly once. Solving a flip
-//! then assembles the query from the cached canonical prefix plus a
-//! per-flip *assumption* (the flipped tie and its constraint models),
-//! skipping the repeated renumbering pass and producing a
-//! [`CanonicalQuery`] that is **byte-identical** to what a from-scratch
-//! [`crate::cache::canonical_query`] over the whole conjunction would
-//! return. Identical keys mean a verdict cached for one posing (see
+//! canonicalizes each frame's conjuncts exactly once, chaining a 64-bit
+//! structural digest over the canonical conjunct list as it goes.
+//! Posing a flip ([`SolveSession::view`]) canonicalizes only the
+//! per-flip *assumption* (the flipped tie and its constraint models)
+//! and chains it onto the frame's digest. The resulting
+//! [`SessionView`] borrows the canonical prefix instead of copying it;
+//! its conjunct list is exactly the flattened
+//! [`crate::cache::canonical_query`] of the whole conjunction, and its
+//! digest is a function of that list alone — not of where the
+//! prefix/assumption split falls, nor of which [`crate::VarPool`] posed
+//! the query. So a verdict cached for one posing (see
 //! `expose_core::cegar::CegarCache`) replays for every other — a child
-//! trace re-posing its parent's prefix flips hits the same entries.
+//! trace re-posing its parent's prefix flips hits the same entries. The
+//! caller-space conjunction is built only when a solve needs it
+//! ([`SessionView::original`]).
 //!
 //! # Retraction rules
 //!
@@ -20,18 +26,18 @@
 //! scoped to a frame:
 //!
 //! 1. **Canonical prefix frames** — [`SolveSession::pop`] truncates the
-//!    conjunct list, the canonical conjunct list, and the renumbering
-//!    state to the previous frame's watermarks; nothing pushed after
-//!    that watermark survives.
+//!    conjunct list, the canonical conjunct list, the digest chain and
+//!    the renumbering state to the previous frame's watermarks; nothing
+//!    pushed after that watermark survives.
 //! 2. **Compiled DFAs, alphabets, folded products** — pure functions of
 //!    regex and alphabet, shared via the solver's
 //!    [`crate::DfaTables`]/DFA cache; reuse can never change a verdict,
 //!    so no retraction is needed.
 //! 3. **Cached verdicts** (including whole CEGAR refinement chains, see
-//!    `expose_core::cegar::CegarCache`) are keyed by the *complete*
-//!    canonical problem plus the solver fingerprint, so they can never
-//!    be replayed for a different assumption — retraction-free by
-//!    construction.
+//!    `expose_core::cegar::CegarCache`) are selected by the digest but
+//!    decided by comparing the *complete* canonical conjunct list plus
+//!    the solver fingerprint, so they can never be replayed for a
+//!    different assumption — retraction-free by construction.
 //! 4. **Learned length intervals** are *not* carried: a flip's
 //!    conjunction is a superset of the prefix, so intervals recomputed
 //!    from the full conjunction are always at least as tight as any
@@ -41,12 +47,15 @@
 //!
 //! The per-flip *assumption* (flipped tie, constraint model formulas,
 //! CEGAR lemmas learned during its refinement loop) lives only in the
-//! assembled query and dies with it.
+//! view and the query built from it, and dies with them.
 
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::cache::{canonical_query, CanonicalQuery, Canonicalizer};
+use automata::FxHasher;
+
+use crate::cache::Canonicalizer;
 use crate::formula::{Atom, Formula};
 use crate::solver::{Outcome, Solver};
 use crate::stats::SolveStats;
@@ -84,6 +93,8 @@ struct Frame {
     /// (the whole conjunction is then `⊥` at any deeper depth, exactly
     /// like [`Formula::and`]'s short-circuit).
     has_false: bool,
+    /// Chained digest of the canonical conjuncts after this frame.
+    digest: u64,
 }
 
 const ROOT: Frame = Frame {
@@ -91,26 +102,124 @@ const ROOT: Frame = Frame {
     strs: 0,
     bools: 0,
     has_false: false,
+    digest: EMPTY_DIGEST,
 };
 
-/// One flip query assembled against a session prefix: the conjunction
-/// in the caller's variable space plus its canonicalization, ready for
-/// a verdict-cache lookup.
-#[derive(Debug, Clone)]
-pub struct SessionQuery {
-    /// The assembled conjunction in the caller's variable space —
-    /// exactly what `Formula::and(prefix ++ assumption)` returns.
-    pub original: Formula,
-    /// Its canonicalization — exactly what
-    /// [`crate::cache::canonical_query`] on [`SessionQuery::original`]
-    /// returns, assembled without re-renumbering the prefix.
-    pub canonical: CanonicalQuery,
+/// The digest of the empty conjunct list.
+const EMPTY_DIGEST: u64 = 0;
+
+/// The caller-space conjunct a poisoned view stands for.
+static BOTTOM: Formula = Formula::Atom(Atom::False);
+
+/// Chains one canonical conjunct onto the digest of the list before it.
+fn chain_digest(prev: u64, conjunct: &Formula) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write_u64(prev);
+    conjunct.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The structural digest of a canonical conjunct list — what
+/// [`SessionView::digest`] returns for a view with that list, however
+/// the list was split into frames and assumption.
+pub fn conjunct_digest<'a>(conjuncts: impl IntoIterator<Item = &'a Formula>) -> u64 {
+    conjuncts.into_iter().fold(EMPTY_DIGEST, chain_digest)
+}
+
+/// The conjunction of a flattened list of `len` conjuncts, exactly as
+/// [`Formula::and`] assembles it.
+fn conjoin<'a>(len: usize, mut items: impl Iterator<Item = &'a Formula>) -> Formula {
+    match len {
+        0 => Formula::top(),
+        1 => items.next().expect("one item").clone(),
+        _ => Formula::And(items.cloned().collect()),
+    }
+}
+
+/// One flip query posed against a session prefix, ready for a
+/// verdict-cache lookup: its canonical conjunct list (the session's
+/// canonical prefix, borrowed, plus the canonicalized assumption), the
+/// chained digest of that list, and the renumbering back to the
+/// caller's variables. Nothing of the prefix is copied; the caller-space
+/// conjunction is built only on demand by [`SessionView::original`].
+#[derive(Debug)]
+pub struct SessionView<'a> {
+    /// Caller-space prefix conjuncts (frames `0..depth`).
+    prefix: &'a [Formula],
+    /// Caller-space assumption conjuncts, flattened.
+    extra: Vec<&'a Formula>,
+    /// Canonical counterparts of `prefix`, borrowed from the session.
+    canon_prefix: &'a [Formula],
+    /// Canonical counterparts of `extra`.
+    canon_tail: Vec<Formula>,
+    canon: Canonicalizer,
+    digest: u64,
     reused_frames: u64,
 }
 
-impl SessionQuery {
+impl<'a> SessionView<'a> {
+    /// The canonical conjunct list: exactly the conjuncts of the
+    /// flattened [`crate::cache::canonical_query`] of
+    /// [`SessionView::original`] (`[]` for `⊤`, `[⊥]` for `⊥`).
+    pub fn conjuncts(&self) -> impl Iterator<Item = &Formula> {
+        self.canon_prefix.iter().chain(self.canon_tail.iter())
+    }
+
+    /// The length of [`SessionView::conjuncts`].
+    fn len(&self) -> usize {
+        self.canon_prefix.len() + self.canon_tail.len()
+    }
+
+    /// True when `list` equals [`SessionView::conjuncts`]; compares in
+    /// place, without allocating.
+    pub fn same_conjuncts(&self, list: &[Formula]) -> bool {
+        let split = self.canon_prefix.len();
+        list.len() == self.len()
+            && list[..split] == *self.canon_prefix
+            && list[split..] == *self.canon_tail
+    }
+
+    /// The chained structural digest of [`SessionView::conjuncts`]
+    /// (see [`conjunct_digest`]). Equal lists give equal digests; the
+    /// converse holds only up to 64-bit collisions, so a digest may
+    /// select a cached entry but never decide it.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// The renumbering of the query: canonical index → caller variable.
+    pub fn canonicalizer(&self) -> &Canonicalizer {
+        &self.canon
+    }
+
+    /// The assembled conjunction in the caller's variable space —
+    /// exactly what `Formula::and(prefix ++ assumption)` returns.
+    pub fn original(&self) -> Formula {
+        conjoin(
+            self.len(),
+            self.prefix.iter().chain(self.extra.iter().copied()),
+        )
+    }
+
+    /// The assembled canonical conjunction — exactly the formula of
+    /// [`crate::cache::canonical_query`] on [`SessionView::original`].
+    pub fn canonical(&self) -> Formula {
+        conjoin(self.len(), self.conjuncts())
+    }
+
+    /// [`Formula::approx_bytes`] of [`SessionView::canonical`], without
+    /// assembling it.
+    pub fn approx_bytes(&self) -> usize {
+        let items: usize = self.conjuncts().map(Formula::approx_bytes).sum();
+        match self.len() {
+            1 => items,
+            // `⊤`, or the `And` node over the items.
+            _ => std::mem::size_of::<Formula>() + items,
+        }
+    }
+
     /// Prefix frames whose canonical form was reused (not re-derived)
-    /// when assembling this query.
+    /// for this view.
     pub fn reused_frames(&self) -> u64 {
         self.reused_frames
     }
@@ -121,10 +230,11 @@ impl SessionQuery {
 /// Build the stack with [`SolveSession::push`] (one frame per taken
 /// trace clause), then solve each flip with [`SolveSession::solve_at`]:
 /// the query at depth `d` is the conjunction of frames `0..d` plus the
-/// flip's assumption formulas. Assembly reuses the canonical prefix
-/// and yields the same canonical key a from-scratch query would; solving
-/// is a plain [`Solver::solve`] of the assembled conjunction. See the
-/// module docs for the retraction rules.
+/// flip's assumption formulas. [`SolveSession::view`] reuses the
+/// canonical prefix and its digest and yields the same canonical
+/// conjunct list a from-scratch query would; solving is a plain
+/// [`Solver::solve`] of the assembled conjunction. See the module docs
+/// for the retraction rules.
 ///
 /// Solving takes `&self`, so once the stack is built the session can be
 /// shared across flip worker threads.
@@ -200,23 +310,19 @@ impl SolveSession {
     /// `⊥` poisoning every deeper depth, one level of `And` flattening
     /// — and canonicalized against the state left by earlier frames.
     pub fn push(&mut self, items: Vec<Formula>) {
-        let mut has_false = self.frames.last().is_some_and(|f| f.has_false);
+        let top = self.frames.last().copied().unwrap_or(ROOT);
+        let mut has_false = top.has_false;
+        let mut digest = top.digest;
         for item in items {
             match item {
                 Formula::Atom(Atom::True) => {}
                 Formula::Atom(Atom::False) => has_false = true,
                 Formula::And(inner) => {
                     for f in inner {
-                        let c = self.canon.formula(&f);
-                        self.conjuncts.push(f);
-                        self.canon_conjuncts.push(c);
+                        digest = self.push_conjunct(digest, f);
                     }
                 }
-                other => {
-                    let c = self.canon.formula(&other);
-                    self.conjuncts.push(other);
-                    self.canon_conjuncts.push(c);
-                }
+                other => digest = self.push_conjunct(digest, other),
             }
         }
         self.frames.push(Frame {
@@ -224,12 +330,23 @@ impl SolveSession {
             strs: self.canon.str_vars().len(),
             bools: self.canon.bool_vars().len(),
             has_false,
+            digest,
         });
     }
 
-    /// Retracts the top frame: conjuncts, canonical conjuncts and
-    /// renumbering state are truncated to the previous frame's
-    /// watermarks (retraction rule 1).
+    /// Appends one flattened conjunct and its canonical form; returns
+    /// the digest chained over it.
+    fn push_conjunct(&mut self, digest: u64, f: Formula) -> u64 {
+        let c = self.canon.formula(&f);
+        let digest = chain_digest(digest, &c);
+        self.conjuncts.push(f);
+        self.canon_conjuncts.push(c);
+        digest
+    }
+
+    /// Retracts the top frame: conjuncts, canonical conjuncts, the
+    /// digest chain and renumbering state are truncated to the previous
+    /// frame's watermarks (retraction rule 1).
     ///
     /// # Panics
     ///
@@ -245,18 +362,20 @@ impl SolveSession {
         );
     }
 
-    /// Assembles the query "frames `0..depth` plus `assumption`".
+    /// Poses the query "frames `0..depth` plus `assumption`".
     ///
-    /// Both the original-space conjunction and its canonicalization are
-    /// byte-identical to what a from-scratch
-    /// `canonical_query(&Formula::and(...))` over the same conjuncts
-    /// would produce; only the prefix renumbering work is skipped.
+    /// Only the assumption is canonicalized (against the renumbering
+    /// state at the frame watermark) and chained onto the frame's
+    /// digest; the canonical prefix is borrowed. The view's conjunct
+    /// list and renumbering are byte-identical to a from-scratch
+    /// `canonical_query(&Formula::and(...))` over the same conjuncts,
+    /// and [`SessionView::original`] to the `Formula::and` itself.
     ///
     /// # Panics
     ///
     /// Panics when `depth` exceeds [`SolveSession::depth`].
-    pub fn assemble(&self, depth: usize, assumption: &[Formula]) -> SessionQuery {
-        assert!(depth <= self.frames.len(), "assemble beyond session depth");
+    pub fn view<'a>(&'a self, depth: usize, assumption: &'a [Formula]) -> SessionView<'a> {
+        assert!(depth <= self.frames.len(), "view beyond session depth");
         self.counters.solves.fetch_add(1, Ordering::Relaxed);
         self.counters
             .prefix_reuse_hits
@@ -278,53 +397,48 @@ impl SolveSession {
             }
         }
         if has_false {
-            return SessionQuery {
-                original: Formula::bottom(),
-                canonical: canonical_query(&Formula::bottom()),
+            return SessionView {
+                prefix: &[],
+                extra: vec![&BOTTOM],
+                canon_prefix: &[],
+                canon_tail: vec![Formula::bottom()],
+                canon: Canonicalizer::new(),
+                digest: chain_digest(EMPTY_DIGEST, &BOTTOM),
                 reused_frames: depth as u64,
             };
         }
 
-        let prefix = &self.conjuncts[..frame.conjuncts];
-        let canon_prefix = &self.canon_conjuncts[..frame.conjuncts];
         let mut canon = Canonicalizer::seeded(
             &self.canon.str_vars()[..frame.strs],
             &self.canon.bool_vars()[..frame.bools],
         );
-        let canon_extra: Vec<Formula> = extra.iter().map(|f| canon.formula(f)).collect();
-
-        let total = prefix.len() + extra.len();
-        let (original, formula) = match total {
-            0 => (Formula::top(), Formula::top()),
-            1 => match prefix.first() {
-                Some(single) => (single.clone(), canon_prefix[0].clone()),
-                None => (extra[0].clone(), canon_extra[0].clone()),
-            },
-            _ => (
-                Formula::And(
-                    prefix
-                        .iter()
-                        .cloned()
-                        .chain(extra.iter().map(|f| (*f).clone()))
-                        .collect(),
-                ),
-                Formula::And(canon_prefix.iter().cloned().chain(canon_extra).collect()),
-            ),
-        };
-        SessionQuery {
-            original,
-            canonical: CanonicalQuery { formula, canon },
+        let mut digest = frame.digest;
+        let canon_tail = extra
+            .iter()
+            .map(|f| {
+                let c = canon.formula(f);
+                digest = chain_digest(digest, &c);
+                c
+            })
+            .collect();
+        SessionView {
+            prefix: &self.conjuncts[..frame.conjuncts],
+            extra,
+            canon_prefix: &self.canon_conjuncts[..frame.conjuncts],
+            canon_tail,
+            canon,
+            digest,
             reused_frames: depth as u64,
         }
     }
 
-    /// [`SolveSession::assemble`] followed by a plain [`Solver::solve`]
-    /// of the conjunction. The returned stats count the reused prefix
+    /// [`SolveSession::view`] followed by a plain [`Solver::solve`] of
+    /// the conjunction. The returned stats count the reused prefix
     /// frames as [`SolveStats::prefix_reuse_hits`].
     pub fn solve_at(&self, depth: usize, assumption: &[Formula]) -> (Outcome, SolveStats) {
-        let query = self.assemble(depth, assumption);
-        let (outcome, mut stats) = self.solver.solve(&query.original);
-        stats.prefix_reuse_hits += query.reused_frames;
+        let view = self.view(depth, assumption);
+        let (outcome, mut stats) = self.solver.solve(&view.original());
+        stats.prefix_reuse_hits += view.reused_frames();
         (outcome, stats)
     }
 }
@@ -332,6 +446,7 @@ impl SolveSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::canonical_query;
     use crate::config::SolverConfig;
     use crate::vars::{Term, VarPool};
     use automata::{CRegex, CharSet};
@@ -377,6 +492,16 @@ mod tests {
         Formula::and(items)
     }
 
+    /// The conjunct list of a canonical formula, flattened the way a
+    /// view lists it.
+    fn flattened(formula: &Formula) -> Vec<Formula> {
+        match formula {
+            Formula::Atom(Atom::True) => Vec::new(),
+            Formula::And(items) => items.clone(),
+            other => vec![other.clone()],
+        }
+    }
+
     #[test]
     fn assembled_queries_match_scratch_bytes() {
         let (frames, assumptions) = corpus();
@@ -388,16 +513,69 @@ mod tests {
             for assumption in &assumptions {
                 let scratch = scratch_conjunction(&frames, depth, assumption);
                 let scratch_canon = canonical_query(&scratch);
-                let q = session.assemble(depth, assumption);
-                assert_eq!(q.original, scratch, "original at depth {depth}");
+                let q = session.view(depth, assumption);
+                assert_eq!(q.original(), scratch, "original at depth {depth}");
                 assert_eq!(
-                    q.canonical.formula, scratch_canon.formula,
+                    q.canonical(),
+                    scratch_canon.formula,
                     "canonical formula at depth {depth}"
                 );
-                assert_eq!(q.canonical.str_vars(), scratch_canon.str_vars());
-                assert_eq!(q.canonical.bool_vars(), scratch_canon.bool_vars());
+                assert_eq!(q.canonicalizer().str_vars(), scratch_canon.str_vars());
+                assert_eq!(q.canonicalizer().bool_vars(), scratch_canon.bool_vars());
+                assert_eq!(q.approx_bytes(), scratch_canon.formula.approx_bytes());
             }
         }
+    }
+
+    #[test]
+    fn view_digest_is_a_function_of_the_canonical_list() {
+        let (frames, assumptions) = corpus();
+        let mut session = SolveSession::new(Solver::default());
+        for frame in &frames {
+            session.push(frame.clone());
+        }
+        for depth in 0..=frames.len() {
+            for assumption in &assumptions {
+                let scratch = scratch_conjunction(&frames, depth, assumption);
+                let list = flattened(&canonical_query(&scratch).formula);
+                let view = session.view(depth, assumption);
+                let got: Vec<Formula> = view.conjuncts().cloned().collect();
+                assert_eq!(got, list, "conjunct list at depth {depth}");
+                assert!(view.same_conjuncts(&list));
+                assert_eq!(view.digest(), conjunct_digest(&list), "depth {depth}");
+
+                // The same list pushed conjunct by conjunct, one frame
+                // each, carries the same digest at full depth.
+                let mut single = SolveSession::new(Solver::default());
+                for c in &list {
+                    single.push(vec![c.clone()]);
+                }
+                assert_eq!(single.view(list.len(), &[]).digest(), view.digest());
+            }
+        }
+    }
+
+    #[test]
+    fn digest_follows_a_pop_and_a_different_push() {
+        let (frames, _) = corpus();
+        let mut session = SolveSession::new(Solver::default());
+        session.push(frames[0].clone());
+        session.push(frames[1].clone());
+        let before = session.view(2, &[]).digest();
+
+        session.pop();
+        assert_eq!(session.view(1, &[]).digest(), {
+            let list = flattened(&canonical_query(&scratch_conjunction(&frames, 1, &[])).formula);
+            conjunct_digest(&list)
+        });
+        session.push(frames[2].clone());
+        let view = session.view(2, &[]);
+        let mut items = frames[0].clone();
+        items.extend(frames[2].iter().cloned());
+        let list = flattened(&canonical_query(&Formula::and(items)).formula);
+        assert_eq!(view.digest(), conjunct_digest(&list));
+        assert!(view.same_conjuncts(&list));
+        assert_ne!(view.digest(), before);
     }
 
     #[test]
@@ -423,16 +601,19 @@ mod tests {
         let (frames, assumptions) = corpus();
         let mut session = SolveSession::new(Solver::default());
         session.push(frames[0].clone());
-        let baseline = session.assemble(1, &assumptions[0]);
+        let baseline = session.view(1, &assumptions[0]);
+        let (original, canonical, digest) =
+            (baseline.original(), baseline.canonical(), baseline.digest());
 
         session.push(frames[1].clone());
         session.push(frames[2].clone());
         session.pop();
         session.pop();
         assert_eq!(session.depth(), 1);
-        let retracted = session.assemble(1, &assumptions[0]);
-        assert_eq!(retracted.original, baseline.original);
-        assert_eq!(retracted.canonical.formula, baseline.canonical.formula);
+        let retracted = session.view(1, &assumptions[0]);
+        assert_eq!(retracted.original(), original);
+        assert_eq!(retracted.canonical(), canonical);
+        assert_eq!(retracted.digest(), digest);
 
         // The retracted slot can be refilled with different content.
         session.push(vec![Formula::eq_lit(
@@ -474,10 +655,13 @@ mod tests {
         let mut session = SolveSession::new(Solver::default());
         session.push(vec![Formula::eq_lit(v, "a")]);
         session.push(vec![Formula::bottom()]);
-        let clean = session.assemble(1, &[]);
-        assert_eq!(clean.original, Formula::eq_lit(v, "a"));
-        let poisoned = session.assemble(2, &[Formula::ne_lit(v, "b")]);
-        assert_eq!(poisoned.original, Formula::bottom());
+        let clean = session.view(1, &[]);
+        assert_eq!(clean.original(), Formula::eq_lit(v, "a"));
+        let assumption = [Formula::ne_lit(v, "b")];
+        let poisoned = session.view(2, &assumption);
+        assert_eq!(poisoned.original(), Formula::bottom());
+        assert_eq!(poisoned.canonical(), Formula::bottom());
+        assert_eq!(poisoned.digest(), conjunct_digest(&[Formula::bottom()]));
         let (outcome, _) = session.solve_at(2, &[]);
         assert_eq!(outcome, Outcome::Unsat);
     }

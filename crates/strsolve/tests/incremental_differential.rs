@@ -2,8 +2,8 @@
 //! random-formula corpus (the same constraint families the
 //! capturing-language models emit), every split of a conjunction into
 //! prefix frames plus an assumption must assemble to the byte-identical
-//! formula and canonicalization a from-scratch solve would use, and
-//! yield the identical verdict **and model**.
+//! formula, canonicalization and conjunct digest a from-scratch solve
+//! would use, and yield the identical verdict **and model**.
 
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -11,7 +11,8 @@ use rand::{RngExt, SeedableRng};
 
 use automata::{CRegex, CharSet};
 use strsolve::{
-    canonical_query, Formula, SolveSession, Solver, SolverConfig, StrVar, Term, VarPool,
+    canonical_query, conjunct_digest, Formula, SolveSession, Solver, SolverConfig, StrVar, Term,
+    VarPool,
 };
 
 /// A small random classical regex over {a, b, c}.
@@ -99,14 +100,23 @@ fn assembled_queries_match_scratch_over_random_corpus() {
 
         let scratch = Formula::and(conjuncts.clone());
         let scratch_canon = canonical_query(&scratch);
-        let q = session.assemble(split, assumption);
-        assert_eq!(q.original, scratch, "seed {seed}: original diverged");
+        let q = session.view(split, assumption);
+        assert_eq!(q.original(), scratch, "seed {seed}: original diverged");
         assert_eq!(
-            q.canonical.formula, scratch_canon.formula,
+            q.canonical(),
+            scratch_canon.formula,
             "seed {seed}: canonical formula diverged at split {split}"
         );
-        assert_eq!(q.canonical.str_vars(), scratch_canon.str_vars());
-        assert_eq!(q.canonical.bool_vars(), scratch_canon.bool_vars());
+        assert_eq!(q.canonicalizer().str_vars(), scratch_canon.str_vars());
+        assert_eq!(q.canonicalizer().bool_vars(), scratch_canon.bool_vars());
+        // The digest depends on the canonical list alone, not the split.
+        assert_eq!(q.digest(), conjunct_digest(q.conjuncts()), "seed {seed}");
+        let whole = SolveSession::new(solver.clone());
+        assert_eq!(
+            whole.view(0, &conjuncts).digest(),
+            q.digest(),
+            "seed {seed}: digest depends on split {split}"
+        );
     }
 }
 

@@ -10,8 +10,10 @@
 //! variables. `RegExp.test(s)` is precisely
 //! `RegExp.exec(s) !== undefined` and uses the same constraint.
 
+use std::sync::Arc;
+
 use regex_syntax_es6::Regex;
-use strsolve::{Formula, StrVar, Term, VarPool};
+use strsolve::{Formula, Group, Shape, StrVar, Term, VarPool};
 
 use crate::classical::{no_meta_star, overapprox_word_regex, try_wrapped_word_language};
 use crate::meta::{INPUT_END, INPUT_START};
@@ -22,6 +24,15 @@ use crate::negate::nnf_negate;
 /// `(w, C₀, …, Cₙ) ⊡ Lc(R)` with `⊡ ∈ {∈, ∉}`, packaged with everything
 /// Algorithm 1 needs: the formula, the variables, and the original
 /// regex for the concrete-matcher oracle.
+///
+/// The constraint also carries the formula's [`Shape`], canonicalized
+/// once when the model is built and shared (an `Arc`) by every rebased
+/// copy ([`CapturingConstraint::offset_vars`]), so posing the model in a
+/// flip query ([`CapturingConstraint::group`]) maps variables instead
+/// of renumbering the formula. Hence the invariant: **`formula` must
+/// not be mutated after construction** — the shape would no longer
+/// describe it and would key the verdict cache wrongly (debug builds
+/// assert it on every posing).
 #[derive(Debug, Clone)]
 pub struct CapturingConstraint {
     /// The original regex (the CEGAR oracle matches against this).
@@ -35,18 +46,50 @@ pub struct CapturingConstraint {
     /// True for membership (`∈`), false for non-membership (`∉`).
     pub positive: bool,
     /// The model formula (conjoin with the rest of the path condition).
+    /// Read-only: see the type's invariant.
     pub formula: Formula,
     /// False when the model took an extra overapproximation beyond the
     /// paper's base model (see [`crate::model::RegexModel::exact`]).
     pub exact: bool,
+    /// The shape of `formula`, taken at build time.
+    shape: Arc<Shape>,
+    /// Offset from the shape's string variables to `formula`'s.
+    str_offset: u32,
+    /// Offset from the shape's boolean variables to `formula`'s.
+    bool_offset: u32,
 }
 
 impl CapturingConstraint {
+    /// A freshly built constraint; takes the formula's shape.
+    fn new(
+        regex: &Regex,
+        input: StrVar,
+        wrapped: StrVar,
+        captures: Vec<CaptureVar>,
+        positive: bool,
+        formula: Formula,
+        exact: bool,
+    ) -> CapturingConstraint {
+        CapturingConstraint {
+            regex: regex.clone(),
+            input,
+            wrapped,
+            captures,
+            positive,
+            shape: Arc::new(Shape::of(&formula)),
+            formula,
+            exact,
+            str_offset: 0,
+            bool_offset: 0,
+        }
+    }
+
     /// The constraint with every variable shifted into another pool's
     /// numbering — the rebasing step of the cross-query model cache
     /// ([`crate::cache::ModelCache`]): a constraint built against a
     /// private pool is grafted onto a query's pool with the offsets
-    /// returned by [`strsolve::VarPool::absorb`].
+    /// returned by [`strsolve::VarPool::absorb`]. The copy shares the
+    /// original's shape.
     pub fn offset_vars(&self, str_offset: u32, bool_offset: u32) -> CapturingConstraint {
         CapturingConstraint {
             regex: self.regex.clone(),
@@ -60,6 +103,26 @@ impl CapturingConstraint {
             positive: self.positive,
             formula: self.formula.offset_vars(str_offset, bool_offset),
             exact: self.exact,
+            shape: Arc::clone(&self.shape),
+            str_offset: self.str_offset + str_offset,
+            bool_offset: self.bool_offset + bool_offset,
+        }
+    }
+
+    /// The model formula posed as a session group
+    /// ([`strsolve::SolveSession::view_with`]): the formula plus its
+    /// build-time shape and offsets.
+    pub fn group(&self) -> Group<'_> {
+        debug_assert!(
+            self.shape
+                .describes(&self.formula, self.str_offset, self.bool_offset),
+            "a constraint's formula was changed after its shape was taken"
+        );
+        Group {
+            formula: &self.formula,
+            shape: &self.shape,
+            str_offset: self.str_offset,
+            bool_offset: self.bool_offset,
         }
     }
 }
@@ -161,15 +224,7 @@ fn build_positive(
         Formula::in_re(wrapped, guide),
     ]);
 
-    CapturingConstraint {
-        regex: regex.clone(),
-        input,
-        wrapped,
-        captures,
-        positive: true,
-        formula,
-        exact,
-    }
+    CapturingConstraint::new(regex, input, wrapped, captures, true, formula, exact)
 }
 
 fn build_negative(
@@ -194,15 +249,15 @@ fn build_negative(
         for cap in &captures {
             conjuncts.push(cap.undefined());
         }
-        return CapturingConstraint {
-            regex: regex.clone(),
+        return CapturingConstraint::new(
+            regex,
             input,
             wrapped,
             captures,
-            positive: false,
-            formula: Formula::and(conjuncts),
-            exact: true,
-        };
+            false,
+            Formula::and(conjuncts),
+            true,
+        );
     }
 
     // General path (§4.4): negate the structural model.
@@ -248,16 +303,8 @@ fn build_negative(
         ]),
     ]);
 
-    CapturingConstraint {
-        regex: regex.clone(),
-        input,
-        wrapped,
-        captures,
-        positive: false,
-        formula,
-        // The general negated model is never exact before refinement.
-        exact: false,
-    }
+    // The general negated model is never exact before refinement.
+    CapturingConstraint::new(regex, input, wrapped, captures, false, formula, false)
 }
 
 #[cfg(test)]

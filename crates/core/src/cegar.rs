@@ -32,7 +32,8 @@ use automata::FxHasher;
 use es6_matcher::RegExp;
 use parking_lot::Mutex;
 use strsolve::{
-    Canonicalizer, Formula, Lru, Model, Outcome, SessionView, SolveSession, SolveStats, Solver,
+    Canonicalizer, Formula, Group, Lru, Model, Outcome, SessionView, SolveSession, SolveStats,
+    Solver, ViewKey,
 };
 
 use crate::api::CapturingConstraint;
@@ -158,17 +159,21 @@ impl CegarSolver {
     /// constraint models form the per-flip assumption.
     ///
     /// The session poses the iteration-0 problem as a [`SessionView`]
-    /// without re-canonicalizing or copying the shared prefix. When a
-    /// [`CegarCache`] is supplied, a finished run (verdict, model,
-    /// refinement count) whose stored key — the complete canonical
-    /// conjunct list plus constraint signatures and solver limits —
-    /// equals this query's is replayed wholesale: the dominant
-    /// cross-trace case, since a child trace re-poses its parent's
-    /// prefix flips verbatim. Replay is exact: the solver and oracle are
-    /// deterministic, so a fresh loop on an identical canonical problem
-    /// reproduces the identical result. Only on a miss is the
-    /// caller-space conjunction assembled and the loop run, exactly like
-    /// the from-scratch one.
+    /// without re-canonicalizing or copying the shared prefix; each
+    /// constraint model is posed as a group through its build-time
+    /// shape ([`CapturingConstraint::group`]), so its formula is
+    /// neither copied nor renumbered. When a [`CegarCache`] is
+    /// supplied, a finished run (verdict, model, refinement count)
+    /// whose stored key — the view's [`ViewKey`], which determines the
+    /// complete canonical conjunct list, plus constraint signatures
+    /// and solver limits — equals this query's is replayed wholesale:
+    /// the dominant cross-trace case, since a child trace re-poses its
+    /// parent's prefix flips verbatim. Replay is exact: the solver and
+    /// oracle are deterministic, so a fresh loop on an identical
+    /// canonical problem reproduces the identical result. Only on a
+    /// miss is the caller-space conjunction assembled (the one place a
+    /// model formula is copied) and the loop run, exactly like the
+    /// from-scratch one.
     pub fn solve_incremental<C: Borrow<CapturingConstraint>>(
         &self,
         session: &SolveSession,
@@ -178,9 +183,8 @@ impl CegarSolver {
         verdicts: Option<&CegarCache>,
     ) -> CegarResult {
         let start = Instant::now();
-        let mut assumption: Vec<Formula> = problem_items.to_vec();
-        assumption.extend(constraints.iter().map(|c| c.borrow().formula.clone()));
-        let view = session.view(depth, &assumption);
+        let groups: Vec<Group<'_>> = constraints.iter().map(|c| c.borrow().group()).collect();
+        let view = session.view_with(depth, problem_items, &groups);
 
         let probed = verdicts.map(|cache| (cache, self.cache_probe(session, &view, constraints)));
         if let Some((cache, probe)) = &probed {
@@ -215,7 +219,7 @@ impl CegarSolver {
 
     /// The verdict-cache probe for this solver's run of `view` under
     /// `constraints`: the digest that selects an entry, and everything
-    /// besides the canonical conjunct list that decides it.
+    /// besides the view's key that decides it.
     fn cache_probe<C: Borrow<CapturingConstraint>>(
         &self,
         session: &SolveSession,
@@ -492,10 +496,10 @@ struct RunParams {
 }
 
 /// One query's side of a verdict-cache probe: the digest that selects
-/// an entry, the parameters that (with the view's conjunct list) decide
-/// it, and the renumbering that rehydrates a replayed model.
+/// an entry, the parameters that (with the view's key) decide it, and
+/// the renumbering that rehydrates a replayed model.
 struct CacheProbe {
-    /// Fx digest of the view's conjunct digest and `params`.
+    /// Fx digest of the view's digest and `params`.
     digest: u64,
     params: RunParams,
     /// The view's renumbering, extended with the constraint variables.
@@ -505,9 +509,10 @@ struct CacheProbe {
 /// The full key of one cached run, stored in its entry.
 #[derive(Debug)]
 struct CegarKey {
-    /// The canonical iteration-0 conjunct list (problem ∧ constraint
-    /// models), as [`SessionView::conjuncts`] lists it.
-    conjuncts: Vec<Formula>,
+    /// The iteration-0 problem (problem ∧ constraint models) in compact
+    /// form: the canonical problem conjuncts plus each model's shape
+    /// and variable ids ([`SessionView::key`]).
+    view: ViewKey,
     params: RunParams,
 }
 
@@ -595,7 +600,7 @@ fn constraint_signatures<C: Borrow<CapturingConstraint>>(
 ///
 /// Replays the entire Algorithm 1 loop — final validated outcome,
 /// refinement count and limit flag — for a query whose complete
-/// canonical iteration-0 conjunct list, constraint signatures, solver
+/// canonical iteration-0 problem, constraint signatures, solver
 /// fingerprint and refinement limit equal a stored run's. Since the
 /// solver and the concrete ES6 oracle are both deterministic, a fresh
 /// run of an identical canonical problem necessarily retraces the
@@ -606,16 +611,20 @@ fn constraint_signatures<C: Borrow<CapturingConstraint>>(
 /// construction).
 ///
 /// Entries are indexed by one 64-bit digest: the session's chained
-/// conjunct digest ([`SessionView::digest`]) folded with the signatures
-/// and limits. The digest only *selects* an entry. Each entry stores its
-/// full key, and a lookup counts as a hit only if that key compares
-/// equal to the borrowed session prefix plus the canonical tail — a
-/// comparison that allocates nothing and short-circuits on shared
-/// `Arc<CRegex>` pointers. A digest collision, even one forced from
-/// service input, is therefore a miss, and the store that follows
-/// replaces the colliding entry: Unsat stays a proof, and a collision
-/// costs one solve. Entries are shared (`Arc`), so a hit clones a
-/// pointer, not a run.
+/// digest ([`SessionView::digest`]) folded with the signatures and
+/// limits. The digest only *selects* an entry. Each entry stores its
+/// full key in compact form: the canonical problem conjuncts, plus per
+/// constraint model its shape (an `Arc` shared with the model, taken
+/// once when the model was built) and the query's ids of the shape's
+/// variables ([`ViewKey`]). A lookup counts as a hit only if that key
+/// compares equal to the borrowed session prefix, the canonical items
+/// and the posed groups — a comparison that allocates nothing and
+/// short-circuits on shared `Arc<CRegex>` and `Arc<Shape>` pointers.
+/// Equal keys imply equal canonical conjunct lists, so replay stays
+/// exact. A digest collision, even one forced from service input, is
+/// therefore a miss, and the store that follows replaces the colliding
+/// entry: Unsat stays a proof, and a collision costs one solve.
+/// Entries are shared (`Arc`), so a hit clones a pointer, not a run.
 ///
 /// This is the cross-trace node sink in DSE: a child trace re-poses
 /// every prefix flip of its parent verbatim, and each re-posing skips
@@ -691,9 +700,8 @@ impl CegarCache {
     /// equals this query's; the comparison runs outside the lock.
     fn lookup(&self, probe: &CacheProbe, view: &SessionView<'_>) -> Option<Arc<CegarEntry>> {
         let resident = self.entries.lock().get(&probe.digest).cloned();
-        let found = resident.filter(|entry| {
-            entry.key.params == probe.params && view.same_conjuncts(&entry.key.conjuncts)
-        });
+        let found = resident
+            .filter(|entry| entry.key.params == probe.params && view.matches(&entry.key.view));
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -738,7 +746,7 @@ impl CegarCache {
             };
         let entry = CegarEntry {
             key: CegarKey {
-                conjuncts: view.conjuncts().cloned().collect(),
+                view: view.key(),
                 params: probe.params,
             },
             run: CachedRun {
@@ -1028,6 +1036,45 @@ mod tests {
     }
 
     #[test]
+    fn a_model_rebuilt_after_eviction_still_replays() {
+        // A one-entry ModelCache: the second regex evicts the first, so
+        // the third lookup rebuilds it — a new shape `Arc` with equal
+        // content, which must still replay the stored run.
+        let models = crate::cache::ModelCache::new(1);
+        let cfg = BuildConfig::default();
+        let level = crate::SupportLevel::Refinement;
+        let wanted = Regex::parse_literal("/^a*(a)?$/").expect("literal");
+        let other = Regex::parse_literal("/^b+$/").expect("literal");
+        let cegar = CegarSolver::default();
+        let cache = CegarCache::new(16);
+        let mut shapes = Vec::new();
+        for (round, padding) in [(0, 0usize), (1, 2)] {
+            let mut pool = VarPool::new();
+            for i in 0..padding {
+                pool.fresh_str(format!("pad{i}"));
+            }
+            let (c, hit) = models.get_or_build(&wanted, true, level, &mut pool, &cfg);
+            assert!(!hit, "round {round} must build");
+            let mut session = SolveSession::new(Solver::default());
+            session.push(vec![Formula::eq_lit(c.input, "aa")]);
+            let result =
+                cegar.solve_incremental(&session, 1, &[], std::slice::from_ref(&c), Some(&cache));
+            assert_eq!(result.stats.replayed, round == 1, "round {round}");
+            assert!(!result
+                .outcome
+                .model()
+                .expect("sat")
+                .get_bool(c.captures[1].defined));
+            shapes.push(Arc::clone(c.group().shape));
+            models.get_or_build(&other, true, level, &mut pool, &cfg);
+        }
+        assert_eq!(models.evictions(), 3);
+        assert!(!Arc::ptr_eq(&shapes[0], &shapes[1]));
+        assert_eq!(*shapes[0], *shapes[1]);
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+    }
+
+    #[test]
     fn digest_collision_is_a_miss() {
         let (session, assumption, _, c) = incremental_fixture("/^a*(a)?$/", Some("aa"));
         let constraints = std::slice::from_ref(&c);
@@ -1041,9 +1088,7 @@ mod tests {
             Some(&cache),
         );
         let posed = |items: &[Formula]| {
-            let mut all = items.to_vec();
-            all.push(c.formula.clone());
-            let view = session.view(session.depth(), &all);
+            let view = session.view_with(session.depth(), items, &[c.group()]);
             cegar.cache_probe(&session, &view, constraints).digest
         };
         // Force a collision: file the stored run under the digest of a

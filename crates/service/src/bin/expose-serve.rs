@@ -49,6 +49,35 @@ use expose_service::{
     Listen, ProtoVersion, Request, ServerState, SoakOptions,
 };
 
+const USAGE: &str = "usage: expose-serve [--workers N] [--flip-workers N] [--max-inflight N] \
+     [--listen stdio|unix:PATH|tcp:ADDR] [--max-connections N] [--metrics-text] \
+     [--soak ADDR] [--clients N] [--seconds N] [--batch] [--emit-corpus N] \
+     [--emit-explore N] [--iterations N] [--replay-stream N] [--budget quick|full] \
+     [--cache-bytes N]";
+
+/// Prints the usage line and exits: 0 for `--help` (no `problem`), 64
+/// (`EX_USAGE`) for an unknown or malformed argument.
+fn usage(problem: Option<&str>) -> ! {
+    match problem {
+        None => {
+            println!("{USAGE}");
+            std::process::exit(0)
+        }
+        Some(problem) => {
+            eprintln!("expose-serve: {problem}");
+            eprintln!("{USAGE}");
+            std::process::exit(64)
+        }
+    }
+}
+
+/// Parses a numeric argument value, or exits with the usage line.
+fn number<T: std::str::FromStr>(name: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(Some(&format!("{name} needs a number, got {value:?}"))))
+}
+
 struct Options {
     workers: usize,
     flip_workers: Option<usize>,
@@ -89,56 +118,41 @@ fn parse_args() -> Options {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
+                .unwrap_or_else(|| usage(Some(&format!("{arg} needs a value"))))
         };
         match arg.as_str() {
-            "--workers" => options.workers = value("--workers").parse().expect("worker count"),
-            "--flip-workers" => {
-                options.flip_workers = Some(value("--flip-workers").parse().expect("worker count"))
-            }
-            "--max-inflight" => {
-                options.max_inflight = value("--max-inflight").parse().expect("bound")
-            }
-            "--listen" => options.listen = Some(value("--listen")),
-            "--max-connections" => {
-                options.max_connections =
-                    Some(value("--max-connections").parse().expect("connection cap"))
-            }
+            "--workers" => options.workers = number(&arg, &value()),
+            "--flip-workers" => options.flip_workers = Some(number(&arg, &value())),
+            "--max-inflight" => options.max_inflight = number(&arg, &value()),
+            "--listen" => options.listen = Some(value()),
+            "--max-connections" => options.max_connections = Some(number(&arg, &value())),
             "--metrics-text" => options.metrics_text = true,
             "--soak" => {
-                let addr = value("--soak");
+                let addr = value();
                 // Accept both a bare host:port and the tcp: spec form.
                 options.soak = Some(addr.strip_prefix("tcp:").unwrap_or(&addr).to_string());
             }
-            "--clients" => options.clients = value("--clients").parse().expect("client count"),
-            "--seconds" => options.seconds = value("--seconds").parse().expect("seconds"),
+            "--clients" => options.clients = number(&arg, &value()),
+            "--seconds" => options.seconds = number(&arg, &value()),
             "--batch" => options.batch = true,
-            "--emit-corpus" => {
-                options.emit_corpus = Some(value("--emit-corpus").parse().expect("program count"))
-            }
-            "--emit-explore" => {
-                options.emit_explore = Some(value("--emit-explore").parse().expect("program count"))
-            }
-            "--iterations" => {
-                options.iterations = value("--iterations").parse().expect("iteration count")
-            }
-            "--replay-stream" => {
-                options.replay_stream =
-                    Some(value("--replay-stream").parse().expect("program count"))
-            }
+            "--emit-corpus" => options.emit_corpus = Some(number(&arg, &value())),
+            "--emit-explore" => options.emit_explore = Some(number(&arg, &value())),
+            "--iterations" => options.iterations = number(&arg, &value()),
+            "--replay-stream" => options.replay_stream = Some(number(&arg, &value())),
             "--budget" => {
-                options.budget = match value("--budget").as_str() {
+                options.budget = match value().as_str() {
                     "quick" => CorpusBudget::Quick,
                     "full" => CorpusBudget::Full,
-                    other => panic!("unknown budget {other:?} (expected quick|full)"),
+                    other => usage(Some(&format!(
+                        "unknown budget {other:?} (expected quick|full)"
+                    ))),
                 }
             }
-            "--cache-bytes" => {
-                options.cache_bytes = Some(value("--cache-bytes").parse().expect("byte budget"))
-            }
-            other => panic!("unknown argument {other:?}"),
+            "--cache-bytes" => options.cache_bytes = Some(number(&arg, &value())),
+            "--help" | "-h" => usage(None),
+            other => usage(Some(&format!("unknown argument {other:?}"))),
         }
     }
     options

@@ -217,20 +217,25 @@ impl Formula {
     /// the counterpart of [`crate::VarPool::absorb`] for rebasing a
     /// formula built against a private pool into another pool.
     pub fn offset_vars(&self, str_offset: u32, bool_offset: u32) -> Formula {
+        let strs = |v: StrVar| v.offset_by(str_offset);
+        let bools = |b: BoolVar| b.offset_by(bool_offset);
+        self.map_vars(&strs, &bools)
+    }
+
+    /// The formula with every variable replaced through the two maps.
+    pub(crate) fn map_vars(
+        &self,
+        strs: &impl Fn(StrVar) -> StrVar,
+        bools: &impl Fn(BoolVar) -> BoolVar,
+    ) -> Formula {
         match self {
-            Formula::Atom(a) => Formula::Atom(offset_atom(a, str_offset, bool_offset)),
-            Formula::And(items) => Formula::And(
-                items
-                    .iter()
-                    .map(|f| f.offset_vars(str_offset, bool_offset))
-                    .collect(),
-            ),
-            Formula::Or(items) => Formula::Or(
-                items
-                    .iter()
-                    .map(|f| f.offset_vars(str_offset, bool_offset))
-                    .collect(),
-            ),
+            Formula::Atom(a) => Formula::Atom(map_atom(a, strs, bools)),
+            Formula::And(items) => {
+                Formula::And(items.iter().map(|f| f.map_vars(strs, bools)).collect())
+            }
+            Formula::Or(items) => {
+                Formula::Or(items.iter().map(|f| f.map_vars(strs, bools)).collect())
+            }
         }
     }
 
@@ -244,22 +249,20 @@ impl Formula {
     }
 }
 
-fn offset_atom(atom: &Atom, s: u32, b: u32) -> Atom {
+fn map_atom(atom: &Atom, s: &impl Fn(StrVar) -> StrVar, b: &impl Fn(BoolVar) -> BoolVar) -> Atom {
     let term = |t: &Term| match t {
-        Term::Var(v) => Term::Var(v.offset_by(s)),
+        Term::Var(v) => Term::Var(s(*v)),
         Term::Lit(lit) => Term::Lit(lit.clone()),
     };
     match atom {
-        Atom::InRe(v, re) => Atom::InRe(v.offset_by(s), re.clone()),
-        Atom::NotInRe(v, re) => Atom::NotInRe(v.offset_by(s), re.clone()),
-        Atom::EqLit(v, lit) => Atom::EqLit(v.offset_by(s), lit.clone()),
-        Atom::NeLit(v, lit) => Atom::NeLit(v.offset_by(s), lit.clone()),
-        Atom::EqVar(v, u) => Atom::EqVar(v.offset_by(s), u.offset_by(s)),
-        Atom::NeVar(v, u) => Atom::NeVar(v.offset_by(s), u.offset_by(s)),
-        Atom::EqConcat(v, parts) => {
-            Atom::EqConcat(v.offset_by(s), parts.iter().map(term).collect())
-        }
-        Atom::Bool(flag, value) => Atom::Bool(flag.offset_by(b), *value),
+        Atom::InRe(v, re) => Atom::InRe(s(*v), re.clone()),
+        Atom::NotInRe(v, re) => Atom::NotInRe(s(*v), re.clone()),
+        Atom::EqLit(v, lit) => Atom::EqLit(s(*v), lit.clone()),
+        Atom::NeLit(v, lit) => Atom::NeLit(s(*v), lit.clone()),
+        Atom::EqVar(v, u) => Atom::EqVar(s(*v), s(*u)),
+        Atom::NeVar(v, u) => Atom::NeVar(s(*v), s(*u)),
+        Atom::EqConcat(v, parts) => Atom::EqConcat(s(*v), parts.iter().map(term).collect()),
+        Atom::Bool(flag, value) => Atom::Bool(b(*flag), *value),
         Atom::True => Atom::True,
         Atom::False => Atom::False,
     }

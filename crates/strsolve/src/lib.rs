@@ -44,7 +44,9 @@ pub use cache::{canonical_query, CanonicalQuery, Canonicalizer, Lru};
 pub use config::SolverConfig;
 pub use formula::{Atom, Formula};
 pub use model::Model;
-pub use session::{conjunct_digest, SessionStats, SessionView, SolveSession};
+pub use session::{
+    conjunct_digest, Group, SessionStats, SessionView, Shape, SolveSession, ViewKey,
+};
 pub use solver::{DfaTables, Outcome, Solver};
 pub use stats::SolveStats;
 pub use vars::{BoolVar, StrVar, Term, VarPool};

@@ -5,14 +5,16 @@
 //! formula, canonicalization and conjunct digest a from-scratch solve
 //! would use, and yield the identical verdict **and model**.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
 use automata::{CRegex, CharSet};
 use strsolve::{
-    canonical_query, conjunct_digest, Formula, SolveSession, Solver, SolverConfig, StrVar, Term,
-    VarPool,
+    canonical_query, conjunct_digest, Formula, Group, Shape, SolveSession, Solver, SolverConfig,
+    StrVar, Term, VarPool,
 };
 
 /// A small random classical regex over {a, b, c}.
@@ -110,13 +112,64 @@ fn assembled_queries_match_scratch_over_random_corpus() {
         assert_eq!(q.canonicalizer().str_vars(), scratch_canon.str_vars());
         assert_eq!(q.canonicalizer().bool_vars(), scratch_canon.bool_vars());
         // The digest depends on the canonical list alone, not the split.
-        assert_eq!(q.digest(), conjunct_digest(q.conjuncts()), "seed {seed}");
+        assert_eq!(q.digest(), conjunct_digest(&q.conjuncts()), "seed {seed}");
         let whole = SolveSession::new(solver.clone());
         assert_eq!(
             whole.view(0, &conjuncts).digest(),
             q.digest(),
             "seed {seed}: digest depends on split {split}"
         );
+    }
+}
+
+#[test]
+fn grouped_views_match_plain_views_over_random_corpus() {
+    // Every conjunct is shifted by a padding, as if its pool had been
+    // absorbed into a larger one; the tail's last items are posed as
+    // groups whose shapes were taken before the shift.
+    let solver = Solver::new(SolverConfig::default());
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(0x6a0f ^ seed);
+        let mut pool = VarPool::new();
+        let built = random_conjuncts(&mut rng, &mut pool);
+        let shift = rng.random_range(0u32..6);
+        let conjuncts: Vec<Formula> = built.iter().map(|f| f.offset_vars(shift, 0)).collect();
+        let (session, split, assumption) = split_into_session(&mut rng, &solver, &conjuncts);
+        let grouped = rng.random_range(0usize..=assumption.len());
+        let first_group = assumption.len() - grouped;
+        let shapes: Vec<Arc<Shape>> = built[split + first_group..]
+            .iter()
+            .map(|f| Arc::new(Shape::of(f)))
+            .collect();
+        let groups: Vec<Group<'_>> = assumption[first_group..]
+            .iter()
+            .zip(&shapes)
+            .map(|(formula, shape)| Group {
+                formula,
+                shape,
+                str_offset: shift,
+                bool_offset: 0,
+            })
+            .collect();
+
+        let q = session.view_with(split, &assumption[..first_group], &groups);
+        let plain = session.view(split, assumption);
+        let at = format!("seed {seed}: split {split}, {grouped} grouped, shift {shift}");
+        assert_eq!(q.conjuncts(), plain.conjuncts(), "{at}");
+        assert_eq!(
+            q.canonicalizer().str_vars(),
+            plain.canonicalizer().str_vars(),
+            "{at}"
+        );
+        assert_eq!(
+            q.canonicalizer().bool_vars(),
+            plain.canonicalizer().bool_vars(),
+            "{at}"
+        );
+        assert_eq!(q.original(), plain.original(), "{at}");
+        assert_eq!(q.original(), Formula::and(conjuncts.clone()), "{at}");
+        assert_eq!(q.approx_bytes(), plain.approx_bytes(), "{at}");
+        assert!(q.matches(&q.key()), "{at}");
     }
 }
 

@@ -12,7 +12,7 @@ fn bench_solver(c: &mut Criterion) {
     group.bench_function("membership_witness", |b| {
         b.iter(|| {
             let mut pool = VarPool::new();
-            let v = pool.fresh_str("v");
+            let v = pool.fresh_str();
             let re = CRegex::concat(vec![
                 CRegex::lit("go"),
                 CRegex::plus(CRegex::set(CharSet::single('o'))),
@@ -25,9 +25,9 @@ fn bench_solver(c: &mut Criterion) {
     group.bench_function("concat_equation", |b| {
         b.iter(|| {
             let mut pool = VarPool::new();
-            let w = pool.fresh_str("w");
-            let a = pool.fresh_str("a");
-            let bb = pool.fresh_str("b");
+            let w = pool.fresh_str();
+            let a = pool.fresh_str();
+            let bb = pool.fresh_str();
             let f = Formula::and(vec![
                 Formula::eq_concat(w, vec![Term::Var(a), Term::Var(bb)]),
                 Formula::in_re(a, CRegex::plus(CRegex::set(CharSet::range('a', 'c')))),
@@ -41,7 +41,7 @@ fn bench_solver(c: &mut Criterion) {
     group.bench_function("unsat_intersection", |b| {
         b.iter(|| {
             let mut pool = VarPool::new();
-            let v = pool.fresh_str("v");
+            let v = pool.fresh_str();
             let f = Formula::and(vec![
                 Formula::in_re(v, CRegex::plus(CRegex::set(CharSet::single('a')))),
                 Formula::in_re(v, CRegex::plus(CRegex::set(CharSet::single('b')))),

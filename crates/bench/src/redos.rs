@@ -192,6 +192,32 @@ mod tests {
     }
 
     #[test]
+    fn shared_and_owned_regexps_agree() {
+        // A `RegExp` wrapping a shared literal (as the DSE interpreter
+        // builds them) and one owning a copy give the same `exec` result
+        // on every prefix of every corpus input, matching ones included.
+        let mut matched = 0;
+        for case in redos_corpus() {
+            let regex = parse_case(&case);
+            let mut owned = es6_matcher::RegExp::from_regex(regex.clone());
+            let mut shared = es6_matcher::RegExp::from_shared(std::sync::Arc::new(regex));
+            assert_eq!(owned.engine_kind(), shared.engine_kind(), "{}", case.name);
+            let chars: Vec<char> = case.input.chars().collect();
+            for end in 0..=chars.len() {
+                let input: String = chars[..end].iter().collect();
+                let result = owned.exec(&input);
+                assert_eq!(result, shared.exec(&input), "{} on {input:?}", case.name);
+                assert_eq!(owned.last_index(), shared.last_index());
+                matched += usize::from(result.is_some());
+            }
+        }
+        assert!(
+            matched > 0,
+            "no prefix matched: the comparison saw only failures"
+        );
+    }
+
+    #[test]
     fn vm_decides_every_case_within_bound() {
         for case in redos_corpus() {
             let outcome = run_case(&case, 100_000);

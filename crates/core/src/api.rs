@@ -154,8 +154,8 @@ pub fn build_match_model(
     pool: &mut VarPool,
     cfg: &BuildConfig,
 ) -> CapturingConstraint {
-    let input = pool.fresh_str("input");
-    let wrapped = pool.fresh_str("input'");
+    let input = pool.fresh_str();
+    let wrapped = pool.fresh_str();
     // input' = ⟨ + input + ⟩, and the raw input contains no markers.
     let well_formed = Formula::and(vec![
         Formula::eq_concat(
@@ -185,10 +185,10 @@ fn build_positive(
     cfg: &BuildConfig,
 ) -> CapturingConstraint {
     // source' = (?:.|\n)*?( source )(?:.|\n)*? — the outer group is C₀.
-    let w1 = pool.fresh_str("w.pre");
-    let w0 = pool.fresh_str("w.match");
-    let w3 = pool.fresh_str("w.post");
-    let c0 = CaptureVar::fresh(pool, "C0");
+    let w1 = pool.fresh_str();
+    let w0 = pool.fresh_str();
+    let w3 = pool.fresh_str();
+    let c0 = CaptureVar::fresh(pool);
 
     let normalized = regex_syntax_es6::rewrite::normalize_lazy(&regex.ast);
     let mut builder = ModelBuilder::new(&normalized, regex.flags, pool, cfg.clone());
@@ -238,11 +238,11 @@ fn build_negative(
     // Exact classical reduction when possible: captures do not affect
     // the word language, so ∀C: (w, C) ∉ Lc(R) ⟺ w ∉ L(wrapped R).
     if let Some(lang) = try_wrapped_word_language(&regex.ast, regex.flags) {
-        let c0 = CaptureVar::fresh(pool, "C0");
+        let c0 = CaptureVar::fresh(pool);
         let n = regex.capture_count;
         let mut captures = vec![c0];
-        for i in 1..=n {
-            captures.push(CaptureVar::fresh(pool, &format!("C{i}")));
+        for _ in 1..=n {
+            captures.push(CaptureVar::fresh(pool));
         }
         let mut conjuncts = vec![well_formed, Formula::not_in_re(wrapped, lang)];
         // A failed exec defines no captures.
@@ -261,10 +261,10 @@ fn build_negative(
     }
 
     // General path (§4.4): negate the structural model.
-    let w1 = pool.fresh_str("w.pre");
-    let w0 = pool.fresh_str("w.match");
-    let w3 = pool.fresh_str("w.post");
-    let c0 = CaptureVar::fresh(pool, "C0");
+    let w1 = pool.fresh_str();
+    let w0 = pool.fresh_str();
+    let w3 = pool.fresh_str();
+    let c0 = CaptureVar::fresh(pool);
     let normalized = regex_syntax_es6::rewrite::normalize_lazy(&regex.ast);
     let mut builder = ModelBuilder::new(&normalized, regex.flags, pool, cfg.clone());
     let body = builder.model(

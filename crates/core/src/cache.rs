@@ -244,13 +244,13 @@ mod tests {
         // A hit from a second pool must equal a direct build into an
         // identically-sized pool, formula and variables included.
         let mut pool_hit = VarPool::new();
-        pool_hit.fresh_str("noise");
+        pool_hit.fresh_str();
         let (from_cache, hit) =
             cache.get_or_build(&re, true, SupportLevel::Refinement, &mut pool_hit, &cfg);
         assert!(hit);
 
         let mut pool_fresh = VarPool::new();
-        pool_fresh.fresh_str("noise");
+        pool_fresh.fresh_str();
         let fresh = build_match_model(&re, true, &mut pool_fresh, &cfg);
         assert_eq!(from_cache.formula, fresh.formula);
         assert_eq!(from_cache.input, fresh.input);
@@ -342,8 +342,8 @@ mod tests {
         let re = regex("/^go+d$/");
         for padding in [0usize, 7] {
             let mut pool = VarPool::new();
-            for i in 0..padding {
-                pool.fresh_str(format!("pad{i}"));
+            for _ in 0..padding {
+                pool.fresh_str();
             }
             let (c, _) = cache.get_or_build(&re, true, SupportLevel::Refinement, &mut pool, &cfg);
             let (outcome, _) = Solver::default().solve(&c.formula);

@@ -872,7 +872,7 @@ mod tests {
     ) -> (SolveSession, Vec<Formula>, Formula, CapturingConstraint) {
         let regex = Regex::parse_literal(literal).expect("literal");
         let mut pool = VarPool::new();
-        let guard = pool.fresh_str("guard");
+        let guard = pool.fresh_str();
         let c = build_match_model(&regex, true, &mut pool, &BuildConfig::default());
         let frames = vec![
             vec![Formula::ne_lit(guard, "off")],
@@ -1003,10 +1003,10 @@ mod tests {
         let mut outcomes = Vec::new();
         for (padding, split) in [(0usize, 2usize), (0, 1), (3, 2)] {
             let mut pool = VarPool::new();
-            for i in 0..padding {
-                pool.fresh_str(format!("pad{i}"));
+            for _ in 0..padding {
+                pool.fresh_str();
             }
-            let guard = pool.fresh_str("guard");
+            let guard = pool.fresh_str();
             let c = build_match_model(&regex, true, &mut pool, &BuildConfig::default());
             let conjuncts = [
                 Formula::ne_lit(guard, "off"),
@@ -1050,8 +1050,8 @@ mod tests {
         let mut shapes = Vec::new();
         for (round, padding) in [(0, 0usize), (1, 2)] {
             let mut pool = VarPool::new();
-            for i in 0..padding {
-                pool.fresh_str(format!("pad{i}"));
+            for _ in 0..padding {
+                pool.fresh_str();
             }
             let (c, hit) = models.get_or_build(&wanted, true, level, &mut pool, &cfg);
             assert!(!hit, "round {round} must build");

@@ -48,10 +48,10 @@ pub struct CaptureVar {
 
 impl CaptureVar {
     /// Allocates a fresh capture variable.
-    pub fn fresh(pool: &mut VarPool, name: &str) -> CaptureVar {
+    pub fn fresh(pool: &mut VarPool) -> CaptureVar {
         CaptureVar {
-            value: pool.fresh_str(format!("{name}.value")),
-            defined: pool.fresh_bool(format!("{name}.defined")),
+            value: pool.fresh_str(),
+            defined: pool.fresh_bool(),
         }
     }
 
@@ -156,7 +156,7 @@ pub fn build_membership(
 ) -> RegexModel {
     let normalized = normalize_lazy(ast);
     let mut builder = ModelBuilder::new(&normalized, flags, pool, cfg.clone());
-    let word = builder.pool.fresh_str("w");
+    let word = builder.pool.fresh_str();
     let formula = builder.model(&normalized, word, Some(Vec::new()), Some(Vec::new()));
     RegexModel {
         word,
@@ -193,9 +193,7 @@ impl<'p> ModelBuilder<'p> {
         cfg: BuildConfig,
     ) -> ModelBuilder<'p> {
         let n = ast.capture_count();
-        let captures = (1..=n)
-            .map(|i| CaptureVar::fresh(pool, &format!("C{i}")))
-            .collect();
+        let captures = (1..=n).map(|_| CaptureVar::fresh(pool)).collect();
         ModelBuilder {
             pool,
             cfg,
@@ -336,11 +334,11 @@ impl<'p> ModelBuilder<'p> {
     ) -> Formula {
         // Allocate a term per consuming item (literals stay literal).
         let mut terms: Vec<Option<Term>> = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
+        for item in items {
             terms.push(match item {
                 Ast::Assertion(_) | Ast::Lookahead { .. } => None,
                 Ast::Literal(c) if !self.flags.ignore_case => Some(Term::Lit(c.to_string())),
-                _ => Some(Term::Var(self.pool.fresh_str(format!("w.{i}")))),
+                _ => Some(Term::Var(self.pool.fresh_str())),
             });
         }
         let consuming: Vec<Term> = terms.iter().flatten().cloned().collect();
@@ -392,7 +390,7 @@ impl<'p> ModelBuilder<'p> {
                 }
                 Some(parts) if parts.is_empty() => Formula::top(),
                 Some(parts) => {
-                    let (p, def) = self.concat_var("anchor.pre", parts);
+                    let (p, def) = self.concat_var(parts);
                     // p ends with ⟨ (or a line terminator under `m`),
                     // or p is empty (true word start).
                     let mut enders = CharSet::single(crate::meta::INPUT_START);
@@ -416,7 +414,7 @@ impl<'p> ModelBuilder<'p> {
                 }
                 Some(parts) if parts.is_empty() => Formula::top(),
                 Some(parts) => {
-                    let (s, def) = self.concat_var("anchor.post", parts);
+                    let (s, def) = self.concat_var(parts);
                     let mut starters = CharSet::single(crate::meta::INPUT_END);
                     if multiline {
                         starters = starters.union(&line_terminators());
@@ -436,8 +434,8 @@ impl<'p> ModelBuilder<'p> {
                     self.exact = false;
                     return Formula::top();
                 };
-                let (p, p_def) = self.concat_var("wb.pre", pre);
-                let (s, s_def) = self.concat_var("wb.post", post);
+                let (p, p_def) = self.concat_var(pre);
+                let (s, s_def) = self.concat_var(post);
                 let word = CharSet::from_class(&regex_syntax_es6::class::ClassSet::word());
                 let non_word = word.complement();
                 let any_star = CRegex::star(CRegex::set(CharSet::any()));
@@ -507,13 +505,13 @@ impl<'p> ModelBuilder<'p> {
             self.exact = false;
             return Formula::top();
         };
-        let (la, la_def) = self.concat_var("la", suffix_terms);
+        let (la, la_def) = self.concat_var(suffix_terms);
         if !negative {
             // Table 2: (la, caps) ∈ Lc(t₁.*): t₁ matches a prefix of the
             // remaining text; its captures persist. The head's own
             // trailing lookaheads scope into the rest variable.
-            let u = self.pool.fresh_str("la.head");
-            let v = self.pool.fresh_str("la.rest");
+            let u = self.pool.fresh_str();
+            let v = self.pool.fresh_str();
             let inner_model = self.model(inner, u, None, Some(vec![Term::Var(v)]));
             Formula::and(vec![
                 la_def,
@@ -539,8 +537,8 @@ impl<'p> ModelBuilder<'p> {
                     // overapproximation of "no prefix matches", and an
                     // extra weakening beyond the base model.
                     self.exact = false;
-                    let u = self.pool.fresh_str("nla.head");
-                    let v = self.pool.fresh_str("nla.rest");
+                    let u = self.pool.fresh_str();
+                    let v = self.pool.fresh_str();
                     let inner_model = self.model(inner, u, None, None);
                     crate::negate::nnf_negate(&Formula::and(vec![
                         Formula::eq_concat(la, vec![Term::Var(u), Term::Var(v)]),
@@ -554,8 +552,8 @@ impl<'p> ModelBuilder<'p> {
 
     /// Binds a fresh variable to the concatenation of `parts`,
     /// returning the variable and its defining constraint.
-    fn concat_var(&mut self, name: &str, parts: Vec<Term>) -> (StrVar, Formula) {
-        let v = self.pool.fresh_str(name);
+    fn concat_var(&mut self, parts: Vec<Term>) -> (StrVar, Formula) {
+        let v = self.pool.fresh_str();
         let def = if parts.is_empty() {
             Formula::eq_lit(v, "")
         } else {
@@ -581,8 +579,8 @@ impl<'p> ModelBuilder<'p> {
             }
             // t+ → t*t (§4.1): captures come from the final copy.
             (1, None) => {
-                let w1 = self.pool.fresh_str("plus.star");
-                let w2 = self.pool.fresh_str("plus.last");
+                let w1 = self.pool.fresh_str();
+                let w2 = self.pool.fresh_str();
                 let star = self.hat_star_constraint(body, w1);
                 let last = self.model(body, w2, None, None);
                 Formula::and(vec![
@@ -596,14 +594,14 @@ impl<'p> ModelBuilder<'p> {
                 let m = m.min(self.cfg.max_repeat_expansion + 1);
                 let mut terms = Vec::new();
                 let mut conjuncts = Vec::new();
-                for c in 0..m.saturating_sub(1) {
-                    let x = self.pool.fresh_str(format!("rep.{c}"));
+                for _ in 0..m.saturating_sub(1) {
+                    let x = self.pool.fresh_str();
                     terms.push(Term::Var(x));
                     let f = self.model_shadow_copy(body, x);
                     conjuncts.push(f);
                 }
-                let w1 = self.pool.fresh_str("rep.star");
-                let w2 = self.pool.fresh_str("rep.last");
+                let w1 = self.pool.fresh_str();
+                let w2 = self.pool.fresh_str();
                 terms.push(Term::Var(w1));
                 terms.push(Term::Var(w2));
                 conjuncts.push(self.hat_star_constraint(body, w1));
@@ -650,13 +648,13 @@ impl<'p> ModelBuilder<'p> {
         }
         let mut terms = Vec::new();
         let mut conjuncts = Vec::new();
-        for c in 0..j - 1 {
-            let x = self.pool.fresh_str(format!("copy.{c}"));
+        for _ in 0..j - 1 {
+            let x = self.pool.fresh_str();
             terms.push(Term::Var(x));
             let f = self.model_shadow_copy(body, x);
             conjuncts.push(f);
         }
-        let last = self.pool.fresh_str("copy.last");
+        let last = self.pool.fresh_str();
         terms.push(Term::Var(last));
         let f = self.model(body, last, None, None);
         conjuncts.push(f);
@@ -670,7 +668,7 @@ impl<'p> ModelBuilder<'p> {
         let frame: HashMap<u32, CaptureVar> = body
             .capture_indices()
             .into_iter()
-            .map(|i| (i, CaptureVar::fresh(self.pool, &format!("C{i}.shadow"))))
+            .map(|i| (i, CaptureVar::fresh(self.pool)))
             .collect();
         self.shadow.push(frame);
         let f = self.model(body, w, None, None);
@@ -680,8 +678,8 @@ impl<'p> ModelBuilder<'p> {
 
     /// The Table 2 star rule.
     fn model_star(&mut self, body: &Ast, w: StrVar) -> Formula {
-        let w1 = self.pool.fresh_str("star.head");
-        let w2 = self.pool.fresh_str("star.last");
+        let w1 = self.pool.fresh_str();
+        let w2 = self.pool.fresh_str();
         let head = self.hat_star_constraint(body, w1);
         let last_model = self.model(body, w2, None, None);
         let undefs = self.undef_all(body);
@@ -761,13 +759,13 @@ impl<'p> ModelBuilder<'p> {
                 // the final iteration binds the canonical captures.
                 let mut terms = Vec::new();
                 let mut conjuncts = Vec::new();
-                for c in 0..m - 1 {
-                    let x = self.pool.fresh_str(format!("bref.{c}"));
+                for _ in 0..m - 1 {
+                    let x = self.pool.fresh_str();
                     terms.push(Term::Var(x));
                     let f = self.model_shadow_copy(body, x);
                     conjuncts.push(f);
                 }
-                let last = self.pool.fresh_str("bref.last");
+                let last = self.pool.fresh_str();
                 terms.push(Term::Var(last));
                 let f = self.model(body, last, None, None);
                 conjuncts.push(f);
@@ -775,7 +773,7 @@ impl<'p> ModelBuilder<'p> {
                 branches.push(Formula::and(conjuncts));
             } else {
                 // Same-value expansion: all m iterations share one word.
-                let x = self.pool.fresh_str("bref.rep");
+                let x = self.pool.fresh_str();
                 let f = self.model(body, x, None, None);
                 branches.push(Formula::and(vec![
                     Formula::eq_concat(w, vec![Term::Var(x); m as usize]),

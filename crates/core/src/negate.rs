@@ -45,7 +45,7 @@ use strsolve::{Atom, Formula};
 /// use strsolve::{Formula, VarPool};
 ///
 /// let mut pool = VarPool::new();
-/// let v = pool.fresh_str("v");
+/// let v = pool.fresh_str();
 /// let f = Formula::or(vec![Formula::eq_lit(v, "a"), Formula::eq_lit(v, "b")]);
 /// let neg = nnf_negate(&f);
 /// assert_eq!(
@@ -107,8 +107,8 @@ mod tests {
     #[test]
     fn atom_negations() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
-        let b = pool.fresh_bool("b");
+        let v = pool.fresh_str();
+        let b = pool.fresh_bool();
         assert_eq!(
             nnf_negate(&Formula::eq_lit(v, "x")),
             Formula::ne_lit(v, "x")
@@ -124,9 +124,9 @@ mod tests {
     fn and_keeps_partitions_positive() {
         // ¬(w = a ++ b ∧ a ∈ L) = (w = a ++ b) ∧ (a ∉ L) — the §4.4 shape.
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let w = pool.fresh_str();
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(a), Term::Var(b)]),
             Formula::eq_lit(a, "x"),
@@ -144,8 +144,8 @@ mod tests {
     #[test]
     fn pure_structure_negates_to_bottom() {
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let a = pool.fresh_str("a");
+        let w = pool.fresh_str();
+        let a = pool.fresh_str();
         let f = Formula::and(vec![Formula::eq_concat(w, vec![Term::Var(a)])]);
         // Formula::and of a single item collapses to the atom itself.
         assert_eq!(nnf_negate(&f), Formula::bottom());
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn or_becomes_and() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::or(vec![Formula::eq_lit(v, "a"), Formula::eq_lit(v, "b")]);
         assert_eq!(
             nnf_negate(&f),
@@ -165,8 +165,8 @@ mod tests {
     #[test]
     fn double_negation_of_atoms_is_identity() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
-        let u = pool.fresh_str("u");
+        let v = pool.fresh_str();
+        let u = pool.fresh_str();
         for f in [
             Formula::eq_lit(v, "a"),
             Formula::ne_lit(v, "a"),

@@ -5,6 +5,13 @@
 //! methods, capture-group access, string comparison, arrays, and
 //! assertions (Listing 1 of the paper is expressible verbatim modulo
 //! syntax).
+//!
+//! Function declarations and regex literals sit behind [`Arc`]s, so
+//! cloning a [`Program`] (once per submitted job), declaring a function
+//! and evaluating a literal (once per execution) copy a pointer, not an
+//! AST.
+
+use std::sync::Arc;
 
 use regex_syntax_es6::Regex;
 
@@ -78,7 +85,7 @@ pub enum Stmt {
         /// Coverage id.
         id: StmtId,
         /// The function.
-        func: Function,
+        func: Arc<Function>,
     },
     /// `return e;`
     Return {
@@ -142,7 +149,7 @@ pub enum Expr {
     /// String literal.
     Str(String),
     /// Regex literal `/source/flags`.
-    Regex(Regex),
+    Regex(Arc<Regex>),
     /// Array literal.
     Array(Vec<Expr>),
     /// Variable reference.

@@ -28,7 +28,7 @@ use strsolve::{Solver, SolverConfig};
 
 use crate::ast::{Program, StmtId};
 use crate::caching::DseCaches;
-use crate::interp::{execute, Harness, InterpConfig};
+use crate::interp::{execute_with, Harness, InterpConfig, MatcherMemo};
 use crate::solve::{FlipResult, QueryRecord, TraceFlipSession};
 
 /// Engine configuration.
@@ -263,6 +263,8 @@ pub fn run_dse_observed(
         max_steps: config.max_steps,
     };
     let mut rng = StdRng::seed_from_u64(config.seed);
+    // Each regex literal compiles once per run, not once per call.
+    let mut matchers = MatcherMemo::default();
 
     // CUPA buckets: fork point → queued cases, with access counts.
     let mut buckets: HashMap<StmtId, Vec<TestCase>> = HashMap::new();
@@ -293,7 +295,13 @@ pub fn run_dse_observed(
         let case = cases.swap_remove(idx);
 
         // Concrete + symbolic execution.
-        let trace = execute(program, harness, &case.inputs, &interp_config);
+        let trace = execute_with(
+            program,
+            harness,
+            &case.inputs,
+            &interp_config,
+            &mut matchers,
+        );
         report.executions += 1;
         report.coverage.extend(trace.coverage.iter().copied());
         report.matcher_fast_path += trace.matcher_fast_path;

@@ -14,10 +14,11 @@
 //!    directions the global [`crate::frontier::CoverageMap`] has not
 //!    witnessed yet — seeds whose remaining flips are all covered are
 //!    demoted behind any seed still reaching unflipped branches;
-//! 2. the entry's inputs run concretely+symbolically ([`execute`]);
-//!    the observed trail replaces the prediction, coverage and the
-//!    unique-path set grow, and assertion failures are deduplicated by
-//!    trail digest into the bug list;
+//! 2. the entry's inputs run concretely+symbolically ([`execute_with`],
+//!    with the run's compiled matchers); the observed trail replaces
+//!    the prediction, coverage and the unique-path set grow, and
+//!    assertion failures are deduplicated by trail digest into the bug
+//!    list;
 //! 3. every clause flip of the new trace is solved (the same
 //!    [`TraceFlipSession`]-backed fan-out the per-job engine uses, so
 //!    flip results arrive in clause order at any worker count), and
@@ -41,7 +42,7 @@ use crate::ast::{Program, StmtId};
 use crate::caching::DseCaches;
 use crate::engine::{build_solver, resolve_workers, solve_trace_flips, EngineConfig};
 use crate::frontier::{CoverageMap, FrontierScheduler};
-use crate::interp::{execute, Harness, InterpConfig};
+use crate::interp::{execute_with, Harness, InterpConfig, MatcherMemo};
 use crate::solve::QueryRecord;
 use crate::store::{trail_digest, CorpusStore, Fnv};
 
@@ -287,6 +288,8 @@ pub fn explore_observed(
         max_steps: engine.max_steps,
     };
 
+    // Each regex literal compiles once per run, not once per call.
+    let mut matchers = MatcherMemo::default();
     let mut corpus = CorpusStore::new();
     let mut frontier = FrontierScheduler::new();
     let mut coverage_map = CoverageMap::new();
@@ -320,7 +323,7 @@ pub fn explore_observed(
         let inputs = corpus.get(seed).inputs.clone();
 
         // Concrete + symbolic execution of the scheduled seed.
-        let trace = execute(program, harness, &inputs, &interp_config);
+        let trace = execute_with(program, harness, &inputs, &interp_config, &mut matchers);
         let trail: Vec<(StmtId, bool)> =
             trace.path.iter().map(|c| (c.branch_id, c.taken)).collect();
         for &(branch, taken) in &trail {

@@ -6,10 +6,17 @@
 //! calls on symbolic strings (§3.2 of the paper). The
 //! [`SupportLevel`] selects how much of the regex API is modeled —
 //! the four configurations of Table 7.
+//!
+//! An execution borrows the program: declared functions and regex
+//! literals are shared, not copied. The concrete matchers live in a
+//! [`MatcherMemo`] that a run loop keeps across its executions, so each
+//! literal is compiled once per run rather than once per call.
 
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
+use es6_matcher::{EngineKind, RegExp};
 use expose_core::SupportLevel;
 use regex_syntax_es6::Regex;
 
@@ -89,20 +96,86 @@ impl Harness {
     }
 }
 
+/// The compiled concrete matchers of one run: one [`RegExp`] per regex
+/// literal of the programs it executes, built on first use and reused by
+/// every later execution that borrows the same memo.
+///
+/// Entries are keyed by the literal's address, which stays unique
+/// because the memo cannot outlive the programs (`'p`) whose literals
+/// it has seen. Keep one memo per run and drop it with the run: the
+/// shared [`Program`] itself never holds compiled matchers, so a
+/// resident pool of programs does not keep every compiled pattern
+/// alive.
+#[derive(Debug, Default)]
+pub struct MatcherMemo<'p> {
+    matchers: HashMap<(*const Regex, bool), RegExp>,
+    programs: PhantomData<&'p Program>,
+}
+
+impl<'p> MatcherMemo<'p> {
+    /// The matcher for `literal`. With `stateless`, it runs as if the
+    /// `g` and `y` flags were clear (the in-trace oracle of `test` and
+    /// `exec`); patterns without those flags share one entry for both.
+    ///
+    /// The mini language does not model `lastIndex`, so every matcher
+    /// is handed out with `lastIndex` at 0.
+    fn get(&mut self, literal: &Arc<Regex>, stateless: bool) -> &mut RegExp {
+        let stateless = stateless && literal.flags.is_stateful();
+        let re = self
+            .matchers
+            .entry((Arc::as_ptr(literal), stateless))
+            .or_insert_with(|| {
+                if stateless {
+                    let mut oracle = Regex::clone(literal);
+                    oracle.flags.global = false;
+                    oracle.flags.sticky = false;
+                    RegExp::from_regex(oracle)
+                } else {
+                    RegExp::from_shared(Arc::clone(literal))
+                }
+            });
+        re.set_last_index(0);
+        re
+    }
+}
+
 /// Executes `program` under `harness` with the given concrete values
 /// for the symbolic inputs (missing inputs default to `""`).
+///
+/// Compiles every regex literal it applies afresh; a run that executes
+/// the same program repeatedly should call [`execute_with`] with one
+/// [`MatcherMemo`] instead. Both give identical traces.
 pub fn execute(
     program: &Program,
     harness: &Harness,
     inputs: &[String],
     config: &InterpConfig,
 ) -> Trace {
+    execute_with(
+        program,
+        harness,
+        inputs,
+        config,
+        &mut MatcherMemo::default(),
+    )
+}
+
+/// [`execute`] with the run's compiled matchers: literals already in
+/// `matchers` are not compiled again, and new ones are added to it.
+pub fn execute_with<'p>(
+    program: &'p Program,
+    harness: &Harness,
+    inputs: &[String],
+    config: &InterpConfig,
+    matchers: &mut MatcherMemo<'p>,
+) -> Trace {
     let mut interp = Interp {
         config: config.clone(),
         globals: HashMap::new(),
         functions: HashMap::new(),
+        matchers,
         trace: Trace::default(),
-        inputs: inputs.to_vec(),
+        inputs,
         next_input: 0,
         steps_left: config.max_steps,
         aborted: false,
@@ -116,12 +189,12 @@ pub fn execute(
     }
     // Harness call.
     if let Some(entry) = &harness.entry {
-        if let Some(func) = interp.functions.get(entry).cloned() {
+        if let Some(&func) = interp.functions.get(entry.as_str()) {
             let mut args = Vec::new();
             for spec in &harness.args {
                 args.push(interp.make_arg(spec));
             }
-            interp.call_function(&func, args);
+            interp.call_function(func, args);
         }
     }
     interp.trace.inputs_used = interp.next_input;
@@ -175,18 +248,20 @@ impl Control {
     }
 }
 
-struct Interp {
+struct Interp<'p, 'm> {
     config: InterpConfig,
     globals: HashMap<String, Concolic>,
-    functions: HashMap<String, Rc<Function>>,
+    /// Declared functions, borrowed from the program.
+    functions: HashMap<&'p str, &'p Function>,
+    matchers: &'m mut MatcherMemo<'p>,
     trace: Trace,
-    inputs: Vec<String>,
+    inputs: &'m [String],
     next_input: usize,
     steps_left: u64,
     aborted: bool,
 }
 
-impl Interp {
+impl<'p> Interp<'p, '_> {
     fn make_arg(&mut self, spec: &ArgSpec) -> Concolic {
         match spec {
             ArgSpec::SymbolicString => self.fresh_input(),
@@ -207,10 +282,10 @@ impl Interp {
 
     /// Records which match engine a concrete regex execution used (the
     /// routing is decided per pattern by `es6_matcher::select`).
-    fn note_engine(&mut self, re: &es6_matcher::RegExp) {
-        match re.engine_kind() {
-            es6_matcher::EngineKind::PikeVm => self.trace.matcher_fast_path += 1,
-            es6_matcher::EngineKind::Backtrack => self.trace.matcher_fallback += 1,
+    fn note_engine(&mut self, kind: EngineKind) {
+        match kind {
+            EngineKind::PikeVm => self.trace.matcher_fast_path += 1,
+            EngineKind::Backtrack => self.trace.matcher_fallback += 1,
         }
     }
 
@@ -223,7 +298,7 @@ impl Interp {
         true
     }
 
-    fn call_function(&mut self, func: &Rc<Function>, args: Vec<Concolic>) -> Concolic {
+    fn call_function(&mut self, func: &'p Function, args: Vec<Concolic>) -> Concolic {
         let mut scope = new_scope();
         for (i, param) in func.params.iter().enumerate() {
             let value = args
@@ -242,7 +317,7 @@ impl Interp {
         Concolic::concrete(Value::Undefined)
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt, scope: &mut Scope) -> Control {
+    fn exec_stmt(&mut self, stmt: &'p Stmt, scope: &mut Scope) -> Control {
         if !self.tick() {
             return Control::Abort;
         }
@@ -333,8 +408,7 @@ impl Interp {
                 Control::Normal
             }
             Stmt::FunctionDecl { func, .. } => {
-                self.functions
-                    .insert(func.name.clone(), Rc::new(func.clone()));
+                self.functions.insert(&func.name, func);
                 Control::Normal
             }
             Stmt::Return { value, .. } => {
@@ -372,7 +446,7 @@ impl Interp {
         }
     }
 
-    fn eval(&mut self, expr: &Expr, scope: &mut Scope) -> Concolic {
+    fn eval(&mut self, expr: &'p Expr, scope: &mut Scope) -> Concolic {
         if !self.tick() {
             return Concolic::concrete(Value::Undefined);
         }
@@ -382,7 +456,7 @@ impl Interp {
             Expr::Bool(b) => Concolic::concrete(Value::Bool(*b)),
             Expr::Num(n) => Concolic::concrete(Value::Num(*n)),
             Expr::Str(s) => Concolic::concrete(Value::Str(s.clone())),
-            Expr::Regex(r) => Concolic::concrete(Value::RegExp(Rc::new(r.clone()))),
+            Expr::Regex(r) => Concolic::concrete(Value::RegExp(Arc::clone(r))),
             Expr::Array(items) => {
                 let values = items.iter().map(|e| self.eval(e, scope)).collect();
                 Concolic::concrete(Value::Array(values))
@@ -428,8 +502,8 @@ impl Interp {
             Expr::Binary(op, lhs, rhs) => self.eval_binary(*op, lhs, rhs, scope),
             Expr::Call(name, args) => {
                 let argv: Vec<Concolic> = args.iter().map(|a| self.eval(a, scope)).collect();
-                match self.functions.get(name).cloned() {
-                    Some(func) => self.call_function(&func, argv),
+                match self.functions.get(name.as_str()) {
+                    Some(&func) => self.call_function(func, argv),
                     None => Concolic::concrete(Value::Undefined),
                 }
             }
@@ -459,7 +533,13 @@ impl Interp {
         }
     }
 
-    fn eval_binary(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr, scope: &mut Scope) -> Concolic {
+    fn eval_binary(
+        &mut self,
+        op: BinOp,
+        lhs: &'p Expr,
+        rhs: &'p Expr,
+        scope: &mut Scope,
+    ) -> Concolic {
         // Short-circuit operators evaluate lazily.
         if matches!(op, BinOp::And | BinOp::Or) {
             let l = self.eval(lhs, scope);
@@ -608,9 +688,10 @@ impl Interp {
                     }
                     // Global match: concrete only.
                     let s = recv.as_str().unwrap_or_default();
-                    let mut re = es6_matcher::RegExp::from_regex((*regex).clone());
-                    self.note_engine(&re);
-                    return match es6_matcher::string_match(s, &mut re) {
+                    let re = self.matchers.get(&regex, false);
+                    let (kind, all) = (re.engine_kind(), es6_matcher::string_match(s, re));
+                    self.note_engine(kind);
+                    return match all {
                         Some(all) => Concolic::concrete(Value::Array(
                             all.into_iter()
                                 .map(|m| Concolic::concrete(Value::Str(m)))
@@ -622,12 +703,11 @@ impl Interp {
                 Concolic::concrete(Value::Null)
             }
             (Value::Str(s), "search") => {
-                if let Some(Value::RegExp(regex)) = args.first().map(|a| a.value.clone()) {
-                    let re = es6_matcher::RegExp::from_regex((*regex).clone());
-                    self.note_engine(&re);
-                    return Concolic::concrete(Value::Num(
-                        es6_matcher::string_search(s, &re) as f64
-                    ));
+                if let Some(Value::RegExp(regex)) = args.first().map(|a| &a.value) {
+                    let re = self.matchers.get(regex, false);
+                    let (kind, at) = (re.engine_kind(), es6_matcher::string_search(s, re));
+                    self.note_engine(kind);
+                    return Concolic::concrete(Value::Num(at as f64));
                 }
                 Concolic::concrete(Value::Num(-1.0))
             }
@@ -635,9 +715,11 @@ impl Interp {
                 if let Some(first) = args.first() {
                     let pieces: Vec<String> = match &first.value {
                         Value::RegExp(regex) => {
-                            let re = es6_matcher::RegExp::from_regex((**regex).clone());
-                            self.note_engine(&re);
-                            es6_matcher::string_split(s, &re, None)
+                            let re = self.matchers.get(regex, false);
+                            let kind = re.engine_kind();
+                            let pieces = es6_matcher::string_split(s, re, None);
+                            self.note_engine(kind);
+                            pieces
                         }
                         Value::Str(sep) => s.split(sep.as_str()).map(String::from).collect(),
                         _ => vec![s.clone()],
@@ -658,9 +740,11 @@ impl Interp {
                 let rep_str = rep.value.to_display();
                 let result = match &pat.value {
                     Value::RegExp(regex) => {
-                        let mut re = es6_matcher::RegExp::from_regex((**regex).clone());
-                        self.note_engine(&re);
-                        es6_matcher::string_replace(s, &mut re, &rep_str)
+                        let re = self.matchers.get(regex, false);
+                        let kind = re.engine_kind();
+                        let replaced = es6_matcher::string_replace(s, re, &rep_str);
+                        self.note_engine(kind);
+                        replaced
                     }
                     Value::Str(needle) => s.replacen(needle.as_str(), &rep_str, 1),
                     _ => s.clone(),
@@ -744,11 +828,11 @@ impl Interp {
     /// The symbolic regex operation (§3.2): runs the concrete matcher,
     /// records a [`RegexEvent`] when the subject is symbolic, and
     /// returns the (concolic) result.
-    fn regex_exec(&mut self, regex: Rc<Regex>, subject: Concolic, as_test: bool) -> Concolic {
+    fn regex_exec(&mut self, regex: Arc<Regex>, subject: Concolic, as_test: bool) -> Concolic {
         let concrete_subject = subject.value.to_display();
-        let mut oracle = es6_matcher::RegExp::from_regex(oracle_regex(&regex));
-        self.note_engine(&oracle);
-        let result = oracle.exec(&concrete_subject);
+        let oracle = self.matchers.get(&regex, true);
+        let (kind, result) = (oracle.engine_kind(), oracle.exec(&concrete_subject));
+        self.note_engine(kind);
         let matched = result.is_some();
 
         let symbolic = self.config.support.models_regex()
@@ -757,7 +841,7 @@ impl Interp {
         let event = if symbolic {
             let event_id = self.trace.events.len();
             self.trace.events.push(RegexEvent {
-                regex: (*regex).clone(),
+                regex,
                 subject: subject.sym.clone().expect("checked symbolic"),
                 matched,
                 concrete_captures: result
@@ -817,14 +901,6 @@ impl Interp {
             }
         }
     }
-}
-
-/// The oracle regex for in-trace matching: stateful flags cleared.
-fn oracle_regex(regex: &Regex) -> Regex {
-    let mut r = regex.clone();
-    r.flags.global = false;
-    r.flags.sticky = false;
-    r
 }
 
 fn to_num(v: &Value) -> f64 {
@@ -912,6 +988,36 @@ mod tests {
             &trace.path[2].cond,
             SymExpr::StrEq(lhs, _) if matches!(**lhs, SymExpr::Capture { index: 1, .. })
         ));
+    }
+
+    #[test]
+    fn one_literal_serves_the_oracle_and_the_flagged_matcher() {
+        // `test` matches as if `g` and `y` were clear; `replace` honours
+        // both. One literal used both ways gets two memo entries, and a
+        // warm memo gives the same answers as a cold one.
+        let program = parse_program(
+            r#"function f(x) {
+                let re = /a/gy;
+                assert(re.test("ba") === true);
+                assert("aab".replace(re, "-") === "--b");
+                assert(re.test("ba") === true);
+            }"#,
+        )
+        .expect("parse");
+        let harness = Harness::strings("f", 1);
+        let mut matchers = MatcherMemo::default();
+        for _ in 0..2 {
+            let trace = execute_with(
+                &program,
+                &harness,
+                &[String::new()],
+                &InterpConfig::default(),
+                &mut matchers,
+            );
+            assert!(trace.assertion_failures.is_empty());
+            assert_eq!(trace.matcher_fast_path, 3);
+        }
+        assert_eq!(matchers.matchers.len(), 2);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use explore::{
     IterationProgress, StopReason,
 };
 pub use frontier::{CoverageMap, FrontierScheduler};
-pub use interp::{execute, ArgSpec, Harness, InterpConfig};
+pub use interp::{execute, execute_with, ArgSpec, Harness, InterpConfig, MatcherMemo};
 pub use sched::{Completion, JobId, Scheduler, SchedulerConfig, ShardStats};
 pub use solve::{solve_flip, FlipResult, QueryRecord, TraceFlipSession};
 pub use store::{content_hash, trail_digest, CorpusEntry, CorpusStore};

@@ -1,6 +1,7 @@
 //! Recursive-descent parser for the mini-JS language.
 
 use std::fmt;
+use std::sync::Arc;
 
 use regex_syntax_es6::Regex;
 
@@ -70,9 +71,17 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         body.push(parser.statement()?);
     }
     Ok(Program {
-        body,
+        body: exact(body),
         stmt_count: parser.next_id,
     })
+}
+
+/// `items` without spare capacity. A parsed program lives as long as the
+/// pool that holds it, and pushing leaves a vector up to twice (a short
+/// one up to four times) the room its items take.
+fn exact<T>(mut items: Vec<T>) -> Vec<T> {
+    items.shrink_to_fit();
+    items
 }
 
 struct Parser {
@@ -216,7 +225,11 @@ impl Parser {
             if let Some(update) = update {
                 body.push(update);
             }
-            let while_stmt = Stmt::While { id, cond, body };
+            let while_stmt = Stmt::While {
+                id,
+                cond,
+                body: exact(body),
+            };
             return Ok(match init {
                 Some(init) => {
                     // Wrap in a synthetic block via an If(true) so the
@@ -246,10 +259,11 @@ impl Parser {
                     self.expect_punct(",")?;
                 }
             }
+            let params = exact(params);
             let body = self.block()?;
             return Ok(Stmt::FunctionDecl {
                 id,
-                func: Function { name, params, body },
+                func: Arc::new(Function { name, params, body }),
             });
         }
         if self.eat_ident("return") {
@@ -315,7 +329,7 @@ impl Parser {
             }
             body.push(self.statement()?);
         }
-        Ok(body)
+        Ok(exact(body))
     }
 
     fn block_or_single(&mut self) -> Result<Vec<Stmt>, ParseError> {
@@ -463,7 +477,7 @@ impl Parser {
         loop {
             args.push(self.expression()?);
             if self.eat_punct(")") {
-                return Ok(args);
+                return Ok(exact(args));
             }
             self.expect_punct(",")?;
         }
@@ -476,7 +490,7 @@ impl Parser {
             Token::Regex(text) => {
                 let regex = Regex::parse_literal(&text)
                     .map_err(|e| self.error(format!("bad regex literal: {e}")))?;
-                Ok(Expr::Regex(regex))
+                Ok(Expr::Regex(Arc::new(regex)))
             }
             Token::Punct("(") => {
                 let e = self.expression()?;
@@ -494,7 +508,7 @@ impl Parser {
                         self.expect_punct(",")?;
                     }
                 }
-                Ok(Expr::Array(items))
+                Ok(Expr::Array(exact(items)))
             }
             Token::Ident(word) => match word.as_str() {
                 "undefined" => Ok(Expr::Undefined),

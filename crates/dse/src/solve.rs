@@ -474,7 +474,7 @@ impl<'a> QueryBuilder<'a> {
         if let Some(&v) = self.input_vars.get(&k) {
             return v;
         }
-        let v = self.pool.fresh_str(format!("input{k}"));
+        let v = self.pool.fresh_str();
         self.input_vars.insert(k, v);
         v
     }
@@ -606,7 +606,7 @@ impl<'a> QueryBuilder<'a> {
                 let Some((tb, gb)) = self.string_terms(events, b) else {
                     return Formula::top();
                 };
-                let v = self.pool.fresh_str("eq");
+                let v = self.pool.fresh_str();
                 let core = Formula::and(vec![
                     Formula::eq_concat(v, ta.clone()),
                     Formula::eq_concat(v, tb.clone()),
@@ -621,8 +621,8 @@ impl<'a> QueryBuilder<'a> {
                 } else {
                     // Inequality: either a guard fails (e.g. an
                     // undefined capture) or the values differ.
-                    let va = self.pool.fresh_str("ne.lhs");
-                    let vb = self.pool.fresh_str("ne.rhs");
+                    let va = self.pool.fresh_str();
+                    let vb = self.pool.fresh_str();
                     let differ = Formula::and(vec![
                         Formula::eq_concat(va, ta),
                         Formula::eq_concat(vb, tb),
@@ -658,7 +658,7 @@ impl<'a> QueryBuilder<'a> {
                 let Some((terms, guards)) = self.string_terms(events, s) else {
                     return Formula::top();
                 };
-                let v = self.pool.fresh_str("truthy");
+                let v = self.pool.fresh_str();
                 let def = Formula::eq_concat(v, terms);
                 if expected {
                     Formula::and(

@@ -6,6 +6,8 @@
 //! — the capturing-language membership of §3.2 — and its result and
 //! capture accesses are referenced symbolically by event index.
 
+use std::sync::Arc;
+
 use regex_syntax_es6::Regex;
 
 use crate::ast::StmtId;
@@ -101,8 +103,8 @@ impl SymExpr {
 /// `(w, C₀, …, Cₙ) ⊡ Lc(R)` constraint source (§3.2).
 #[derive(Debug, Clone)]
 pub struct RegexEvent {
-    /// The regex that was applied.
-    pub regex: Regex,
+    /// The regex that was applied (the program's literal, shared).
+    pub regex: Arc<Regex>,
     /// The symbolic subject string.
     pub subject: SymExpr,
     /// Concrete outcome of this execution.

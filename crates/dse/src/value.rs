@@ -1,6 +1,6 @@
 //! Runtime values and concolic pairs.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use regex_syntax_es6::Regex;
 
@@ -22,8 +22,9 @@ pub enum Value {
     /// An array of concolic values.
     Array(Vec<Concolic>),
     /// A regex object (stateless; `lastIndex` is not modeled in the
-    /// mini language — `g`/`y` matching is handled per call).
-    RegExp(Rc<Regex>),
+    /// mini language — `g`/`y` matching is handled per call). Shares
+    /// the program's literal.
+    RegExp(Arc<Regex>),
 }
 
 impl Value {

@@ -20,9 +20,13 @@ use crate::select::EngineKind;
 /// Matching is routed through the static engine selection of
 /// [`crate::select()`]: patterns the Thompson compiler can express
 /// faithfully run on the linear-time Pike VM, the rest (backreferences
-/// foremost) on the spec-operational backtracker. The compiled program
-/// is cached lazily on first use, so cloning a `RegExp` is cheap and
-/// routing is decided once per pattern.
+/// foremost) on the spec-operational backtracker.
+///
+/// The parsed pattern and its lazily compiled program live behind one
+/// shared pointer; only `lastIndex` is per object. Cloning a `RegExp`
+/// therefore copies a pointer and an index, and every clone shares one
+/// compilation (routing is decided once per pattern, whichever clone
+/// matches first), while each clone keeps its own `lastIndex`.
 ///
 /// # Examples
 ///
@@ -40,11 +44,25 @@ use crate::select::EngineKind;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RegExp {
-    regex: Regex,
+    shared: Arc<Compiled>,
     last_index: usize,
+}
+
+/// The part of a [`RegExp`] its clones share.
+#[derive(Debug)]
+struct Compiled {
+    regex: Arc<Regex>,
     /// Lazily compiled fast-path program; `Some(None)` caches a
     /// fallback decision so compilation is attempted at most once.
-    compiled: OnceLock<Option<Arc<Prog>>>,
+    prog: OnceLock<Option<Prog>>,
+}
+
+impl Compiled {
+    fn prog(&self) -> Option<&Prog> {
+        self.prog
+            .get_or_init(|| prog::compile(&self.regex.ast, self.regex.flags).ok())
+            .as_ref()
+    }
 }
 
 /// The result of a successful `exec`: the JavaScript match array.
@@ -80,11 +98,7 @@ impl RegExp {
     /// Returns [`ParseError`] for invalid patterns or flags.
     pub fn new(pattern: &str, flags: &str) -> Result<RegExp, ParseError> {
         let flags: Flags = flags.parse()?;
-        Ok(RegExp {
-            regex: Regex::new(pattern, flags)?,
-            last_index: 0,
-            compiled: OnceLock::new(),
-        })
+        Ok(RegExp::from_regex(Regex::new(pattern, flags)?))
     }
 
     /// Creates a `RegExp` from a `/pattern/flags` literal.
@@ -93,30 +107,34 @@ impl RegExp {
     ///
     /// Returns [`ParseError`] for malformed literals.
     pub fn from_literal(literal: &str) -> Result<RegExp, ParseError> {
-        Ok(RegExp {
-            regex: Regex::parse_literal(literal)?,
-            last_index: 0,
-            compiled: OnceLock::new(),
-        })
+        Ok(RegExp::from_regex(Regex::parse_literal(literal)?))
     }
 
     /// Wraps an already-parsed [`Regex`].
     pub fn from_regex(regex: Regex) -> RegExp {
+        RegExp::from_shared(Arc::new(regex))
+    }
+
+    /// Wraps a shared parsed [`Regex`] without copying it, e.g. a regex
+    /// literal of a program that many executions match against.
+    pub fn from_shared(regex: Arc<Regex>) -> RegExp {
         RegExp {
-            regex,
+            shared: Arc::new(Compiled {
+                regex,
+                prog: OnceLock::new(),
+            }),
             last_index: 0,
-            compiled: OnceLock::new(),
         }
     }
 
     /// The parsed pattern.
     pub fn regex(&self) -> &Regex {
-        &self.regex
+        &self.shared.regex
     }
 
     /// The flag set.
     pub fn flags(&self) -> Flags {
-        self.regex.flags
+        self.shared.regex.flags
     }
 
     /// Current `lastIndex` (in characters, as our strings are char
@@ -132,14 +150,8 @@ impl RegExp {
 
     /// The compiled fast-path program, compiling (once) on first use;
     /// `None` when the pattern is routed to the backtracker.
-    fn prog(&self) -> Option<&Arc<Prog>> {
-        self.compiled
-            .get_or_init(|| {
-                prog::compile(&self.regex.ast, self.regex.flags)
-                    .ok()
-                    .map(Arc::new)
-            })
-            .as_ref()
+    fn prog(&self) -> Option<&Prog> {
+        self.shared.prog()
     }
 
     /// Which engine this pattern is routed to (see [`crate::select()`]).
@@ -183,15 +195,16 @@ impl RegExp {
         step_limit: Option<u64>,
     ) -> Result<Option<MatchResult>, crate::exec::StepLimitExceeded> {
         let chars: Vec<char> = input.chars().collect();
-        let stateful = self.regex.flags.is_stateful();
+        let compiled = &*self.shared;
+        let stateful = compiled.regex.flags.is_stateful();
         let start = if stateful { self.last_index } else { 0 };
         if start > chars.len() {
             self.last_index = 0;
             return Ok(None);
         }
-        let sticky = self.regex.flags.sticky;
-        let found = if let Some(prog) = self.prog().cloned() {
-            let vm = PikeVm::new(&prog);
+        let sticky = compiled.regex.flags.sticky;
+        let found = if let Some(prog) = compiled.prog() {
+            let vm = PikeVm::new(prog);
             match step_limit {
                 None => {
                     if sticky {
@@ -209,7 +222,7 @@ impl RegExp {
                 }
             }
         } else {
-            let engine = Engine::new(&self.regex.ast, self.regex.flags);
+            let engine = Engine::new(&compiled.regex.ast, compiled.regex.flags);
             match step_limit {
                 None => {
                     if sticky {
@@ -264,14 +277,14 @@ impl RegExp {
 /// previously `string_replace` constructed a fresh backtracking engine
 /// on every loop iteration.
 enum AnchoredMatcher<'r> {
-    Vm(Arc<Prog>),
+    Vm(&'r Prog),
     Bt(Engine<'r>),
 }
 
 impl AnchoredMatcher<'_> {
     fn for_regexp(regexp: &RegExp) -> AnchoredMatcher<'_> {
         match regexp.prog() {
-            Some(prog) => AnchoredMatcher::Vm(prog.clone()),
+            Some(prog) => AnchoredMatcher::Vm(prog),
             None => AnchoredMatcher::Bt(Engine::new(&regexp.regex().ast, regexp.flags())),
         }
     }
@@ -335,18 +348,13 @@ pub fn string_match(input: &str, regexp: &mut RegExp) -> Option<Vec<String>> {
 }
 
 /// `String.prototype.search(regexp)` (§21.1.3.15): index of the first
-/// match or -1. Ignores and does not mutate `lastIndex`.
+/// match or -1. Ignores and does not mutate `lastIndex`: the search runs
+/// from index 0 as if `g` and `y` were clear, which the compiled
+/// program does not depend on.
 pub fn string_search(input: &str, regexp: &RegExp) -> isize {
-    let mut probe = RegExp::from_regex(Regex {
-        flags: Flags {
-            global: false,
-            sticky: false,
-            ..regexp.flags()
-        },
-        ..regexp.regex().clone()
-    });
-    match probe.exec(input) {
-        Some(m) => m.index as isize,
+    let chars: Vec<char> = input.chars().collect();
+    match AnchoredMatcher::for_regexp(regexp).search(&chars, 0) {
+        Some(m) => m.start as isize,
         None => -1,
     }
 }
@@ -528,6 +536,39 @@ mod tests {
         assert_eq!(r.last_index(), 5);
         assert!(!r.test("goood"));
         assert_eq!(r.last_index(), 0);
+    }
+
+    #[test]
+    fn clones_share_the_program_but_not_last_index() {
+        // The §2.1 sticky example on two clones of one object: both see
+        // one compiled program, each advances its own lastIndex.
+        let first = RegExp::from_literal("/goo+d/y").expect("valid");
+        let mut a = first.clone();
+        let mut b = first.clone();
+        assert!(a.test("goood"));
+        assert_eq!((a.last_index(), b.last_index()), (5, 0));
+        assert!(b.test("goood"));
+        assert!(!a.test("goood"));
+        assert_eq!((a.last_index(), b.last_index()), (0, 5));
+        assert_eq!(first.last_index(), 0);
+
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
+        let prog = |re: &RegExp| re.prog().map(|p| p as *const Prog);
+        assert!(prog(&first).is_some(), "the pattern takes the fast path");
+        assert_eq!(prog(&a), prog(&first));
+        assert_eq!(prog(&b), prog(&first));
+    }
+
+    #[test]
+    fn from_shared_wraps_the_literal_without_copying() {
+        let literal = Arc::new(Regex::parse_literal("/goo+d/y").expect("valid"));
+        let mut re = RegExp::from_shared(Arc::clone(&literal));
+        assert!(std::ptr::eq(re.regex(), &*literal));
+        assert_eq!(Arc::strong_count(&literal), 2);
+        assert!(re.test("goood"));
+        assert_eq!(re.last_index(), 5);
+        drop(re);
+        assert_eq!(Arc::strong_count(&literal), 1);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! concrete outcome of the recorded execution (`matched`,
 //! `concrete_captures`) never influences a flip query and is not sent.
 
+use std::sync::Arc;
+
 use expose_dse::sym::{RegexEvent, SymExpr};
 use regex_syntax_es6::Regex;
 
@@ -204,7 +206,7 @@ pub fn parse_event(v: &Value) -> Result<RegexEvent, String> {
     )
     .map_err(|e| format!("event subject: {e}"))?;
     Ok(RegexEvent {
-        regex,
+        regex: Arc::new(regex),
         subject,
         matched: false,
         concrete_captures: Vec::new(),
@@ -258,7 +260,7 @@ mod tests {
     fn events_roundtrip_regex_and_subject() {
         let regex = Regex::new("^a+$", "gi".parse().expect("flags")).expect("regex");
         let event = RegexEvent {
-            regex,
+            regex: Arc::new(regex),
             subject: SymExpr::Concat(vec![SymExpr::Input(0), SymExpr::StrLit("x".into())]),
             matched: true,
             concrete_captures: vec![Some("aa".into())],

@@ -577,9 +577,9 @@ mod tests {
         // does per flip — must produce byte-identical canonical output
         // to canonicalizing the whole conjunction at once.
         let mut pool = VarPool::new();
-        let _pad = pool.fresh_str("pad"); // skew raw indices
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let _pad = pool.fresh_str(); // skew raw indices
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         let prefix = Formula::eq_concat(a, vec![Term::Var(b), Term::lit("x")]);
         let suffix = Formula::eq_lit(b, "y");
         let whole = Formula::and(vec![prefix.clone(), suffix.clone()]);

@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn and_simplifies_constants() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::and(vec![Formula::top(), Formula::eq_lit(v, "x")]);
         assert_eq!(f, Formula::eq_lit(v, "x"));
         let f = Formula::and(vec![Formula::bottom(), Formula::eq_lit(v, "x")]);
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn or_simplifies_constants() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::or(vec![Formula::bottom(), Formula::eq_lit(v, "x")]);
         assert_eq!(f, Formula::eq_lit(v, "x"));
         let f = Formula::or(vec![Formula::top(), Formula::eq_lit(v, "x")]);
@@ -324,8 +324,8 @@ mod tests {
     #[test]
     fn nested_flattening() {
         let mut pool = VarPool::new();
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::and(vec![Formula::eq_lit(a, "1"), Formula::eq_lit(b, "2")]),
             Formula::eq_var(a, b),
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn atom_and_or_counts() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::or(vec![
             Formula::eq_lit(v, "a"),
             Formula::and(vec![Formula::eq_lit(v, "b"), Formula::ne_lit(v, "c")]),
@@ -351,9 +351,9 @@ mod tests {
     #[test]
     fn offset_vars_shifts_every_variable_kind() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
-        let u = pool.fresh_str("u");
-        let b = pool.fresh_bool("b");
+        let v = pool.fresh_str();
+        let u = pool.fresh_str();
+        let b = pool.fresh_bool();
         let f = Formula::and(vec![
             Formula::eq_concat(v, vec![Term::lit("a"), Term::Var(u)]),
             Formula::bool_is(b, true),
@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn display_is_readable() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::eq_concat(v, vec![Term::lit("a"), Term::Var(v)]);
         assert_eq!(f.to_string(), "s0 = \"a\" ++ s0");
     }

@@ -19,8 +19,8 @@
 //! use automata::{CharSet, CRegex};
 //!
 //! let mut pool = VarPool::new();
-//! let w = pool.fresh_str("w");
-//! let tag = pool.fresh_str("C1");
+//! let w = pool.fresh_str();
+//! let tag = pool.fresh_str();
 //! // w = "<" ++ tag ++ ">"  ∧  tag ∈ [a-z]+
 //! let formula = Formula::and(vec![
 //!     Formula::eq_concat(w, vec![Term::lit("<"), Term::Var(tag), Term::lit(">")]),

@@ -144,8 +144,8 @@ mod tests {
     #[test]
     fn set_and_get() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
-        let b = pool.fresh_bool("b");
+        let v = pool.fresh_str();
+        let b = pool.fresh_bool();
         let mut m = Model::new();
         m.set_str(v, "hello");
         m.set_bool(b, true);
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn unconstrained_bool_defaults_false() {
         let mut pool = VarPool::new();
-        let b = pool.fresh_bool("b");
+        let b = pool.fresh_bool();
         let m = Model::new();
         assert!(!m.get_bool(b));
     }

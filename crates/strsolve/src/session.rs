@@ -451,7 +451,7 @@ impl<'a> SessionView<'a> {
 /// use strsolve::{session::SolveSession, Formula, Solver, VarPool};
 ///
 /// let mut pool = VarPool::new();
-/// let v = pool.fresh_str("v");
+/// let v = pool.fresh_str();
 /// let mut session = SolveSession::new(Solver::default());
 /// session.push(vec![Formula::eq_lit(v, "hello")]);
 /// // Flip query at depth 1: prefix ∧ assumption.
@@ -715,10 +715,10 @@ mod tests {
     /// and literal (dis)equalities.
     fn corpus() -> (Vec<Vec<Formula>>, Vec<Vec<Formula>>) {
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let p1 = pool.fresh_str("p1");
-        let p2 = pool.fresh_str("p2");
-        let q = pool.fresh_str("q");
+        let w = pool.fresh_str();
+        let p1 = pool.fresh_str();
+        let p2 = pool.fresh_str();
+        let q = pool.fresh_str();
         let frames = vec![
             vec![Formula::eq_concat(
                 w,
@@ -889,8 +889,8 @@ mod tests {
         // Also a grouped item that is itself an `And` (one level is
         // flattened) and one with a boolean variable.
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("late");
-        let flag = pool.fresh_bool("flag");
+        let v = pool.fresh_str();
+        let flag = pool.fresh_bool();
         let mut assumptions = assumptions;
         assumptions.push(vec![
             Formula::ne_lit(v, "q"),
@@ -913,11 +913,11 @@ mod tests {
         // offsets) or rebuilt from the shifted formula (equal content).
         let (frames, _) = corpus();
         let mut pool = VarPool::new();
-        for i in 0..4 {
-            pool.fresh_str(format!("v{i}"));
+        for _ in 0..4 {
+            pool.fresh_str();
         }
-        let m = pool.fresh_str("m");
-        let flag = pool.fresh_bool("defined");
+        let m = pool.fresh_str();
+        let flag = pool.fresh_bool();
         let model = Formula::and(vec![
             Formula::eq_concat(m, vec![Term::lit("<"), Term::Var(StrVar(0))]),
             Formula::bool_is(flag, false),
@@ -1003,8 +1003,8 @@ mod tests {
     #[test]
     fn a_shape_describes_only_its_own_formula() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
-        let flag = pool.fresh_bool("f");
+        let v = pool.fresh_str();
+        let flag = pool.fresh_bool();
         let item = Formula::and(vec![Formula::eq_lit(v, "x"), Formula::bool_is(flag, true)]);
         let shape = Shape::of(&item);
         assert!(shape.describes(&item, 0, 0));
@@ -1052,10 +1052,7 @@ mod tests {
         assert_eq!(retracted.digest(), digest);
 
         // The retracted slot can be refilled with different content.
-        session.push(vec![Formula::eq_lit(
-            VarPool::new().fresh_str("fresh"),
-            "x",
-        )]);
+        session.push(vec![Formula::eq_lit(VarPool::new().fresh_str(), "x")]);
         assert_eq!(session.depth(), 2);
     }
 
@@ -1087,7 +1084,7 @@ mod tests {
     #[test]
     fn top_level_false_poisons_deeper_depths() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let mut session = SolveSession::new(Solver::default());
         session.push(vec![Formula::eq_lit(v, "a")]);
         session.push(vec![Formula::bottom()]);

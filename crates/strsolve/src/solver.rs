@@ -79,9 +79,9 @@ impl Outcome {
 /// use automata::{CharSet, CRegex};
 ///
 /// let mut pool = VarPool::new();
-/// let w = pool.fresh_str("w");
-/// let w1 = pool.fresh_str("w1");
-/// let w2 = pool.fresh_str("w2");
+/// let w = pool.fresh_str();
+/// let w1 = pool.fresh_str();
+/// let w2 = pool.fresh_str();
 /// let formula = Formula::and(vec![
 ///     Formula::eq_concat(w, vec![Term::Var(w1), Term::Var(w2)]),
 ///     Formula::in_re(w1, CRegex::plus(CRegex::set(CharSet::single('a')))),
@@ -174,7 +174,7 @@ impl Solver {
 /// let a = Solver::default().with_dfa_tables(&tables);
 /// let b = Solver::default().with_dfa_tables(&tables);
 /// let mut pool = VarPool::new();
-/// let v = pool.fresh_str("v");
+/// let v = pool.fresh_str();
 /// let re = CRegex::plus(CRegex::set(CharSet::single('a')));
 /// a.solve(&Formula::in_re(v, re.clone()));
 /// let before = tables.hits();
@@ -2036,7 +2036,7 @@ mod tests {
     #[test]
     fn membership_witness() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let re = CRegex::plus(re_char('a'));
         let outcome = solve(&Formula::in_re(v, re));
         let model = outcome.model().expect("sat");
@@ -2046,7 +2046,7 @@ mod tests {
     #[test]
     fn membership_conflict_is_unsat() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::in_re(v, CRegex::plus(re_char('a'))),
             Formula::in_re(v, CRegex::plus(re_char('b'))),
@@ -2057,7 +2057,7 @@ mod tests {
     #[test]
     fn eq_lit_checked_against_membership() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::in_re(v, CRegex::plus(re_char('a'))),
             Formula::eq_lit(v, "aaa"),
@@ -2074,9 +2074,9 @@ mod tests {
     #[test]
     fn concat_equation() {
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let w = pool.fresh_str();
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(a), Term::Var(b)]),
             Formula::in_re(a, CRegex::plus(re_char('x'))),
@@ -2094,9 +2094,9 @@ mod tests {
         // so a lazy enumeration realizes only the words it pulls: two
         // to tell a unit from a branch, for each decided variable.
         let mut pool = VarPool::new();
-        let x = pool.fresh_str("x");
-        let y = pool.fresh_str("y");
-        let z = pool.fresh_str("z");
+        let x = pool.fresh_str();
+        let y = pool.fresh_str();
+        let z = pool.fresh_str();
         let lower = CharSet::range('a', 'z');
         let digit = CharSet::range('0', '9');
         let f = Formula::and(vec![
@@ -2116,9 +2116,9 @@ mod tests {
     #[test]
     fn concat_equation_unsat() {
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let w = pool.fresh_str();
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(a), Term::Var(b)]),
             Formula::in_re(a, CRegex::plus(re_char('x'))),
@@ -2131,7 +2131,7 @@ mod tests {
     #[test]
     fn negative_membership() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::in_re(v, CRegex::star(re_char('a'))),
             Formula::not_in_re(v, CRegex::Epsilon),
@@ -2144,8 +2144,8 @@ mod tests {
     #[test]
     fn alias_merging() {
         let mut pool = VarPool::new();
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         let f = Formula::and(vec![Formula::eq_var(a, b), Formula::eq_lit(b, "shared")]);
         let model = solve(&f).model().expect("sat");
         assert_eq!(model.get_str(a), Some("shared"));
@@ -2154,8 +2154,8 @@ mod tests {
     #[test]
     fn alias_conflict() {
         let mut pool = VarPool::new();
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_var(a, b),
             Formula::eq_lit(a, "x"),
@@ -2167,7 +2167,7 @@ mod tests {
     #[test]
     fn disjunction_explores_branches() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::or(vec![
             Formula::and(vec![
                 Formula::eq_lit(v, "a"),
@@ -2182,7 +2182,7 @@ mod tests {
     #[test]
     fn bool_flags() {
         let mut pool = VarPool::new();
-        let b = pool.fresh_bool("defined");
+        let b = pool.fresh_bool();
         let f = Formula::and(vec![Formula::bool_is(b, true)]);
         let model = solve(&f).model().expect("sat");
         assert!(model.get_bool(b));
@@ -2194,10 +2194,10 @@ mod tests {
     fn nested_equations() {
         // w = u ++ "c", u = a ++ b — two-level nesting.
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let u = pool.fresh_str("u");
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let w = pool.fresh_str();
+        let u = pool.fresh_str();
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(u), Term::lit("c")]),
             Formula::eq_concat(u, vec![Term::Var(a), Term::Var(b)]),
@@ -2213,8 +2213,8 @@ mod tests {
     fn refinement_shape() {
         // The CEGAR clause shape: (w = "aa" ⟹ c = "") ∧ w = "aa".
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let c = pool.fresh_str("c");
+        let w = pool.fresh_str();
+        let c = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_lit(w, "aa"),
             Formula::implies_eq_lit(w, "aa", Formula::eq_lit(c, "")),
@@ -2226,8 +2226,8 @@ mod tests {
     #[test]
     fn cyclic_equation_is_unknown() {
         let mut pool = VarPool::new();
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_concat(a, vec![Term::Var(b), Term::lit("x")]),
             Formula::eq_concat(b, vec![Term::Var(a)]),
@@ -2239,8 +2239,8 @@ mod tests {
     fn shared_var_multiple_occurrences() {
         // w = v ++ v (backreference shape): both halves equal.
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let v = pool.fresh_str("v");
+        let w = pool.fresh_str();
+        let v = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(v), Term::Var(v)]),
             Formula::in_re(v, CRegex::alt(vec![CRegex::lit("ab"), CRegex::lit("c")])),
@@ -2254,8 +2254,8 @@ mod tests {
     fn unsat_exhaustive_finite_language() {
         // v ∈ {a, b} and w = v ++ v and w = "ab" — impossible.
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let v = pool.fresh_str("v");
+        let w = pool.fresh_str();
+        let v = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(v), Term::Var(v)]),
             Formula::in_re(v, CRegex::alt(vec![CRegex::lit("a"), CRegex::lit("b")])),
@@ -2269,8 +2269,8 @@ mod tests {
         // w ∈ a{5}, v ∈ a{3}, w = v ++ v: |w| would have to be 6 ≠ 5.
         // The interval pass must refute this before any word search.
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let v = pool.fresh_str("v");
+        let w = pool.fresh_str();
+        let v = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(v), Term::Var(v)]),
             Formula::in_re(v, CRegex::repeat(re_char('a'), 3, Some(3))),
@@ -2349,11 +2349,7 @@ mod tests {
         // second solve over the same tables builds nothing.
         let tables = DfaTables::new(64);
         let mut pool = VarPool::new();
-        let (w, x, y) = (
-            pool.fresh_str("w"),
-            pool.fresh_str("x"),
-            pool.fresh_str("y"),
-        );
+        let (w, x, y) = (pool.fresh_str(), pool.fresh_str(), pool.fresh_str());
         let formula = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(x), Term::Var(y)]),
             Formula::in_re(w, CRegex::lit("ab")),
@@ -2368,7 +2364,7 @@ mod tests {
     #[test]
     fn stats_are_recorded() {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let (outcome, stats) =
             Solver::default().solve(&Formula::in_re(v, CRegex::plus(re_char('z'))));
         assert!(outcome.is_sat());
@@ -2383,10 +2379,10 @@ mod tests {
         // y. Equation flattening must not diverge substituting the
         // cyclic pair; the solver has to return within its budgets.
         let mut pool = VarPool::new();
-        let x = pool.fresh_str("x");
-        let y = pool.fresh_str("y");
-        let p = pool.fresh_str("p");
-        let w = pool.fresh_str("w");
+        let x = pool.fresh_str();
+        let y = pool.fresh_str();
+        let p = pool.fresh_str();
+        let w = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::eq_concat(x, vec![Term::Var(p), Term::lit("b")]),
             Formula::eq_concat(p, vec![Term::lit("e")]),

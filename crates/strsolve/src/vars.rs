@@ -80,7 +80,7 @@ impl fmt::Display for Term {
     }
 }
 
-/// Allocator for fresh variables, with debug names.
+/// Allocator for fresh variables: two counters, one per sort.
 ///
 /// # Examples
 ///
@@ -88,15 +88,15 @@ impl fmt::Display for Term {
 /// use strsolve::VarPool;
 ///
 /// let mut pool = VarPool::new();
-/// let w = pool.fresh_str("w");
-/// let c1 = pool.fresh_str("C1");
+/// let w = pool.fresh_str();
+/// let c1 = pool.fresh_str();
 /// assert_ne!(w, c1);
-/// assert_eq!(pool.name(w), "w");
+/// assert_eq!(pool.str_count(), 2);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct VarPool {
-    str_names: Vec<String>,
-    bool_names: Vec<String>,
+    strs: u32,
+    bools: u32,
 }
 
 impl VarPool {
@@ -106,35 +106,25 @@ impl VarPool {
     }
 
     /// Allocates a fresh string variable.
-    pub fn fresh_str(&mut self, name: impl Into<String>) -> StrVar {
-        self.str_names.push(name.into());
-        StrVar((self.str_names.len() - 1) as u32)
+    pub fn fresh_str(&mut self) -> StrVar {
+        self.strs += 1;
+        StrVar(self.strs - 1)
     }
 
     /// Allocates a fresh boolean variable.
-    pub fn fresh_bool(&mut self, name: impl Into<String>) -> BoolVar {
-        self.bool_names.push(name.into());
-        BoolVar((self.bool_names.len() - 1) as u32)
-    }
-
-    /// Debug name of a string variable.
-    pub fn name(&self, v: StrVar) -> &str {
-        &self.str_names[v.0 as usize]
-    }
-
-    /// Debug name of a boolean variable.
-    pub fn bool_name(&self, v: BoolVar) -> &str {
-        &self.bool_names[v.0 as usize]
+    pub fn fresh_bool(&mut self) -> BoolVar {
+        self.bools += 1;
+        BoolVar(self.bools - 1)
     }
 
     /// Number of string variables allocated.
     pub fn str_count(&self) -> usize {
-        self.str_names.len()
+        self.strs as usize
     }
 
     /// Number of boolean variables allocated.
     pub fn bool_count(&self) -> usize {
-        self.bool_names.len()
+        self.bools as usize
     }
 
     /// Appends every variable of `other` to this pool, returning the
@@ -145,11 +135,10 @@ impl VarPool {
     /// this is how cached models built in a private pool are rebased
     /// into a query's pool.
     pub fn absorb(&mut self, other: &VarPool) -> (u32, u32) {
-        let str_offset = self.str_names.len() as u32;
-        let bool_offset = self.bool_names.len() as u32;
-        self.str_names.extend(other.str_names.iter().cloned());
-        self.bool_names.extend(other.bool_names.iter().cloned());
-        (str_offset, bool_offset)
+        let offsets = (self.strs, self.bools);
+        self.strs += other.strs;
+        self.bools += other.bools;
+        offsets
     }
 }
 
@@ -160,33 +149,29 @@ mod tests {
     #[test]
     fn fresh_vars_are_distinct() {
         let mut pool = VarPool::new();
-        let a = pool.fresh_str("a");
-        let b = pool.fresh_str("b");
+        let a = pool.fresh_str();
+        let b = pool.fresh_str();
         assert_ne!(a, b);
         assert_eq!(pool.str_count(), 2);
     }
 
     #[test]
-    fn names_preserved() {
-        let mut pool = VarPool::new();
-        let v = pool.fresh_str("input");
-        let b = pool.fresh_bool("C1.defined");
-        assert_eq!(pool.name(v), "input");
-        assert_eq!(pool.bool_name(b), "C1.defined");
-    }
-
-    #[test]
-    fn absorb_rebases_names() {
+    fn absorb_rebases_offsets() {
         let mut a = VarPool::new();
-        a.fresh_str("x");
+        let x = a.fresh_str();
         let mut b = VarPool::new();
-        let v = b.fresh_str("y");
-        let flag = b.fresh_bool("y.defined");
+        let y = b.fresh_str();
+        let flag = b.fresh_bool();
         let (s, bo) = a.absorb(&b);
         assert_eq!((s, bo), (1, 0));
-        assert_eq!(a.name(v.offset_by(s)), "y");
-        assert_eq!(a.bool_name(flag.offset_by(bo)), "y.defined");
-        assert_eq!(a.str_count(), 2);
+        // The grafted variables follow the pool's own, in order.
+        assert_ne!(y.offset_by(s), x);
+        assert_eq!(y.offset_by(s).index(), 1);
+        assert_eq!(flag.offset_by(bo).index(), 0);
+        assert_eq!((a.str_count(), a.bool_count()), (2, 1));
+        // The next fresh variables come after the grafted ones.
+        assert_eq!(a.fresh_str().index(), 2);
+        assert_eq!(a.fresh_bool().index(), 1);
     }
 
     #[test]

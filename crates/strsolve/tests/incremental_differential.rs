@@ -52,7 +52,7 @@ fn random_regex(rng: &mut StdRng, depth: usize) -> CRegex {
 /// equations, memberships, negations, literal (dis)equalities, plus
 /// the occasional `⊤`/nested-`And` to exercise the flattening rules.
 fn random_conjuncts(rng: &mut StdRng, pool: &mut VarPool) -> Vec<Formula> {
-    let vars: Vec<StrVar> = (0..4).map(|i| pool.fresh_str(format!("v{i}"))).collect();
+    let vars: Vec<StrVar> = (0..4).map(|_| pool.fresh_str()).collect();
     let literals = ["", "a", "b", "ab", "abc", "cc", "abab"];
     let n = 2 + rng.random_range(0usize..5);
     let mut conjuncts = Vec::new();

@@ -48,7 +48,7 @@ fn random_regex(rng: &mut StdRng, depth: usize) -> CRegex {
 /// and literal (dis)equalities — the shapes the length intervals
 /// propagate through.
 fn random_formula(rng: &mut StdRng, pool: &mut VarPool) -> Formula {
-    let vars: Vec<StrVar> = (0..4).map(|i| pool.fresh_str(format!("v{i}"))).collect();
+    let vars: Vec<StrVar> = (0..4).map(|_| pool.fresh_str()).collect();
     let literals = ["", "a", "b", "ab", "abc", "cc", "abab"];
     let n = 1 + rng.random_range(0usize..5);
     let mut conjuncts = Vec::new();

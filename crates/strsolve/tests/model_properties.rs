@@ -53,7 +53,7 @@ fn random_regex(rng: &mut StdRng, depth: usize) -> CRegex {
 /// A random conjunction of concat equations, memberships and negations
 /// over a small variable pool.
 fn random_formula(rng: &mut StdRng, pool: &mut VarPool) -> Formula {
-    let vars: Vec<StrVar> = (0..4).map(|i| pool.fresh_str(format!("v{i}"))).collect();
+    let vars: Vec<StrVar> = (0..4).map(|_| pool.fresh_str()).collect();
     let literals = ["", "a", "b", "ab", "abc", "cc"];
     let n = 1 + rng.random_range(0usize..4);
     let mut conjuncts = Vec::new();
@@ -103,7 +103,7 @@ fn membership_witnesses_are_members() {
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(0x5eed ^ seed);
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let re = random_regex(&mut rng, 3);
         let formula = Formula::in_re(v, re.clone());
         if let (Outcome::Sat(model), _) = Solver::default().solve(&formula) {
@@ -121,7 +121,7 @@ fn negation_witnesses_are_non_members() {
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(0xbad ^ seed);
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let re = random_regex(&mut rng, 3);
         let formula = Formula::not_in_re(v, re.clone());
         if let (Outcome::Sat(model), _) = Solver::default().solve(&formula) {
@@ -140,8 +140,8 @@ fn concat_with_duplicated_variable_is_consistent() {
     for seed in 0..50u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37));
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let u = pool.fresh_str("u");
+        let w = pool.fresh_str();
+        let u = pool.fresh_str();
         let re = CRegex::plus(random_regex(&mut rng, 1));
         let formula = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(u), Term::Var(u), Term::lit("x")]),

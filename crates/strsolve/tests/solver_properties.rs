@@ -36,8 +36,8 @@ proptest! {
     #[test]
     fn models_satisfy_constraints(re_idx in 0usize..5, lit in "[abcxy]{0,4}") {
         let mut pool = VarPool::new();
-        let w = pool.fresh_str("w");
-        let a = pool.fresh_str("a");
+        let w = pool.fresh_str();
+        let a = pool.fresh_str();
         let re = small_re(re_idx);
         let f = Formula::and(vec![
             Formula::eq_concat(w, vec![Term::Var(a), Term::lit(lit.clone())]),
@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn ne_lit_respected(re_idx in 0usize..5, banned in "[ab]{0,3}") {
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::in_re(v, small_re(re_idx)),
             Formula::ne_lit(v, banned.clone()),
@@ -72,7 +72,7 @@ proptest! {
     fn unsat_agrees_with_bruteforce(target in "[ab]{0,3}") {
         // v ∈ {ab, ba} ∧ v = target: SAT iff target ∈ {ab, ba}.
         let mut pool = VarPool::new();
-        let v = pool.fresh_str("v");
+        let v = pool.fresh_str();
         let f = Formula::and(vec![
             Formula::in_re(v, small_re(2)),
             Formula::eq_lit(v, target.clone()),
@@ -91,8 +91,8 @@ proptest! {
 fn backref_shape_equation() {
     // w = v ++ "-" ++ v, v ∈ a+ : solver must duplicate correctly.
     let mut pool = VarPool::new();
-    let w = pool.fresh_str("w");
-    let v = pool.fresh_str("v");
+    let w = pool.fresh_str();
+    let v = pool.fresh_str();
     let f = Formula::and(vec![
         Formula::eq_concat(w, vec![Term::Var(v), Term::lit("-"), Term::Var(v)]),
         Formula::in_re(v, CRegex::plus(CRegex::set(CharSet::single('a')))),
@@ -106,7 +106,7 @@ fn backref_shape_equation() {
 fn deep_nesting_resolves() {
     // Four levels of nested equations.
     let mut pool = VarPool::new();
-    let vars: Vec<_> = (0..5).map(|i| pool.fresh_str(format!("v{i}"))).collect();
+    let vars: Vec<_> = (0..5).map(|_| pool.fresh_str()).collect();
     let mut conjuncts = Vec::new();
     for i in 0..4 {
         conjuncts.push(Formula::eq_concat(

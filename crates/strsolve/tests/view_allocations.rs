@@ -93,9 +93,9 @@ fn pose_blocks(session: &SolveSession, tie: &[Formula], formula: &Formula) -> u6
 #[test]
 fn posing_a_group_allocates_independently_of_its_formula_size() {
     let mut pool = VarPool::new();
-    let guard = pool.fresh_str("guard");
-    let input = pool.fresh_str("input");
-    let part = pool.fresh_str("part");
+    let guard = pool.fresh_str();
+    let input = pool.fresh_str();
+    let part = pool.fresh_str();
     let mut session = SolveSession::new(Solver::default());
     session.push(vec![Formula::ne_lit(guard, "off")]);
     session.push(vec![Formula::eq_var(guard, input)]);

@@ -1,6 +1,15 @@
-//! A small Fx-style hasher for the state-id maps of the subset and
-//! product constructions, and for the structural conjunct digests of
-//! `strsolve`'s solve sessions.
+//! A small Fx-style hasher. Its users:
+//!
+//! - the state-id maps of the subset and product constructions;
+//! - the structural conjunct digests of `strsolve`'s solve sessions and
+//!   the CEGAR verdict cache;
+//! - the per-query memos of `strsolve`'s word search, keyed by `Arc`
+//!   pointers (the compiled-DFA memo and the character-set memo);
+//! - the fuzzer's and the identity tests' digests of search results.
+//!
+//! The rule: an Fx-hashed map is keyed only by internal ids or
+//! pointers, never by content that comes from input text. Maps keyed
+//! by such content keep the std hasher or are small linear scans.
 //!
 //! The state-id maps are keyed by state-id sets and pairs the
 //! constructions generate themselves, hashed once per transition.
@@ -9,8 +18,9 @@
 //! Those keys never come from raw outside input, and every construction
 //! that outside input can inflate is bounded by a state budget, so the
 //! lost collision resistance buys an attacker nothing the budgets do
-//! not already cap. The session digests only *select* a cached verdict;
-//! a full key comparison decides every hit, so a digest collision —
+//! not already cap. Pointer keys are addresses the allocator chose, not
+//! the input. The session digests only *select* a cached verdict; a
+//! full key comparison decides every hit, so a digest collision —
 //! forced or not — costs one solve, never a wrong answer.
 
 use std::collections::HashMap;

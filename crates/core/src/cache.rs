@@ -192,7 +192,7 @@ impl ModelCache {
         let weight = constraint.formula.approx_bytes()
             + key.source.len()
             + (private.str_count() + private.bool_count()) * 24;
-        self.entries.lock().insert_weighted(
+        let evicted = self.entries.lock().insert_weighted(
             key,
             Arc::new(Entry {
                 pool: private,
@@ -200,6 +200,8 @@ impl ModelCache {
             }),
             weight,
         );
+        // Evicted models are freed after the lock is released.
+        drop(evicted);
         (rebased, false)
     }
 

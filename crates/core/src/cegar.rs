@@ -755,9 +755,12 @@ impl CegarCache {
                 limit_hit: result.stats.limit_hit,
             },
         };
-        self.entries
+        let evicted = self
+            .entries
             .lock()
             .insert_weighted(probe.digest, Arc::new(entry), weight);
+        // Evicted runs are freed after the lock is released.
+        drop(evicted);
     }
 }
 

@@ -14,9 +14,10 @@
 //! skips, never into verdicts, and Unsat cross-checks only fire when a
 //! concrete counterexample word was found).
 
+use std::hash::Hasher;
 use std::sync::Arc;
 
-use automata::{Alphabet, Dfa};
+use automata::{Alphabet, Dfa, FxHasher};
 use es6_matcher::{MatchResult, RegExp};
 use expose_core::api::{build_match_model, CapturingConstraint};
 use expose_core::cegar::{CegarCache, CegarResult};
@@ -180,6 +181,12 @@ pub struct CaseOutcome {
     pub engine_words_checked: u64,
     /// Incremental-vs-scratch comparisons performed (`--incremental`).
     pub incremental_checks: u64,
+    /// Search nodes of the plain solve plus every CEGAR iteration.
+    pub solver_nodes: u64,
+    /// An Fx fold of the plain-solver and CEGAR verdicts, models and
+    /// node counts (`0` when the solver layers did not run): equal
+    /// folds mean the search found the same answers the same way.
+    pub search_fold: u64,
     /// The first disagreement found, if any.
     pub disagreement: Option<Disagreement>,
 }
@@ -197,9 +204,35 @@ impl CaseOutcome {
             engine_fast: None,
             engine_words_checked: 0,
             incremental_checks: 0,
+            solver_nodes: 0,
+            search_fold: 0,
             disagreement: None,
         }
     }
+}
+
+/// Folds a verdict, its model (string values in variable order, then
+/// every boolean the pool allocated) and a node count into `hasher`.
+fn fold_search(hasher: &mut FxHasher, pool: &VarPool, outcome: &Outcome, nodes: u64) {
+    hasher.write(outcome.label().as_bytes());
+    if let Outcome::Sat(model) = outcome {
+        let mut strings: Vec<_> = model.iter_strings().collect();
+        strings.sort_unstable();
+        hasher.write_usize(strings.len());
+        for (v, value) in strings {
+            hasher.write_u32(v.index());
+            hasher.write(value.as_bytes());
+            hasher.write_u8(0xff);
+        }
+        let mut ids = VarPool::new();
+        for _ in 0..pool.bool_count() {
+            hasher.write_u8(match model.try_get_bool(ids.fresh_bool()) {
+                None => 2,
+                Some(value) => u8::from(value),
+            });
+        }
+    }
+    hasher.write_u64(nodes);
 }
 
 /// The oracle regex: stateful flags cleared, exactly as the CEGAR loop
@@ -465,8 +498,12 @@ pub fn run_case(case: &Case, budget: &FuzzBudget) -> CaseOutcome {
     // never determinizes the same languages twice.
     let solver = Solver::new(budget.solver.clone());
     let problem = Formula::and(vec![constraint.formula.clone(), query.clone()]);
-    let (solver_outcome, _) = solver.solve(&problem);
+    let (solver_outcome, solver_stats) = solver.solve(&problem);
     outcome.solver_verdict = solver_outcome.label();
+    let mut search = FxHasher::default();
+    fold_search(&mut search, &pool, &solver_outcome, solver_stats.nodes);
+    outcome.solver_nodes = solver_stats.nodes;
+    outcome.search_fold = search.finish();
     if let Some(disagreement) = check_solver(
         &regex,
         &constraint,
@@ -484,6 +521,14 @@ pub fn run_case(case: &Case, budget: &FuzzBudget) -> CaseOutcome {
     let cegar = CegarSolver::new(solver.clone(), budget.refinement_limit);
     let result = cegar.solve(&query, std::slice::from_ref(&constraint));
     outcome.cegar_verdict = result.outcome.label();
+    fold_search(
+        &mut search,
+        &pool,
+        &result.outcome,
+        result.stats.solver.nodes,
+    );
+    outcome.solver_nodes += result.stats.solver.nodes;
+    outcome.search_fold = search.finish();
     if let Some(disagreement) = check_cegar(
         &regex,
         &constraint,

@@ -3,6 +3,9 @@
 //! make feature-space coverage *measurable* in CI rather than asserted.
 
 use std::fmt::Write as _;
+use std::hash::Hasher;
+
+use automata::FxHasher;
 
 use expose_core::SupportLevel;
 use regex_syntax_es6::features::FeatureSet;
@@ -46,6 +49,12 @@ pub struct FuzzStats {
     pub fast_path_feature_counts: [u64; 19],
     /// Incremental-vs-scratch comparisons performed (`--incremental`).
     pub incremental_checks: u64,
+    /// Search nodes of every plain solve and CEGAR iteration.
+    pub solver_nodes: u64,
+    /// Each case's [`CaseOutcome::search_fold`] folded in case order:
+    /// two runs over the same seeds agree on it exactly when every case
+    /// reached the same verdicts and models with the same node counts.
+    pub search_digest: u64,
     /// Cross-layer disagreements.
     pub disagreements: u64,
 }
@@ -104,6 +113,11 @@ impl FuzzStats {
         self.dfa_skips += outcome.dfa_skips;
         self.engine_words_checked += outcome.engine_words_checked;
         self.incremental_checks += outcome.incremental_checks;
+        self.solver_nodes += outcome.solver_nodes;
+        let mut digest = FxHasher::default();
+        digest.write_u64(self.search_digest);
+        digest.write_u64(outcome.search_fold);
+        self.search_digest = digest.finish();
         if outcome.disagreement.is_some() {
             self.disagreements += 1;
         }
@@ -168,6 +182,11 @@ impl FuzzStats {
         if self.incremental_checks > 0 {
             let _ = writeln!(out, "incremental checks: {}", self.incremental_checks);
         }
+        let _ = writeln!(
+            out,
+            "search effort: {} solver nodes, search digest {:016x}",
+            self.solver_nodes, self.search_digest
+        );
         let _ = writeln!(out, "feature histogram (generated / on fast path):");
         for (((name, _), count), fast) in FeatureSet::default()
             .rows()
@@ -222,6 +241,11 @@ impl FuzzStats {
         if self.incremental_checks > 0 {
             let _ = writeln!(md, "- **incremental checks**: {}", self.incremental_checks);
         }
+        let _ = writeln!(
+            md,
+            "- **search effort**: {} solver nodes, search digest `{:016x}`",
+            self.solver_nodes, self.search_digest
+        );
         let _ = writeln!(md);
         let _ = writeln!(md, "| Table 5 feature | generated | on fast path |");
         let _ = writeln!(md, "|---|---|---|");
@@ -254,6 +278,8 @@ mod tests {
             engine_fast: Some(true),
             engine_words_checked: 3,
             incremental_checks: 0,
+            solver_nodes: 5,
+            search_fold: 0x5eed,
             disagreement: None,
         }
     }
@@ -277,6 +303,24 @@ mod tests {
         assert_eq!(stats.uncovered_features().len(), 18);
         assert_eq!(stats.oracle_skips, 2);
         assert_eq!(stats.dfa_words_checked, 4);
+        assert_eq!(stats.solver_nodes, 10);
+    }
+
+    #[test]
+    fn search_digest_depends_on_case_order() {
+        let fold = |first: u64, second: u64| {
+            let mut stats = FuzzStats::default();
+            for search_fold in [first, second] {
+                stats.absorb(&CaseOutcome {
+                    search_fold,
+                    ..outcome_with(FeatureSet::default(), "sat")
+                });
+            }
+            stats.search_digest
+        };
+        assert_eq!(fold(1, 2), fold(1, 2));
+        assert_ne!(fold(1, 2), fold(2, 1));
+        assert_ne!(fold(1, 2), fold(1, 3));
     }
 
     #[test]

@@ -40,6 +40,10 @@ use crate::vars::{BoolVar, StrVar, Term};
 /// eviction also runs while the weighted total exceeds the budget —
 /// the backstop that keeps long-lived session caches (models, verdicts,
 /// automata) from growing without bound on entry counts alone.
+///
+/// Inserts hand their evicted entries back ([`Evicted`]) instead of
+/// dropping them, so a map kept behind a lock frees them after the lock
+/// is released.
 #[derive(Debug)]
 pub struct Lru<K, V> {
     capacity: usize,
@@ -67,6 +71,37 @@ struct Slot<K, V> {
 
 /// The null link of the recency list.
 const NIL: usize = usize::MAX;
+
+/// The entries one insert evicted, least recently used first. Dropping
+/// it frees them: a caller holding the map behind a lock binds it and
+/// lets it drop after the guard. A capacity eviction pushes out at most
+/// one entry, which is held without allocating.
+#[derive(Debug)]
+pub struct Evicted<K, V> {
+    first: Option<(Arc<K>, V)>,
+    rest: Vec<(Arc<K>, V)>,
+}
+
+impl<K, V> Evicted<K, V> {
+    fn none() -> Evicted<K, V> {
+        Evicted {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, entry: (Arc<K>, V)) {
+        match self.first {
+            None => self.first = Some(entry),
+            Some(_) => self.rest.push(entry),
+        }
+    }
+
+    /// The evicted keys, in eviction order.
+    pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
+        self.first.iter().chain(&self.rest).map(|(key, _)| &**key)
+    }
+}
 
 impl<K: Eq + Hash, V> Lru<K, V> {
     /// Creates a map holding at most `capacity` entries, with no byte
@@ -119,17 +154,20 @@ impl<K: Eq + Hash, V> Lru<K, V> {
         self.slots[slot].entry.as_ref().map(|(_, value)| value)
     }
 
-    /// Inserts an entry with zero weight (entry-count bounding only).
-    pub fn insert(&mut self, key: K, value: V) {
-        self.insert_weighted(key, value, 0);
+    /// Inserts an entry with zero weight (entry-count bounding only),
+    /// returning what it evicted.
+    pub fn insert(&mut self, key: K, value: V) -> Evicted<K, V> {
+        self.insert_weighted(key, value, 0)
     }
 
     /// Inserts an entry weighing approximately `weight` bytes, evicting
     /// least-recently-used entries while over the entry capacity or the
-    /// byte budget. No-op when the capacity is `0`.
-    pub fn insert_weighted(&mut self, key: K, value: V, weight: usize) {
+    /// byte budget, and returns the evicted entries. No-op when the
+    /// capacity is `0`.
+    pub fn insert_weighted(&mut self, key: K, value: V, weight: usize) -> Evicted<K, V> {
+        let mut evicted = Evicted::none();
         if self.capacity == 0 {
-            return;
+            return evicted;
         }
         match self.index.entry(Arc::new(key)) {
             Entry::Occupied(resident) => {
@@ -170,8 +208,9 @@ impl<K: Eq + Hash, V> Lru<K, V> {
         while self.index.len() > self.capacity
             || (self.byte_budget > 0 && self.bytes > self.byte_budget)
         {
-            self.evict_lru();
+            evicted.push(self.evict_lru());
         }
+        evicted
     }
 
     /// Moves a resident slot to the head of the recency list.
@@ -204,16 +243,18 @@ impl<K: Eq + Hash, V> Lru<K, V> {
         self.head = slot;
     }
 
-    /// Drops the least recently used entry and frees its slot.
-    fn evict_lru(&mut self) {
+    /// Unlinks the least recently used entry, frees its slot and
+    /// returns the entry.
+    fn evict_lru(&mut self) -> (Arc<K>, V) {
         let slot = self.tail;
         self.unlink(slot);
         let s = &mut self.slots[slot];
-        let (key, _value) = s.entry.take().expect("linked slots are occupied");
+        let entry = s.entry.take().expect("linked slots are occupied");
         self.bytes -= s.weight;
-        self.index.remove(&key);
+        self.index.remove(&entry.0);
         self.free.push(slot);
         self.evictions += 1;
+        entry
     }
 }
 
@@ -396,7 +437,8 @@ mod tests {
         lru.insert(1, "one");
         lru.insert(2, "two");
         assert_eq!(lru.get(&1), Some(&"one")); // refresh 1
-        lru.insert(3, "three"); // evicts 2
+        let evicted = lru.insert(3, "three");
+        assert_eq!(evicted.keys().collect::<Vec<_>>(), [&2]);
         assert_eq!(lru.get(&2), None);
         assert_eq!(lru.get(&1), Some(&"one"));
         assert_eq!(lru.get(&3), Some(&"three"));
@@ -463,9 +505,11 @@ mod tests {
             })
         }
 
-        fn insert_weighted(&mut self, key: u32, value: u32, weight: usize) {
+        /// Returns the evicted keys, oldest first.
+        fn insert_weighted(&mut self, key: u32, value: u32, weight: usize) -> Vec<u32> {
+            let mut evicted = Vec::new();
             if self.capacity == 0 {
-                return;
+                return evicted;
             }
             self.tick += 1;
             if let Some((_, _, old)) = self.entries.remove(&key) {
@@ -487,8 +531,10 @@ mod tests {
                 if let Some((_, _, w)) = self.entries.remove(&oldest) {
                     self.bytes -= w;
                     self.evictions += 1;
+                    evicted.push(oldest);
                 }
             }
+            evicted
         }
 
         /// Resident keys, least recently used first.
@@ -551,15 +597,16 @@ mod tests {
                 match next(3) {
                     0 => assert_eq!(lru.get(&key), oracle.get(&key), "get {key} at op {op}"),
                     1 => {
-                        lru.insert(key, op);
-                        oracle.insert_weighted(key, op, 0);
+                        let evicted: Vec<u32> = lru.insert(key, op).keys().copied().collect();
+                        assert_eq!(evicted, oracle.insert_weighted(key, op, 0), "op {op}");
                     }
                     _ => {
                         // Mostly budget-sized weights, sometimes one
                         // larger than the whole budget.
                         let weight = next(byte_budget.max(1) as u64 * 6 / 5 + 1) as usize;
-                        lru.insert_weighted(key, op, weight);
-                        oracle.insert_weighted(key, op, weight);
+                        let evicted = lru.insert_weighted(key, op, weight);
+                        let evicted: Vec<u32> = evicted.keys().copied().collect();
+                        assert_eq!(evicted, oracle.insert_weighted(key, op, weight), "op {op}");
                     }
                 }
                 assert_eq!(recency(&lru), oracle.recency(), "resident order at op {op}");

@@ -40,7 +40,7 @@ pub mod solver;
 pub mod stats;
 pub mod vars;
 
-pub use cache::{canonical_query, CanonicalQuery, Canonicalizer, Lru};
+pub use cache::{canonical_query, CanonicalQuery, Canonicalizer, Evicted, Lru};
 pub use config::SolverConfig;
 pub use formula::{Atom, Formula};
 pub use model::Model;

@@ -18,10 +18,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hash};
 use std::sync::Arc;
 use std::time::Instant;
 
-use automata::{Alphabet, CRegex, Dfa};
+use automata::{Alphabet, CRegex, CharSet, Dfa, FxHasher};
 
 use crate::config::SolverConfig;
 use crate::formula::{Atom, Formula};
@@ -132,18 +133,24 @@ impl Solver {
     /// verdict.
     pub fn solve(&self, formula: &Formula) -> (Outcome, SolveStats) {
         let start = Instant::now();
+        let ranks = Ranks::of(formula);
         let mut search = Search {
             config: &self.config,
             dfas: &self.dfas,
+            ranks: &ranks,
             stats: SolveStats::default(),
             nodes_left: self.config.max_nodes,
             branches_left: self.config.max_bool_branches,
             word_dfa_memo: HashMap::new(),
-            query_dfa_memo: HashMap::new(),
-            sets_memo: HashMap::new(),
+            query_dfa_memo: FxHashMap::default(),
+            sets_memo: FxHashMap::default(),
+            tables: Tables::new(ranks.strs.len(), ranks.bools.len()),
+            scratch: Scratch::default(),
+            spare: Vec::new(),
         };
+        let mut pending = vec![(formula, NIL)];
         let mut atoms = Vec::new();
-        let outcome = search.boolean_dfs(&[formula], &mut atoms);
+        let outcome = search.boolean_dfs(&mut pending, 0, &mut atoms);
         search.stats.duration = start.elapsed();
         (outcome, search.stats)
     }
@@ -263,7 +270,7 @@ pub(crate) struct DfaCache {
     /// (sorted deduped sets + literal characters). Building the
     /// partition is pure per-conjunction overhead, and interning also
     /// makes repeated conjunctions share one `Arc`.
-    alphabets: Shard<Vec<automata::CharSet>, Arc<Alphabet>>,
+    alphabets: Shard<Vec<CharSet>, Arc<Alphabet>>,
     /// Exact-word DFAs for equality/disequality literals, keyed by
     /// word + alphabet pointer (the alphabet `Arc` is retained in the
     /// value, so a resident key's address cannot be recycled).
@@ -287,6 +294,14 @@ const FOLD_CONFIG: automata::AutomataConfig = automata::AutomataConfig::minimizi
 
 /// One locked LRU index of the [`DfaCache`].
 type Shard<K, V> = parking_lot::Mutex<crate::cache::Lru<K, V>>;
+/// Inserts into a shard and frees what the insert evicted only after
+/// the shard's lock is released: dropping an evicted automaton can free
+/// thousands of states, and other solvers wait on the lock meanwhile.
+fn store<K: Eq + Hash, V>(shard: &Shard<K, V>, key: K, value: V) {
+    let evicted = shard.lock().insert(key, value);
+    drop(evicted);
+}
+
 /// A cached exact-word DFA plus the alphabet `Arc` that keeps its
 /// pointer key valid.
 type WordEntry = (Arc<Dfa>, Arc<Alphabet>);
@@ -369,9 +384,7 @@ impl DfaCache {
             dfa = dfa.complement();
         }
         let dfa = Arc::new(dfa);
-        self.words
-            .lock()
-            .insert(key, (Arc::clone(&dfa), Arc::clone(alphabet)));
+        store(&self.words, key, (Arc::clone(&dfa), Arc::clone(alphabet)));
         dfa
     }
 
@@ -387,9 +400,11 @@ impl DfaCache {
         self.note(stats, false);
         stats.dfas_built += 1;
         let dfa = Arc::new(Dfa::universal(alphabet));
-        self.universals
-            .lock()
-            .insert(key, (Arc::clone(&dfa), Arc::clone(alphabet)));
+        store(
+            &self.universals,
+            key,
+            (Arc::clone(&dfa), Arc::clone(alphabet)),
+        );
         dfa
     }
 
@@ -414,9 +429,7 @@ impl DfaCache {
             stats.states_after_minimize += metrics.states_after_minimize;
         }
         let product = Arc::new(acc);
-        self.products
-            .lock()
-            .insert(key, (Arc::clone(&product), factors));
+        store(&self.products, key, (Arc::clone(&product), factors));
         product
     }
 
@@ -426,9 +439,9 @@ impl DfaCache {
     /// deduped) before lookup; a miss builds via
     /// [`Alphabet::from_sets`] on the normalized sets, which yields
     /// the same classes as the raw collection would.
-    fn alphabet_for(&self, mut sets: Vec<automata::CharSet>, literal_chars: &str) -> Arc<Alphabet> {
+    fn alphabet_for(&self, mut sets: Vec<CharSet>, literal_chars: &str) -> Arc<Alphabet> {
         for c in literal_chars.chars() {
-            sets.push(automata::CharSet::single(c));
+            sets.push(CharSet::single(c));
         }
         sets.sort_unstable();
         sets.dedup();
@@ -436,7 +449,7 @@ impl DfaCache {
             return Arc::clone(alphabet);
         }
         let alphabet = Arc::new(Alphabet::from_sets(&sets));
-        self.alphabets.lock().insert(sets, Arc::clone(&alphabet));
+        store(&self.alphabets, sets, Arc::clone(&alphabet));
         alphabet
     }
 
@@ -477,7 +490,7 @@ impl DfaCache {
         } else {
             projected
         });
-        self.entries.lock().insert(key, Arc::clone(&dfa));
+        store(&self.entries, key, Arc::clone(&dfa));
         dfa
     }
 
@@ -512,19 +525,200 @@ impl DfaCache {
         };
         stats.dfa_states_built += metrics.states_built;
         stats.states_after_minimize += metrics.states_after_minimize;
-        self.bases.lock().insert(Arc::clone(re), Arc::clone(&base));
+        store(&self.bases, Arc::clone(re), Arc::clone(&base));
         base
     }
+}
+
+/// The end of a pending list and an untouched union-find slot.
+const NIL: u32 = u32::MAX;
+
+/// A `HashMap` for the per-query pointer-keyed memos.
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// The formula's variables numbered by *rank*: ascending caller id.
+/// Sorting or breaking ties by rank therefore orders exactly as by id,
+/// and the per-conjunction tables are as long as the formula has
+/// variables, whatever the magnitude of their ids.
+struct Ranks {
+    strs: Vec<StrVar>,
+    bools: Vec<BoolVar>,
+    /// The rank of string id `str_base + i` at `str_index[i]`, when
+    /// the ids span at most twice their count (pools number densely);
+    /// empty otherwise, and lookups search `strs`.
+    str_base: u32,
+    str_index: Vec<u32>,
+}
+
+impl Ranks {
+    fn of(formula: &Formula) -> Ranks {
+        let mut ranks = Ranks {
+            strs: Vec::new(),
+            bools: Vec::new(),
+            str_base: 0,
+            str_index: Vec::new(),
+        };
+        ranks.collect(formula);
+        ranks.strs.sort_unstable();
+        ranks.strs.dedup();
+        ranks.bools.sort_unstable();
+        ranks.bools.dedup();
+        if let (Some(first), Some(last)) = (ranks.strs.first(), ranks.strs.last()) {
+            let span = (last.0 - first.0) as usize + 1;
+            if span <= 2 * ranks.strs.len() {
+                ranks.str_base = first.0;
+                ranks.str_index = vec![NIL; span];
+                for (rank, v) in ranks.strs.iter().enumerate() {
+                    ranks.str_index[(v.0 - first.0) as usize] = rank as u32;
+                }
+            }
+        }
+        ranks
+    }
+
+    fn collect(&mut self, formula: &Formula) {
+        match formula {
+            Formula::And(items) | Formula::Or(items) => {
+                for item in items {
+                    self.collect(item);
+                }
+            }
+            Formula::Atom(atom) => match atom {
+                Atom::InRe(v, _) | Atom::NotInRe(v, _) | Atom::EqLit(v, _) | Atom::NeLit(v, _) => {
+                    self.strs.push(*v)
+                }
+                Atom::EqVar(a, b) | Atom::NeVar(a, b) => self.strs.extend([*a, *b]),
+                Atom::EqConcat(v, parts) => {
+                    self.strs.push(*v);
+                    self.strs.extend(parts.iter().filter_map(|p| match p {
+                        Term::Var(u) => Some(*u),
+                        Term::Lit(_) => None,
+                    }));
+                }
+                Atom::Bool(b, _) => self.bools.push(*b),
+                Atom::True | Atom::False => {}
+            },
+        }
+    }
+
+    fn str(&self, v: StrVar) -> u32 {
+        if self.str_index.is_empty() {
+            self.strs
+                .binary_search(&v)
+                .expect("every variable is ranked") as u32
+        } else {
+            self.str_index[(v.0 - self.str_base) as usize]
+        }
+    }
+
+    fn bool(&self, b: BoolVar) -> usize {
+        self.bools
+            .binary_search(&b)
+            .expect("every variable is ranked")
+    }
+}
+
+/// The regular and literal constraints collected on one root.
+#[derive(Default)]
+struct VarCons<'f> {
+    /// True once any constraint names the root.
+    present: bool,
+    pos: Vec<&'f Arc<CRegex>>,
+    neg: Vec<&'f Arc<CRegex>>,
+    eq: Option<&'f str>,
+    ne: Vec<&'f str>,
+}
+
+/// A conjunction's state, indexed by string (or boolean) rank. One
+/// instance serves every conjunction of a solve: [`Tables::reset`]
+/// clears what the previous conjunction wrote, keeping the capacity.
+#[derive(Default)]
+struct Tables<'f> {
+    bools: Vec<Option<bool>>,
+    uf: UnionFind,
+    cons: Vec<VarCons<'f>>,
+    dfas: Vec<Option<Arc<Dfa>>>,
+    /// Accepted-length windows per root from the length-abstraction
+    /// pass (all `None` when the pass is disabled).
+    intervals: Vec<Option<LenInterval>>,
+    eq_depth: Vec<Option<u32>>,
+    assignment: Vec<Option<String>>,
+    /// Congruence-closure scratch: each right-hand side's owner.
+    owners: Equations<'f>,
+    /// The equations as collected, then topologically sorted and
+    /// extended with their flattened copies.
+    collected: Equations<'f>,
+    equations: Equations<'f>,
+    /// Sort and substitution scratch.
+    pending_eqs: Vec<u32>,
+    deferred_eqs: Vec<u32>,
+    current_parts: Vec<Part<'f>>,
+    next_parts: Vec<Part<'f>>,
+    ne_pairs: Vec<(u32, u32)>,
+    roots: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl<'f> Tables<'f> {
+    fn new(strs: usize, bools: usize) -> Tables<'f> {
+        Tables {
+            bools: vec![None; bools],
+            uf: UnionFind::new(strs),
+            cons: (0..strs).map(|_| VarCons::default()).collect(),
+            dfas: vec![None; strs],
+            intervals: vec![None; strs],
+            eq_depth: vec![None; strs],
+            assignment: vec![None; strs],
+            ..Tables::default()
+        }
+    }
+
+    /// Clears the previous conjunction's entries. Every rank-indexed
+    /// entry belongs to a root, and every root was touched.
+    fn reset(&mut self) {
+        self.bools.fill(None);
+        for &v in &self.uf.touched {
+            let v = v as usize;
+            let cons = &mut self.cons[v];
+            cons.present = false;
+            cons.pos.clear();
+            cons.neg.clear();
+            cons.eq = None;
+            cons.ne.clear();
+            self.dfas[v] = None;
+            self.intervals[v] = None;
+            self.eq_depth[v] = None;
+            self.assignment[v] = None;
+        }
+        self.uf.reset();
+        self.collected.clear();
+        self.equations.clear();
+        self.ne_pairs.clear();
+        self.roots.clear();
+        self.order.clear();
+    }
+}
+
+/// Reused buffers: the alphabet's literal characters and the strings
+/// of the equation checks.
+#[derive(Default)]
+struct Scratch {
+    chars: Vec<char>,
+    value: String,
+    prefix: String,
+    suffix: String,
 }
 
 struct Search<'a> {
     config: &'a SolverConfig,
     dfas: &'a DfaCache,
+    ranks: &'a Ranks,
     stats: SolveStats,
     nodes_left: u64,
     branches_left: u64,
     /// Per-conjunction memo of pinned-word guide DFAs (cleared when a
-    /// new conjunction — and with it a new alphabet — starts).
+    /// new conjunction — and with it a new alphabet — starts). Keyed by
+    /// word content, so it keeps the std hasher.
     word_dfa_memo: HashMap<String, Arc<Dfa>>,
     /// Per-query memo in front of the shared [`DfaCache`], keyed by
     /// *pointer* identity of the regex and (interned) alphabet: the
@@ -536,12 +730,20 @@ struct Search<'a> {
     /// Per-query memo of each regex's collected `CharSet`s (alphabet
     /// construction input), keyed by `Arc` pointer with the `Arc` kept
     /// alive in the value.
-    sets_memo: HashMap<usize, (Arc<CRegex>, Vec<automata::CharSet>)>,
+    sets_memo: FxHashMap<usize, (Arc<CRegex>, Vec<CharSet>)>,
+    tables: Tables<'a>,
+    scratch: Scratch,
+    /// Buffers of finished candidate enumerations.
+    spare: Vec<CandidateBuffers<'a>>,
 }
 
-type QueryDfaMemo = HashMap<(usize, usize, bool), (Arc<Dfa>, Arc<CRegex>, Arc<Alphabet>)>;
+type QueryDfaMemo = FxHashMap<(usize, usize, bool), (Arc<Dfa>, Arc<CRegex>, Arc<Alphabet>)>;
 
-impl Search<'_> {
+/// One cell of the pending-formula list: a formula and the index of
+/// the cell below it ([`NIL`] at the bottom).
+type Pending<'f> = (&'f Formula, u32);
+
+impl<'a> Search<'a> {
     /// The constraint DFA of `re` under `alphabet`, through the
     /// per-query pointer memo and then the shared structural cache.
     fn constraint_dfa(
@@ -568,30 +770,43 @@ impl Search<'_> {
         dfa
     }
 
-    /// Explores disjunctions; `pending` are formulas still to flatten,
-    /// `atoms` the conjunction accumulated so far.
-    fn boolean_dfs(&mut self, pending: &[&Formula], atoms: &mut Vec<Atom>) -> Outcome {
+    /// Explores disjunctions. `pending` is an arena of list cells and
+    /// `head` the top of the formulas still to flatten; `atoms` is the
+    /// conjunction accumulated so far. A branch pushes its cells above
+    /// the arena's length at the disjunction and is truncated back to
+    /// it, so no branch copies the pending list.
+    fn boolean_dfs(
+        &mut self,
+        pending: &mut Vec<Pending<'a>>,
+        mut head: u32,
+        atoms: &mut Vec<&'a Atom>,
+    ) -> Outcome {
         // Flatten conjunctions and atoms until we hit a disjunction.
-        let mut local: Vec<&Formula> = pending.to_vec();
         let mut pushed = 0usize;
         let result = loop {
-            match local.pop() {
-                None => break self.solve_conjunction(atoms),
-                Some(Formula::Atom(a)) => {
+            if head == NIL {
+                break self.solve_conjunction(atoms);
+            }
+            let (formula, below) = pending[head as usize];
+            head = below;
+            match formula {
+                Formula::Atom(a) => {
                     if matches!(a, Atom::False) {
                         break Outcome::Unsat;
                     }
                     if !matches!(a, Atom::True) {
-                        atoms.push(a.clone());
+                        atoms.push(a);
                         pushed += 1;
                     }
                 }
-                Some(Formula::And(items)) => {
+                Formula::And(items) => {
                     for item in items {
-                        local.push(item);
+                        pending.push((item, head));
+                        head = (pending.len() - 1) as u32;
                     }
                 }
-                Some(Formula::Or(branches)) => {
+                Formula::Or(branches) => {
+                    let mark = pending.len();
                     let mut any_unknown = false;
                     let mut branch_result = Outcome::Unsat;
                     for branch in branches {
@@ -601,11 +816,11 @@ impl Search<'_> {
                         }
                         self.branches_left -= 1;
                         self.stats.bool_branches += 1;
-                        let mut sub_pending = local.clone();
-                        sub_pending.push(branch);
+                        pending.push((branch, head));
                         let before = atoms.len();
-                        let r = self.boolean_dfs(&sub_pending, atoms);
+                        let r = self.boolean_dfs(pending, mark as u32, atoms);
                         atoms.truncate(before);
+                        pending.truncate(mark);
                         match r {
                             Outcome::Sat(m) => {
                                 branch_result = Outcome::Sat(m);
@@ -626,13 +841,23 @@ impl Search<'_> {
         result
     }
 
-    /// Decides a conjunction of atoms.
-    fn solve_conjunction(&mut self, atoms: &[Atom]) -> Outcome {
+    /// Decides a conjunction of atoms over the solve's reused tables.
+    fn solve_conjunction(&mut self, atoms: &[&'a Atom]) -> Outcome {
+        let mut tables = std::mem::take(&mut self.tables);
+        tables.reset();
+        let outcome = self.decide(atoms, &mut tables);
+        self.tables = tables;
+        outcome
+    }
+
+    fn decide(&mut self, atoms: &[&'a Atom], t: &mut Tables<'a>) -> Outcome {
+        let ranks = self.ranks;
+        let rank = |v: &StrVar| ranks.str(*v);
+
         // --- Boolean flags ---------------------------------------------
-        let mut bools: HashMap<BoolVar, bool> = HashMap::new();
         for atom in atoms {
             if let Atom::Bool(b, v) = atom {
-                match bools.insert(*b, *v) {
+                match t.bools[ranks.bool(*b)].replace(*v) {
                     Some(prev) if prev != *v => return Outcome::Unsat,
                     _ => {}
                 }
@@ -640,37 +865,41 @@ impl Search<'_> {
         }
 
         // --- Union-find over aliases ------------------------------------
-        let mut uf = UnionFind::default();
+        let uf = &mut t.uf;
         for atom in atoms {
             match atom {
-                Atom::EqVar(a, b) => uf.union(*a, *b),
+                Atom::EqVar(a, b) => uf.union(rank(a), rank(b)),
                 // An equation `v = [u]` with a single variable part is an
                 // alias: merging lets the DFAs intersect directly.
                 Atom::EqConcat(v, parts)
                     if parts.len() == 1 && matches!(parts[0], Term::Var(_)) =>
                 {
                     if let Term::Var(u) = &parts[0] {
-                        uf.union(*v, *u);
+                        uf.union(rank(v), rank(u));
                     }
                 }
                 Atom::NeVar(a, b) => {
-                    uf.touch(*a);
-                    uf.touch(*b);
+                    uf.touch(rank(a));
+                    uf.touch(rank(b));
                 }
                 Atom::InRe(v, _) | Atom::NotInRe(v, _) | Atom::EqLit(v, _) | Atom::NeLit(v, _) => {
-                    uf.touch(*v)
+                    uf.touch(rank(v))
                 }
                 Atom::EqConcat(v, parts) => {
-                    uf.touch(*v);
+                    uf.touch(rank(v));
                     for p in parts {
                         if let Term::Var(u) = p {
-                            uf.touch(*u);
+                            uf.touch(rank(u));
                         }
                     }
                 }
                 _ => {}
             }
         }
+        let part = |uf: &mut UnionFind, term: &'a Term| match term {
+            Term::Var(u) => Part::Var(uf.find(rank(u))),
+            Term::Lit(s) => Part::Lit(s.as_str()),
+        };
 
         // --- Congruence closure over word equations -----------------------
         // Two variables defined by the *same* concatenation are equal:
@@ -680,180 +909,196 @@ impl Search<'_> {
         // surfacing after every equation completes. (The Algorithm 2
         // models produce exactly this shape: the wrapped word `⟨input⟩`
         // is re-derived for every regex applied to the same subject.)
-        let eq_atoms: Vec<(&StrVar, &Vec<Term>)> = atoms
-            .iter()
-            .filter_map(|atom| match atom {
-                Atom::EqConcat(v, parts) => Some((v, parts)),
-                _ => None,
-            })
-            .collect();
         // With fewer than two equations there is nothing to merge, and
         // most conjunctions have none — skip the fixpoint entirely.
-        while eq_atoms.len() >= 2 {
-            let mut rhs_owner: HashMap<Vec<Part>, StrVar> = HashMap::new();
+        let mut merging = atoms
+            .iter()
+            .filter(|atom| matches!(atom, Atom::EqConcat(..)))
+            .count()
+            >= 2;
+        while merging {
+            // The owner of each right-hand side seen this round, as
+            // equations `owner = rhs` found by a linear scan: a
+            // conjunction holds a handful of equations.
+            t.owners.clear();
             let mut changed = false;
-            for &(v, parts) in &eq_atoms {
-                let key: Vec<Part> = parts
-                    .iter()
-                    .map(|t| match t {
-                        Term::Var(u) => Part::Var(uf.find(*u)),
-                        Term::Lit(s) => Part::Lit(s.clone()),
-                    })
-                    .collect();
-                let root = uf.find(*v);
-                match rhs_owner.get(&key) {
-                    Some(&owner) if uf.find(owner) != root => {
-                        uf.union(owner, root);
+            for atom in atoms {
+                let Atom::EqConcat(v, parts) = atom else {
+                    continue;
+                };
+                let start = t.owners.parts.len();
+                for term in parts {
+                    let p = part(&mut t.uf, term);
+                    t.owners.parts.push(p);
+                }
+                let root = t.uf.find(rank(v));
+                let rhs = &t.owners.parts[start..];
+                let owner = t.owners.iter().find(|&(_, seen)| seen == rhs);
+                match owner.map(|(owner, _)| owner) {
+                    Some(owner) if t.uf.find(owner) != root => {
+                        t.uf.union(owner, root);
                         changed = true;
+                        t.owners.parts.truncate(start);
                     }
-                    Some(_) => {}
-                    None => {
-                        rhs_owner.insert(key, root);
-                    }
+                    Some(_) => t.owners.parts.truncate(start),
+                    None => t.owners.commit(root),
                 }
             }
-            if !changed {
-                break;
-            }
+            merging = changed;
         }
 
         // --- Per-root constraint collection ------------------------------
-        #[derive(Default)]
-        struct VarCons {
-            pos: Vec<Arc<CRegex>>,
-            neg: Vec<Arc<CRegex>>,
-            eq: Option<String>,
-            ne: Vec<String>,
-        }
-        let mut cons: HashMap<StrVar, VarCons> = HashMap::new();
-        let mut equations: Vec<(StrVar, Vec<Part>)> = Vec::new();
-        let mut ne_pairs: Vec<(StrVar, StrVar)> = Vec::new();
         for atom in atoms {
             match atom {
                 Atom::InRe(v, re) => {
-                    cons.entry(uf.find(*v))
-                        .or_default()
-                        .pos
-                        .push(Arc::clone(re));
+                    let cons = &mut t.cons[t.uf.find(rank(v)) as usize];
+                    cons.present = true;
+                    cons.pos.push(re);
                 }
                 Atom::NotInRe(v, re) => {
-                    cons.entry(uf.find(*v))
-                        .or_default()
-                        .neg
-                        .push(Arc::clone(re));
+                    let cons = &mut t.cons[t.uf.find(rank(v)) as usize];
+                    cons.present = true;
+                    cons.neg.push(re);
                 }
                 Atom::EqLit(v, s) => {
-                    let entry = cons.entry(uf.find(*v)).or_default();
-                    match &entry.eq {
+                    let cons = &mut t.cons[t.uf.find(rank(v)) as usize];
+                    cons.present = true;
+                    match cons.eq {
                         Some(prev) if prev != s => return Outcome::Unsat,
-                        _ => entry.eq = Some(s.clone()),
+                        _ => cons.eq = Some(s.as_str()),
                     }
                 }
                 Atom::NeLit(v, s) => {
-                    cons.entry(uf.find(*v)).or_default().ne.push(s.clone());
+                    let cons = &mut t.cons[t.uf.find(rank(v)) as usize];
+                    cons.present = true;
+                    cons.ne.push(s.as_str());
                 }
                 Atom::NeVar(a, b) => {
-                    let (ra, rb) = (uf.find(*a), uf.find(*b));
+                    let (ra, rb) = (t.uf.find(rank(a)), t.uf.find(rank(b)));
                     if ra == rb {
                         // x ≠ x is unsatisfiable.
                         return Outcome::Unsat;
                     }
-                    ne_pairs.push((ra, rb));
+                    t.ne_pairs.push((ra, rb));
                 }
                 Atom::EqConcat(v, parts) => {
-                    let lhs = uf.find(*v);
-                    let parts: Vec<Part> = parts
-                        .iter()
-                        .map(|t| match t {
-                            Term::Var(u) => Part::Var(uf.find(*u)),
-                            Term::Lit(s) => Part::Lit(s.clone()),
-                        })
-                        .collect();
+                    let lhs = t.uf.find(rank(v));
+                    let start = t.collected.parts.len();
+                    for term in parts {
+                        let p = part(&mut t.uf, term);
+                        t.collected.parts.push(p);
+                    }
                     // Single-variable equations were merged as aliases;
                     // after union-find they degenerate to `v = [v]`.
-                    if parts.len() == 1 && parts[0] == Part::Var(lhs) {
+                    if t.collected.parts[start..] == [Part::Var(lhs)] {
+                        t.collected.parts.truncate(start);
                         continue;
                     }
-                    let eq = (lhs, parts);
-                    if !equations.contains(&eq) {
-                        equations.push(eq);
-                    }
+                    t.collected.commit_unique(lhs, start);
                 }
                 _ => {}
             }
         }
+        // Every rank a constraint names, in first-touch order.
+        let constrained = || {
+            t.uf.touched
+                .iter()
+                .map(|&v| v as usize)
+                .filter(|&v| t.cons[v].present)
+        };
         // Quick inconsistency: eq vs ne on the same root.
-        for info in cons.values() {
-            if let Some(eq) = &info.eq {
-                if info.ne.iter().any(|ne| ne == eq) {
+        for v in constrained() {
+            let info = &t.cons[v];
+            if let Some(eq) = info.eq {
+                if info.ne.contains(&eq) {
                     return Outcome::Unsat;
                 }
             }
         }
 
         // --- Occurs check (cyclic equations are outside the fragment) ----
-        if has_cycle(&equations) {
+        if has_cycle(&t.collected) {
             return Outcome::Unknown;
         }
-        let equations = topo_sort(equations);
-        let equations = flatten_equations(equations);
+        topo_sort(
+            &t.collected,
+            &mut t.equations,
+            &mut t.pending_eqs,
+            &mut t.deferred_eqs,
+        );
+        flatten_equations(&mut t.equations, &mut t.current_parts, &mut t.next_parts);
+        let equations = &t.equations;
+        let ne_pairs = &t.ne_pairs;
 
         // --- Alphabet -----------------------------------------------------
-        let mut sets = Vec::new();
-        let mut literal_chars = String::new();
-        for info in cons.values() {
+        // Each regex's sets are memoized per query: walking the regex
+        // clones every `CharSet`, and the same `Arc`s recur in every
+        // conjunction of a query.
+        for v in constrained() {
+            let info = &t.cons[v];
             for re in info.pos.iter().chain(info.neg.iter()) {
-                // Memoized per query: walking the regex clones every
-                // `CharSet`, and the same `Arc`s recur in every
-                // conjunction of a query.
-                let key = Arc::as_ptr(re) as usize;
-                match self.sets_memo.get(&key) {
-                    Some((_, cached)) => sets.extend(cached.iter().cloned()),
-                    None => {
+                self.sets_memo
+                    .entry(Arc::as_ptr(re) as usize)
+                    .or_insert_with(|| {
                         let mut fresh = Vec::new();
                         re.collect_sets(&mut fresh);
-                        sets.extend(fresh.iter().cloned());
-                        self.sets_memo.insert(key, (Arc::clone(re), fresh));
-                    }
-                }
-            }
-            if let Some(eq) = &info.eq {
-                literal_chars.push_str(eq);
-            }
-            for ne in &info.ne {
-                literal_chars.push_str(ne);
+                        (Arc::clone(re), fresh)
+                    });
             }
         }
-        for (_, parts) in &equations {
+        let chars = &mut self.scratch.chars;
+        chars.clear();
+        for v in constrained() {
+            let info = &t.cons[v];
+            chars.extend(info.eq.iter().chain(&info.ne).flat_map(|s| s.chars()));
+        }
+        for (_, parts) in equations.iter() {
             for p in parts {
                 if let Part::Lit(s) = p {
-                    literal_chars.push_str(s);
+                    chars.extend(s.chars());
                 }
             }
         }
-        // Normalized (sorted + deduped) and interned through the shared
+        chars.sort_unstable();
+        chars.dedup();
+        let singles: Vec<CharSet> = chars.iter().map(|&c| CharSet::single(c)).collect();
+        // The key is normalized (sorted, deduped) over references, so
+        // only distinct sets are cloned; interned through the shared
         // cache.
-        let alphabet = self.dfas.alphabet_for(sets, &literal_chars);
+        let mut distinct: Vec<&CharSet> = singles.iter().collect();
+        for v in constrained() {
+            let info = &t.cons[v];
+            for re in info.pos.iter().chain(info.neg.iter()) {
+                distinct.extend(&self.sets_memo[&(Arc::as_ptr(re) as usize)].1);
+            }
+        }
+        distinct.sort_unstable();
+        distinct.dedup();
+        let sets = distinct.into_iter().cloned().collect();
+        let alphabet = self.dfas.alphabet_for(sets, "");
 
         // --- Per-root DFAs -----------------------------------------------
-        let mut dfas: HashMap<StrVar, Arc<Dfa>> = HashMap::new();
-        let mut roots: Vec<StrVar> = cons.keys().copied().collect();
-        for (lhs, parts) in &equations {
-            roots.push(*lhs);
+        let roots = &mut t.roots;
+        roots.extend(constrained().map(|v| v as u32));
+        for (lhs, parts) in equations.iter() {
+            roots.push(lhs);
             for p in parts {
                 if let Part::Var(v) = p {
                     roots.push(*v);
                 }
             }
         }
-        for &(a, b) in &ne_pairs {
+        for &(a, b) in ne_pairs {
             roots.push(a);
             roots.push(b);
         }
+        // Ranks sort like the caller's ids.
         roots.sort_unstable();
         roots.dedup();
-        for &root in &roots {
-            let dfa: Arc<Dfa> = match cons.get(&root) {
+        let roots = &t.roots;
+        for &root in roots {
+            let info = &t.cons[root as usize];
+            let dfa: Arc<Dfa> = match info.eq {
                 // Pinned root: the language is `{eq}` or `∅`, so *run
                 // the word* through each constraint instead of building
                 // any product — and never build the complement DFAs of
@@ -861,8 +1106,7 @@ impl Search<'_> {
                 // checked above.) The verdict is identical to the
                 // fold's: its language is exactly `{eq}` when every
                 // membership holds and empty otherwise.
-                Some(info) if info.eq.is_some() => {
-                    let eq = info.eq.as_deref().expect("checked is_some");
+                Some(eq) => {
                     for re in &info.pos {
                         if !self.constraint_dfa(re, &alphabet, false).contains(eq) {
                             return Outcome::Unsat;
@@ -881,21 +1125,16 @@ impl Search<'_> {
                 // small accumulator bounds every intermediate, and the
                 // thresholded minimization after each product keeps it
                 // small.
-                info => {
+                None => {
                     let mut factors: Vec<Arc<Dfa>> = Vec::new();
-                    if let Some(info) = info {
-                        for re in &info.pos {
-                            factors.push(self.constraint_dfa(re, &alphabet, false));
-                        }
-                        for re in &info.neg {
-                            factors.push(self.constraint_dfa(re, &alphabet, true));
-                        }
-                        if let Some(eq) = &info.eq {
-                            factors.push(self.dfas.word_dfa(eq, &alphabet, false, &mut self.stats));
-                        }
-                        for ne in &info.ne {
-                            factors.push(self.dfas.word_dfa(ne, &alphabet, true, &mut self.stats));
-                        }
+                    for re in &info.pos {
+                        factors.push(self.constraint_dfa(re, &alphabet, false));
+                    }
+                    for re in &info.neg {
+                        factors.push(self.constraint_dfa(re, &alphabet, true));
+                    }
+                    for ne in &info.ne {
+                        factors.push(self.dfas.word_dfa(ne, &alphabet, true, &mut self.stats));
                     }
                     factors.sort_by_key(|d| d.state_count());
                     match factors.len() {
@@ -910,7 +1149,7 @@ impl Search<'_> {
             if dfa.is_empty() {
                 return Outcome::Unsat;
             }
-            dfas.insert(root, dfa);
+            t.dfas[root as usize] = Some(dfa);
         }
 
         // --- Length abstraction -------------------------------------------
@@ -918,39 +1157,35 @@ impl Search<'_> {
         // concat equations as integer arithmetic. An empty interval
         // refutes the conjunction before any word search; the surviving
         // intervals bound per-variable candidate lengths below.
-        let intervals = if self.config.length_abstraction {
-            match length_intervals(&dfas, &equations) {
-                Ok(intervals) => intervals,
-                Err(()) => {
-                    self.stats.length_prunes += 1;
-                    return Outcome::Unsat;
-                }
-            }
-        } else {
-            HashMap::new()
-        };
+        if self.config.length_abstraction
+            && length_intervals(roots, &t.dfas, equations, &mut t.intervals).is_err()
+        {
+            self.stats.length_prunes += 1;
+            return Outcome::Unsat;
+        }
 
         // --- Assignment search --------------------------------------------
-        let mut assignment: HashMap<StrVar, String> = HashMap::new();
         // Pin equality literals immediately.
-        for (&root, info) in &cons {
-            if let Some(eq) = &info.eq {
-                assignment.insert(root, eq.clone());
+        for &root in roots {
+            if let Some(eq) = t.cons[root as usize].eq {
+                t.assignment[root as usize] = Some(eq.to_string());
             }
         }
+        let assignment = &mut t.assignment;
 
         // Free variables in first-occurrence order across equations,
         // stably sorted so the most constrained languages enumerate
         // first: finite, then infinite-nonempty, then near-universal
         // (the latter are best derived by propagation/unit slicing).
-        let lhs_set: std::collections::HashSet<StrVar> =
-            equations.iter().map(|(l, _)| *l).collect();
-        let mut order: Vec<StrVar> = Vec::new();
-        for (_, parts) in &equations {
+        let order = &mut t.order;
+        for (_, parts) in equations.iter() {
             for p in parts {
-                if let Part::Var(v) = p {
-                    if !lhs_set.contains(v) && !assignment.contains_key(v) && !order.contains(v) {
-                        order.push(*v);
+                if let Part::Var(v) = *p {
+                    if !equations.iter().any(|(l, _)| l == v)
+                        && assignment[v as usize].is_none()
+                        && !order.contains(&v)
+                    {
+                        order.push(v);
                     }
                 }
             }
@@ -958,20 +1193,18 @@ impl Search<'_> {
         // Nesting depth: equations whose lhs feeds other equations are
         // "inner"; their free variables should be assigned first so the
         // outer words become derivable by propagation/unit slicing.
-        let mut eq_depth: HashMap<StrVar, u32> = HashMap::new();
+        let eq_depth = &mut t.eq_depth;
         for _ in 0..equations.len() {
             let mut changed = false;
-            for (lhs, _) in &equations {
+            for (lhs, _) in equations.iter() {
                 let depth = equations
                     .iter()
-                    .filter(|(_, parts)| {
-                        parts.iter().any(|p| matches!(p, Part::Var(v) if v == lhs))
-                    })
-                    .map(|(outer, _)| eq_depth.get(outer).copied().unwrap_or(0) + 1)
+                    .filter(|(_, parts)| parts.contains(&Part::Var(lhs)))
+                    .map(|(outer, _)| eq_depth[outer as usize].unwrap_or(0) + 1)
                     .max()
                     .unwrap_or(0);
-                if eq_depth.get(lhs) != Some(&depth) {
-                    eq_depth.insert(*lhs, depth);
+                if eq_depth[lhs as usize] != Some(depth) {
+                    eq_depth[lhs as usize] = Some(depth);
                     changed = true;
                 }
             }
@@ -979,16 +1212,17 @@ impl Search<'_> {
                 break;
             }
         }
-        let var_depth = |v: &StrVar| -> u32 {
+        let var_depth = |v: u32| -> u32 {
             equations
                 .iter()
-                .filter(|(_, parts)| parts.iter().any(|p| matches!(p, Part::Var(u) if u == v)))
-                .map(|(lhs, _)| eq_depth.get(lhs).copied().unwrap_or(0))
+                .filter(|(_, parts)| parts.contains(&Part::Var(v)))
+                .map(|(lhs, _)| eq_depth[lhs as usize].unwrap_or(0))
                 .max()
                 .unwrap_or(0)
         };
-        order.sort_by_key(|v| {
-            let dfa = &dfas[v];
+        let dfas = &t.dfas;
+        order.sort_by_key(|&v| {
+            let dfa = dfas[v as usize].as_ref().expect("every root has a DFA");
             let class = if !dfa.is_infinite() {
                 0u8
             } else if !dfa.accepts_empty() {
@@ -999,32 +1233,28 @@ impl Search<'_> {
             (class, std::cmp::Reverse(var_depth(v)))
         });
 
-        let mut ctx = StringCtx {
+        let ctx = StringCtx {
             alphabet,
             dfas,
             equations,
             order,
-            bools,
-            roots,
-            uf,
             ne_pairs,
-            intervals,
+            intervals: &t.intervals,
         };
 
         // Membership-only variables (not in any equation, not pinned)
         // get their shortest accepted word directly.
-        for &root in &ctx.roots {
-            let in_equations = ctx.equations.iter().any(|(l, parts)| {
-                *l == root
-                    || parts
-                        .iter()
-                        .any(|p| matches!(p, Part::Var(v) if *v == root))
-            });
-            if !in_equations && !assignment.contains_key(&root) {
-                let word = ctx.dfas[&root]
+        for &root in roots {
+            let in_equations = ctx
+                .equations
+                .iter()
+                .any(|(l, parts)| l == root || parts.contains(&Part::Var(root)));
+            if !in_equations && assignment[root as usize].is_none() {
+                let word = ctx
+                    .dfa(root)
                     .shortest_word()
                     .expect("nonempty language checked above");
-                assignment.insert(root, word);
+                assignment[root as usize] = Some(word);
             }
         }
 
@@ -1034,18 +1264,20 @@ impl Search<'_> {
         // for the duration of this conjunction (the alphabet is fixed
         // here, and the memo is thread-local to the search — no lock).
         self.word_dfa_memo.clear();
-        match self.assign(&mut ctx, &mut assignment) {
+        match self.assign(&ctx, assignment) {
             StepResult::Sat => {
                 let mut model = Model::new();
-                for (&b, &v) in &ctx.bools {
-                    model.set_bool(b, v);
+                for (rank, value) in t.bools.iter().enumerate() {
+                    if let Some(value) = *value {
+                        model.set_bool(ranks.bools[rank], value);
+                    }
                 }
                 // Map every variable through its root.
-                let all_vars = ctx.uf.all_vars();
-                for v in all_vars {
-                    let root = ctx.uf.find(v);
-                    let value = assignment.get(&root).cloned().unwrap_or_default();
-                    model.set_str(v, value);
+                for i in 0..t.uf.touched.len() {
+                    let v = t.uf.touched[i];
+                    let root = t.uf.find(v);
+                    let value = t.assignment[root as usize].clone().unwrap_or_default();
+                    model.set_str(ranks.strs[v as usize], value);
                 }
                 Outcome::Sat(model)
             }
@@ -1055,11 +1287,7 @@ impl Search<'_> {
     }
 
     /// Depth-first assignment of free variables.
-    fn assign(
-        &mut self,
-        ctx: &mut StringCtx,
-        assignment: &mut HashMap<StrVar, String>,
-    ) -> StepResult {
+    fn assign(&mut self, ctx: &StringCtx<'_, 'a>, assignment: &mut [Option<String>]) -> StepResult {
         if self.nodes_left == 0 {
             self.stats.truncated = true;
             return StepResult::Truncated;
@@ -1072,10 +1300,10 @@ impl Search<'_> {
         // exactly one candidate are forced, not decision points: they
         // are assigned in place (like unit slices) and the loop selects
         // again, so a search node is only ever spent on a real branch.
-        let mut trail: Vec<StrVar> = Vec::new();
-        let mut units: Vec<StrVar> = Vec::new();
+        let mut trail: Vec<u32> = Vec::new();
+        let mut units: Vec<u32> = Vec::new();
         loop {
-            if propagate(ctx, assignment, &mut trail).is_err() {
+            if propagate(ctx, assignment, &mut trail, &mut self.scratch).is_err() {
                 retract(assignment, &trail, &units);
                 return StepResult::Exhausted;
             }
@@ -1087,12 +1315,13 @@ impl Search<'_> {
             // near-universal variable floods the budget.
             let Some(var) = select_var(ctx, assignment) else {
                 // Everything assigned: final verification.
-                if final_check(ctx, assignment) {
+                if final_check(ctx, assignment, &mut self.scratch.value) {
                     return StepResult::Sat;
                 }
                 retract(assignment, &trail, &units);
                 return StepResult::Exhausted;
             };
+            let slot = var as usize;
             let mut words = self.candidates(ctx, assignment, var);
             let mut next = words.next(&mut self.stats);
             let mut queued = match next {
@@ -1104,8 +1333,9 @@ impl Search<'_> {
                     // A complete enumeration with a single word:
                     // committing it is the only way forward, so no
                     // branch is opened.
-                    assignment.insert(var, word);
+                    assignment[slot] = Some(word);
                     units.push(var);
+                    self.recycle(words);
                     continue;
                 }
             }
@@ -1118,17 +1348,19 @@ impl Search<'_> {
                     any_truncated = true;
                     break;
                 }
-                assignment.insert(var, word);
+                assignment[slot] = Some(word);
                 match self.assign(ctx, assignment) {
                     StepResult::Sat => return StepResult::Sat,
                     StepResult::Truncated => any_truncated = true,
                     StepResult::Exhausted => {}
                 }
-                assignment.remove(&var);
+                assignment[slot] = None;
                 next = queued.take().or_else(|| words.next(&mut self.stats));
             }
             retract(assignment, &trail, &units);
-            return if any_truncated || words.truncated {
+            let truncated = any_truncated || words.truncated;
+            self.recycle(words);
+            return if truncated {
                 StepResult::Truncated
             } else {
                 StepResult::Exhausted
@@ -1140,17 +1372,24 @@ impl Search<'_> {
     /// residual states of the equations it participates in.
     fn candidates(
         &mut self,
-        ctx: &StringCtx,
-        assignment: &HashMap<StrVar, String>,
-        var: StrVar,
-    ) -> Candidates {
+        ctx: &StringCtx<'_, 'a>,
+        assignment: &[Option<String>],
+        var: u32,
+    ) -> Candidates<'a> {
         // Guides are collected for every equation where all parts
         // before the first occurrence of `var` are assigned. When the
         // lhs value is already pinned, the guide is the exact-word DFA
         // of that value — the strongest possible residual constraint.
-        let mut guides: Vec<Guide> = Vec::new();
-        'eqs: for (lhs, parts) in &ctx.equations {
-            let lhs_dfa: Arc<Dfa> = match assignment.get(lhs) {
+        let CandidateBuffers {
+            mut guides,
+            mut banned,
+            mut nodes,
+            mut guide_states,
+            heap,
+            class_word,
+        } = self.spare.pop().unwrap_or_default();
+        'eqs: for (lhs, parts) in ctx.equations.iter() {
+            let lhs_dfa: Arc<Dfa> = match &assignment[lhs as usize] {
                 // Class-granularity word DFA: the pinned value may
                 // contain characters that are not singleton classes.
                 // Memoized per conjunction — the same pinned value is
@@ -1164,17 +1403,17 @@ impl Search<'_> {
                         dfa
                     }
                 },
-                None => Arc::clone(&ctx.dfas[lhs]),
+                None => Arc::clone(ctx.dfa(lhs)),
             };
             let mut state = lhs_dfa.start_state();
             let mut first_at = None;
             for (i, p) in parts.iter().enumerate() {
-                match p {
-                    Part::Var(v) if *v == var => {
+                match *p {
+                    Part::Var(v) if v == var => {
                         first_at = Some(i);
                         break;
                     }
-                    Part::Var(v) => match assignment.get(v) {
+                    Part::Var(v) => match &assignment[v as usize] {
                         Some(w) => state = lhs_dfa.run(state, w),
                         None => continue 'eqs,
                     },
@@ -1187,10 +1426,10 @@ impl Search<'_> {
             // itself (a repeated occurrence echoes the candidate).
             let mut tail = Some(Vec::new());
             for p in &parts[first_at + 1..] {
-                let piece = match p {
-                    Part::Var(v) if *v == var => Some(TailPiece::Own),
-                    Part::Var(v) => assignment.get(v).map(|w| TailPiece::Str(w.clone())),
-                    Part::Lit(s) => Some(TailPiece::Str(s.clone())),
+                let piece = match *p {
+                    Part::Var(v) if v == var => Some(TailPiece::Own),
+                    Part::Var(v) => assignment[v as usize].clone().map(TailPiece::Word),
+                    Part::Lit(s) => Some(TailPiece::Lit(s)),
                 };
                 match (piece, &mut tail) {
                     (Some(piece), Some(pieces)) => pieces.push(piece),
@@ -1209,30 +1448,29 @@ impl Search<'_> {
         // Disequalities that become decidable the moment `var` is
         // assigned: candidates equal to the other side's pinned value
         // are rejected by the next `propagate` unconditionally.
-        let banned: Vec<String> = ctx
-            .ne_pairs
-            .iter()
-            .filter_map(|&(a, b)| {
-                if a == var {
-                    assignment.get(&b).cloned()
-                } else if b == var {
-                    assignment.get(&a).cloned()
-                } else {
-                    None
-                }
-            })
-            .collect();
+        banned.extend(ctx.ne_pairs.iter().filter_map(|&(a, b)| {
+            if a == var {
+                assignment[b as usize].clone()
+            } else if b == var {
+                assignment[a as usize].clone()
+            } else {
+                None
+            }
+        }));
         // The variable's length window from the abstraction pass.
         // Cutting at the interval's upper bound is *exact* — no longer
         // word can be part of any solution — so only a cut at the
         // configured limit marks the enumeration as truncated.
-        let bounds = ctx
-            .intervals
-            .get(&var)
-            .copied()
-            .unwrap_or_else(LenInterval::full);
+        let bounds = ctx.intervals[var as usize].unwrap_or_else(LenInterval::full);
         let hard_cap = self.config.max_word_len as u64;
-        let var_dfa = Arc::clone(&ctx.dfas[&var]);
+        let var_dfa = Arc::clone(ctx.dfa(var));
+        nodes.push(Node {
+            parent: u32::MAX,
+            class: 0,
+            len: 0,
+            vs: var_dfa.start_state(),
+        });
+        guide_states.extend(guides.iter().map(|g| g.state));
         let mut words = Candidates {
             alphabet: Arc::clone(&ctx.alphabet),
             min_len: bounds.lo,
@@ -1247,15 +1485,11 @@ impl Search<'_> {
             yielded: 0,
             expansions: 0,
             truncated: false,
-            nodes: vec![Node {
-                parent: u32::MAX,
-                class: 0,
-                len: 0,
-                vs: var_dfa.start_state(),
-            }],
-            guide_states: guides.iter().map(|g| g.state).collect(),
+            nodes,
+            guide_states,
             counter: 0,
-            heap: BinaryHeap::new(),
+            heap: BinaryHeap::from(heap),
+            class_word,
             var_dfa,
             guides,
             banned,
@@ -1270,13 +1504,45 @@ impl Search<'_> {
         }
         words
     }
+
+    /// Keeps a finished enumeration's buffers for the next one.
+    fn recycle(&mut self, words: Candidates<'a>) {
+        let mut spare = CandidateBuffers {
+            guides: words.guides,
+            banned: words.banned,
+            nodes: words.nodes,
+            guide_states: words.guide_states,
+            heap: words.heap.into_vec(),
+            class_word: words.class_word,
+        };
+        spare.guides.clear();
+        spare.banned.clear();
+        spare.nodes.clear();
+        spare.guide_states.clear();
+        spare.heap.clear();
+        self.spare.push(spare);
+    }
 }
 
-/// A literal run of a guide's forced tail, or a repeated occurrence of
-/// the searched variable (which takes the candidate's own value once
-/// one is proposed).
-enum TailPiece {
-    Str(String),
+/// The buffers of a [`Candidates`] enumeration, kept across the
+/// enumerations of one solve. The search holds one enumeration per
+/// level of its recursion, so the spares form a stack.
+#[derive(Default)]
+struct CandidateBuffers<'f> {
+    guides: Vec<Guide<'f>>,
+    banned: Vec<String>,
+    nodes: Vec<Node>,
+    guide_states: Vec<u32>,
+    heap: Vec<Reverse<(u64, u64, u32)>>,
+    class_word: Vec<u16>,
+}
+
+/// A piece of a guide's forced tail: a literal run, an assigned
+/// variable's word, or a repeated occurrence of the searched variable
+/// (which takes the candidate's own value once one is proposed).
+enum TailPiece<'f> {
+    Lit(&'f str),
+    Word(String),
     Own,
 }
 
@@ -1288,10 +1554,10 @@ enum TailPiece {
 /// filtered by the enumeration instead of burning a search node (the
 /// surviving candidates and their order are unchanged, so the found
 /// model is identical).
-struct Guide {
+struct Guide<'f> {
     dfa: Arc<Dfa>,
     state: u32,
-    tail: Option<Vec<TailPiece>>,
+    tail: Option<Vec<TailPiece<'f>>>,
 }
 
 /// One prefix in a [`Candidates`] arena; `parent == u32::MAX` marks the
@@ -1317,10 +1583,10 @@ struct Node {
 /// prefix via parent links, guide states in one flat buffer) instead of
 /// being cloned on every heap push; a word is only realized when it is
 /// accepted.
-struct Candidates {
+struct Candidates<'f> {
     var_dfa: Arc<Dfa>,
     alphabet: Arc<Alphabet>,
-    guides: Vec<Guide>,
+    guides: Vec<Guide<'f>>,
     banned: Vec<String>,
     /// The length window: shorter words are not yielded, and prefixes
     /// are not extended past `cap`.
@@ -1340,9 +1606,11 @@ struct Candidates {
     /// FIFO tiebreak → length order among ties.
     counter: u64,
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// The class word of the last accepted node ([`Candidates::spell`]).
+    class_word: Vec<u16>,
 }
 
-impl Candidates {
+impl Candidates<'_> {
     /// The next candidate word, or `None` once the enumeration is
     /// exhausted or hit a limit (then `truncated` is set). Yields are
     /// counted in `stats.candidates`, limits in `stats.truncated`.
@@ -1366,12 +1634,14 @@ impl Candidates {
                 // word — `propagate` would refute such a child at the
                 // cost of a search node. Survivors keep their order, so
                 // the first model found is unchanged.
+                self.spell(idx);
+                let word = self.alphabet.realize(&self.class_word);
                 let gs = &self.guide_states[idx as usize * guide_count..][..guide_count];
-                let word = self.alphabet.realize(&self.class_word(idx));
                 let viable = self.guides.iter().zip(gs).all(|(g, &st)| match &g.tail {
                     Some(pieces) => {
                         let end = pieces.iter().fold(st, |st, p| match p {
-                            TailPiece::Str(s) => g.dfa.run(st, s),
+                            TailPiece::Lit(s) => g.dfa.run(st, s),
+                            TailPiece::Word(s) => g.dfa.run(st, s),
                             TailPiece::Own => g.dfa.run(st, &word),
                         });
                         g.dfa.is_accepting(end)
@@ -1455,15 +1725,15 @@ impl Candidates {
         p
     }
 
-    /// The class word spelled by the path from the root to `idx`.
-    fn class_word(&self, mut idx: u32) -> Vec<u16> {
-        let mut word = Vec::with_capacity(self.nodes[idx as usize].len as usize);
+    /// Writes the class word spelled by the path from the root to
+    /// `idx` to `class_word`.
+    fn spell(&mut self, mut idx: u32) {
+        self.class_word.clear();
         while self.nodes[idx as usize].parent != u32::MAX {
-            word.push(self.nodes[idx as usize].class);
+            self.class_word.push(self.nodes[idx as usize].class);
             idx = self.nodes[idx as usize].parent;
         }
-        word.reverse();
-        word
+        self.class_word.reverse();
     }
 }
 
@@ -1473,24 +1743,30 @@ enum StepResult {
     Truncated,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Part {
-    Var(StrVar),
-    Lit(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Part<'f> {
+    Var(u32),
+    Lit(&'f str),
 }
 
-struct StringCtx {
+struct StringCtx<'t, 'f> {
     alphabet: Arc<Alphabet>,
-    dfas: HashMap<StrVar, Arc<Dfa>>,
-    equations: Vec<(StrVar, Vec<Part>)>,
-    order: Vec<StrVar>,
-    bools: HashMap<BoolVar, bool>,
-    roots: Vec<StrVar>,
-    uf: UnionFind,
-    ne_pairs: Vec<(StrVar, StrVar)>,
+    dfas: &'t [Option<Arc<Dfa>>],
+    equations: &'t Equations<'f>,
+    order: &'t [u32],
+    ne_pairs: &'t [(u32, u32)],
     /// Accepted-length windows per root from the length-abstraction
-    /// pass (empty when the pass is disabled).
-    intervals: HashMap<StrVar, LenInterval>,
+    /// pass (all `None` when the pass is disabled).
+    intervals: &'t [Option<LenInterval>],
+}
+
+impl StringCtx<'_, '_> {
+    /// The constraint DFA of a root.
+    fn dfa(&self, root: u32) -> &Arc<Dfa> {
+        self.dfas[root as usize]
+            .as_ref()
+            .expect("every root has a DFA")
+    }
 }
 
 /// An inclusive interval of word lengths; `hi = None` means unbounded.
@@ -1557,24 +1833,23 @@ impl LenInterval {
 /// concat equations to a fixpoint (bounded rounds). `Err` means some
 /// interval became empty — the conjunction has no solution.
 fn length_intervals(
-    dfas: &HashMap<StrVar, Arc<Dfa>>,
-    equations: &[(StrVar, Vec<Part>)],
-) -> Result<HashMap<StrVar, LenInterval>, ()> {
-    let mut intervals: HashMap<StrVar, LenInterval> = HashMap::new();
-    for (&var, dfa) in dfas {
+    roots: &[u32],
+    dfas: &[Option<Arc<Dfa>>],
+    equations: &Equations,
+    intervals: &mut [Option<LenInterval>],
+) -> Result<(), ()> {
+    for &root in roots {
+        let dfa = dfas[root as usize].as_ref().expect("every root has a DFA");
         // Empty languages were refuted before this pass runs.
         let bounds = dfa.length_bounds().ok_or(())?;
-        intervals.insert(
-            var,
-            LenInterval {
-                lo: bounds.min as u64,
-                hi: bounds.max.map(|m| m as u64),
-            },
-        );
+        intervals[root as usize] = Some(LenInterval {
+            lo: bounds.min as u64,
+            hi: bounds.max.map(|m| m as u64),
+        });
     }
-    let part_interval = |p: &Part, intervals: &HashMap<StrVar, LenInterval>| -> LenInterval {
-        match p {
-            Part::Var(v) => intervals.get(v).copied().unwrap_or_else(LenInterval::full),
+    let part_interval = |p: &Part, intervals: &[Option<LenInterval>]| -> LenInterval {
+        match *p {
+            Part::Var(v) => intervals[v as usize].unwrap_or_else(LenInterval::full),
             Part::Lit(s) => LenInterval::exact(s.chars().count() as u64),
         }
     };
@@ -1583,36 +1858,33 @@ fn length_intervals(
     let max_rounds = 4 * equations.len() + 4;
     for _ in 0..max_rounds {
         let mut changed = false;
-        for (lhs, parts) in equations {
+        for (lhs, parts) in equations.iter() {
             // Forward: len(lhs) ∈ Σ len(part).
             let mut sum = LenInterval::exact(0);
             for p in parts {
-                sum = sum.add(part_interval(p, &intervals));
+                sum = sum.add(part_interval(p, intervals));
             }
-            let current = intervals
-                .get(lhs)
-                .copied()
-                .unwrap_or_else(LenInterval::full);
+            let current = intervals[lhs as usize].unwrap_or_else(LenInterval::full);
             let refined = current.meet(sum).ok_or(())?;
             if refined != current {
-                intervals.insert(*lhs, refined);
+                intervals[lhs as usize] = Some(refined);
                 changed = true;
             }
             // Backward: each variable occurrence fits in what the lhs
             // leaves after the other parts.
             for (i, p) in parts.iter().enumerate() {
-                let Part::Var(v) = p else { continue };
+                let Part::Var(v) = *p else { continue };
                 let mut others = LenInterval::exact(0);
                 for (j, q) in parts.iter().enumerate() {
                     if j != i {
-                        others = others.add(part_interval(q, &intervals));
+                        others = others.add(part_interval(q, intervals));
                     }
                 }
                 let derived = refined.minus(others).ok_or(())?;
-                let current = intervals.get(v).copied().unwrap_or_else(LenInterval::full);
+                let current = intervals[v as usize].unwrap_or_else(LenInterval::full);
                 let met = current.meet(derived).ok_or(())?;
                 if met != current {
-                    intervals.insert(*v, met);
+                    intervals[v as usize] = Some(met);
                     changed = true;
                 }
             }
@@ -1621,28 +1893,30 @@ fn length_intervals(
             break;
         }
     }
-    Ok(intervals)
+    Ok(())
 }
 
 /// Propagates fully-determined equations (computing lhs values) and
 /// prefix-prunes partially determined ones. Returns `Err` on conflict.
 fn propagate(
     ctx: &StringCtx,
-    assignment: &mut HashMap<StrVar, String>,
-    trail: &mut Vec<StrVar>,
+    assignment: &mut [Option<String>],
+    trail: &mut Vec<u32>,
+    scratch: &mut Scratch,
 ) -> Result<(), ()> {
     let mut changed = true;
     while changed {
         changed = false;
-        for (lhs, parts) in &ctx.equations {
-            let mut value = String::new();
+        for (lhs, parts) in ctx.equations.iter() {
+            let value = &mut scratch.value;
+            value.clear();
             let mut complete = true;
-            let lhs_dfa = &ctx.dfas[lhs];
+            let lhs_dfa = ctx.dfa(lhs);
             let mut state = lhs_dfa.start_state();
             for p in parts {
-                let piece: Option<&str> = match p {
-                    Part::Var(v) => assignment.get(v).map(String::as_str),
-                    Part::Lit(s) => Some(s.as_str()),
+                let piece: Option<&str> = match *p {
+                    Part::Var(v) => assignment[v as usize].as_deref(),
+                    Part::Lit(s) => Some(s),
                 };
                 match piece {
                     Some(s) => {
@@ -1661,9 +1935,9 @@ fn propagate(
                 }
             }
             if complete {
-                match assignment.get(lhs) {
+                match &assignment[lhs as usize] {
                     Some(existing) => {
-                        if *existing != value {
+                        if existing != value {
                             return Err(());
                         }
                     }
@@ -1671,68 +1945,65 @@ fn propagate(
                         if !lhs_dfa.is_accepting(state) {
                             return Err(());
                         }
-                        assignment.insert(*lhs, value);
-                        trail.push(*lhs);
+                        assignment[lhs as usize] = Some(value.clone());
+                        trail.push(lhs);
                         changed = true;
                     }
                 }
-            } else if let Some(existing) = assignment.get(lhs) {
+            } else if let Some(existing) = &assignment[lhs as usize] {
                 // lhs pinned: the assigned prefix must be a prefix of it.
-                if !existing.starts_with(&value) {
+                if !existing.starts_with(value.as_str()) {
                     return Err(());
                 }
                 // Unit slicing: with exactly one unassigned variable part
                 // (occurring once), its value is forced by the pinned lhs.
-                let unassigned: Vec<&StrVar> = parts
-                    .iter()
-                    .filter_map(|p| match p {
-                        Part::Var(v) if !assignment.contains_key(v) => Some(v),
-                        _ => None,
-                    })
-                    .collect();
-                if unassigned.len() == 1 {
-                    let var = *unassigned[0];
-                    let mut prefix = String::new();
-                    let mut suffix = String::new();
-                    let mut before = true;
-                    for p in parts {
-                        let piece: Option<&str> = match p {
-                            Part::Var(v) if *v == var => {
-                                before = false;
-                                continue;
-                            }
-                            Part::Var(v) => assignment.get(v).map(String::as_str),
-                            Part::Lit(s) => Some(s.as_str()),
-                        };
-                        let piece = piece.expect("only `var` is unassigned");
-                        if before {
-                            prefix.push_str(piece);
-                        } else {
-                            suffix.push_str(piece);
+                let mut unassigned = parts.iter().filter_map(|p| match *p {
+                    Part::Var(v) if assignment[v as usize].is_none() => Some(v),
+                    _ => None,
+                });
+                let (Some(var), None) = (unassigned.next(), unassigned.next()) else {
+                    continue;
+                };
+                let Scratch { prefix, suffix, .. } = scratch;
+                prefix.clear();
+                suffix.clear();
+                let mut before = true;
+                for p in parts {
+                    let piece: Option<&str> = match *p {
+                        Part::Var(v) if v == var => {
+                            before = false;
+                            continue;
                         }
+                        Part::Var(v) => assignment[v as usize].as_deref(),
+                        Part::Lit(s) => Some(s),
+                    };
+                    let piece = piece.expect("only `var` is unassigned");
+                    if before {
+                        prefix.push_str(piece);
+                    } else {
+                        suffix.push_str(piece);
                     }
-                    let existing_chars: Vec<char> = existing.chars().collect();
-                    let prefix_chars: Vec<char> = prefix.chars().collect();
-                    let suffix_chars: Vec<char> = suffix.chars().collect();
-                    if existing_chars.len() < prefix_chars.len() + suffix_chars.len()
-                        || !existing.starts_with(&prefix)
-                        || !existing.ends_with(&suffix)
-                    {
+                }
+                // `existing` splits as prefix ++ middle ++ suffix exactly
+                // when it is long enough and starts and ends with them;
+                // both end on character boundaries, so the byte lengths
+                // decide as the character counts would.
+                if existing.len() < prefix.len() + suffix.len()
+                    || !existing.starts_with(prefix.as_str())
+                    || !existing.ends_with(suffix.as_str())
+                {
+                    return Err(());
+                }
+                let middle = &existing[prefix.len()..existing.len() - suffix.len()];
+                if let Some(dfa) = &ctx.dfas[var as usize] {
+                    if !dfa.contains(middle) {
                         return Err(());
                     }
-                    let middle: String = existing_chars
-                        [prefix_chars.len()..existing_chars.len() - suffix_chars.len()]
-                        .iter()
-                        .collect();
-                    if let Some(dfa) = ctx.dfas.get(&var) {
-                        if !dfa.contains(&middle) {
-                            return Err(());
-                        }
-                    }
-                    assignment.insert(var, middle);
-                    trail.push(var);
-                    changed = true;
                 }
+                let middle = middle.to_string();
+                assignment[var as usize] = Some(middle);
+                trail.push(var);
+                changed = true;
             }
         }
     }
@@ -1741,8 +2012,8 @@ fn propagate(
     // tree is only rediscovered by `final_check` at every leaf below
     // it — an exponential blowup observed in the wild (a §4.4 negated
     // capture binding burned 27k nodes on one flip query).
-    for &(a, b) in &ctx.ne_pairs {
-        if let (Some(va), Some(vb)) = (assignment.get(&a), assignment.get(&b)) {
+    for &(a, b) in ctx.ne_pairs {
+        if let (Some(va), Some(vb)) = (&assignment[a as usize], &assignment[b as usize]) {
             if va == vb {
                 return Err(());
             }
@@ -1757,24 +2028,24 @@ fn propagate(
 /// 2 — same but the lhs language is infinite (weak guide);
 /// 3 — no equation ready to guide it.
 /// Static order position breaks ties, keeping the search deterministic.
-fn select_var(ctx: &StringCtx, assignment: &HashMap<StrVar, String>) -> Option<StrVar> {
+fn select_var(ctx: &StringCtx, assignment: &[Option<String>]) -> Option<u32> {
     let mut best: Option<(u8, usize)> = None;
     for (pos, &var) in ctx.order.iter().enumerate() {
-        if assignment.contains_key(&var) {
+        if assignment[var as usize].is_some() {
             continue;
         }
         let mut score = 3u8;
-        for (lhs, parts) in &ctx.equations {
+        for (lhs, parts) in ctx.equations.iter() {
             let mut preceding_assigned = true;
             let mut found = false;
             for part in parts {
-                match part {
-                    Part::Var(v) if *v == var => {
+                match *part {
+                    Part::Var(v) if v == var => {
                         found = true;
                         break;
                     }
                     Part::Var(v) => {
-                        if !assignment.contains_key(v) {
+                        if assignment[v as usize].is_none() {
                             preceding_assigned = false;
                             break;
                         }
@@ -1785,9 +2056,9 @@ fn select_var(ctx: &StringCtx, assignment: &HashMap<StrVar, String>) -> Option<S
             if !found || !preceding_assigned {
                 continue;
             }
-            let strength = if assignment.contains_key(lhs) {
+            let strength = if assignment[lhs as usize].is_some() {
                 0
-            } else if !ctx.dfas[lhs].is_infinite() {
+            } else if !ctx.dfa(lhs).is_infinite() {
                 1
             } else {
                 2
@@ -1804,47 +2075,42 @@ fn select_var(ctx: &StringCtx, assignment: &HashMap<StrVar, String>) -> Option<S
     best.map(|(_, pos)| ctx.order[pos])
 }
 
-fn undo(assignment: &mut HashMap<StrVar, String>, trail: &[StrVar]) {
-    for v in trail {
-        assignment.remove(v);
+/// Backtracks one search node: drops both the propagation trail and the
+/// unit (single-candidate) assignments committed at that node.
+fn retract(assignment: &mut [Option<String>], trail: &[u32], units: &[u32]) {
+    for &v in trail.iter().chain(units) {
+        assignment[v as usize] = None;
     }
 }
 
-/// Backtracks one search node: drops both the propagation trail and the
-/// unit (single-candidate) assignments committed at that node.
-fn retract(assignment: &mut HashMap<StrVar, String>, trail: &[StrVar], units: &[StrVar]) {
-    undo(assignment, trail);
-    undo(assignment, units);
-}
-
-fn final_check(ctx: &StringCtx, assignment: &HashMap<StrVar, String>) -> bool {
-    for (lhs, parts) in &ctx.equations {
-        let Some(lhs_val) = assignment.get(lhs) else {
+fn final_check(ctx: &StringCtx, assignment: &[Option<String>], value: &mut String) -> bool {
+    for (lhs, parts) in ctx.equations.iter() {
+        let Some(lhs_val) = &assignment[lhs as usize] else {
             return false;
         };
-        let mut value = String::new();
+        value.clear();
         for p in parts {
-            match p {
-                Part::Var(v) => match assignment.get(v) {
+            match *p {
+                Part::Var(v) => match &assignment[v as usize] {
                     Some(s) => value.push_str(s),
                     None => return false,
                 },
                 Part::Lit(s) => value.push_str(s),
             }
         }
-        if *lhs_val != value {
+        if lhs_val != value {
             return false;
         }
     }
-    for (&root, dfa) in &ctx.dfas {
-        if let Some(value) = assignment.get(&root) {
+    for (dfa, value) in ctx.dfas.iter().zip(assignment) {
+        if let (Some(dfa), Some(value)) = (dfa, value) {
             if !dfa.contains(value) {
                 return false;
             }
         }
     }
-    for &(a, b) in &ctx.ne_pairs {
-        match (assignment.get(&a), assignment.get(&b)) {
+    for &(a, b) in ctx.ne_pairs {
+        match (&assignment[a as usize], &assignment[b as usize]) {
             (Some(va), Some(vb)) if va == vb => return false,
             _ => {}
         }
@@ -1852,15 +2118,71 @@ fn final_check(ctx: &StringCtx, assignment: &HashMap<StrVar, String>) -> bool {
     true
 }
 
-fn has_cycle(equations: &[(StrVar, Vec<Part>)]) -> bool {
-    // DFS from each lhs through parts that are themselves lhs.
-    let lhs_parts: HashMap<StrVar, &Vec<Part>> = equations.iter().map(|(l, p)| (*l, p)).collect();
-    fn visit(
-        v: StrVar,
-        lhs_parts: &HashMap<StrVar, &Vec<Part>>,
-        visiting: &mut Vec<StrVar>,
-        done: &mut Vec<StrVar>,
-    ) -> bool {
+/// A conjunction's word equations `lhs = parts` over roots, the parts
+/// of every equation stored back to back.
+#[derive(Debug, Default)]
+struct Equations<'f> {
+    /// Per equation: its lhs and the end of its parts in `parts`.
+    heads: Vec<(u32, u32)>,
+    parts: Vec<Part<'f>>,
+}
+
+impl<'f> Equations<'f> {
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.parts.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    fn get(&self, i: usize) -> (u32, &[Part<'f>]) {
+        let start = match i {
+            0 => 0,
+            _ => self.heads[i - 1].1 as usize,
+        };
+        let (lhs, end) = self.heads[i];
+        (lhs, &self.parts[start..end as usize])
+    }
+
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (u32, &[Part<'f>])> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Makes the parts pushed since the last equation the equation
+    /// `lhs = …`.
+    fn commit(&mut self, lhs: u32) {
+        self.heads.push((lhs, self.parts.len() as u32));
+    }
+
+    /// Like [`Equations::commit`], unless that equation is already
+    /// present; `start` is where its parts begin.
+    fn commit_unique(&mut self, lhs: u32, start: usize) {
+        let parts = &self.parts[start..];
+        if self.iter().any(|(l, p)| l == lhs && p == parts) {
+            self.parts.truncate(start);
+        } else {
+            self.commit(lhs);
+        }
+    }
+
+    fn push_unique(&mut self, lhs: u32, parts: &[Part<'f>]) {
+        let start = self.parts.len();
+        self.parts.extend_from_slice(parts);
+        self.commit_unique(lhs, start);
+    }
+
+    fn push(&mut self, lhs: u32, parts: &[Part<'f>]) {
+        self.parts.extend_from_slice(parts);
+        self.commit(lhs);
+    }
+}
+
+fn has_cycle(equations: &Equations) -> bool {
+    // DFS from each lhs through parts that are themselves lhs, along
+    // the *last* definition of each variable.
+    fn visit(v: u32, equations: &Equations, visiting: &mut Vec<u32>, done: &mut Vec<u32>) -> bool {
         if done.contains(&v) {
             return false;
         }
@@ -1868,10 +2190,10 @@ fn has_cycle(equations: &[(StrVar, Vec<Part>)]) -> bool {
             return true;
         }
         visiting.push(v);
-        if let Some(parts) = lhs_parts.get(&v) {
-            for p in *parts {
-                if let Part::Var(u) = p {
-                    if visit(*u, lhs_parts, visiting, done) {
+        if let Some((_, parts)) = equations.iter().rev().find(|&(lhs, _)| lhs == v) {
+            for p in parts {
+                if let Part::Var(u) = *p {
+                    if visit(u, equations, visiting, done) {
                         return true;
                     }
                 }
@@ -1882,9 +2204,9 @@ fn has_cycle(equations: &[(StrVar, Vec<Part>)]) -> bool {
         false
     }
     let mut done = Vec::new();
-    for &(lhs, _) in equations {
+    for (lhs, _) in equations.iter() {
         let mut visiting = Vec::new();
-        if visit(lhs, &lhs_parts, &mut visiting, &mut done) {
+        if visit(lhs, equations, &mut visiting, &mut done) {
             return true;
         }
     }
@@ -1898,16 +2220,17 @@ fn has_cycle(equations: &[(StrVar, Vec<Part>)]) -> bool {
 /// copies relate *base* variables directly to outer words, so a pinned
 /// outer word guides candidate enumeration for inner variables instead
 /// of leaving them near-universal (which floods the node budget).
-fn flatten_equations(equations: Vec<(StrVar, Vec<Part>)>) -> Vec<(StrVar, Vec<Part>)> {
-    // First definition wins for variables with several equations; the
-    // others still get checked via their own (flattened) equations.
-    let mut defs: HashMap<StrVar, Vec<Part>> = HashMap::new();
-    for (lhs, parts) in &equations {
-        defs.entry(*lhs).or_insert_with(|| parts.clone());
-    }
-    let mut out = equations.clone();
-    for (lhs, parts) in &equations {
-        let mut current = parts.clone();
+/// `current` and `next` are substitution scratch.
+fn flatten_equations<'f>(
+    equations: &mut Equations<'f>,
+    current: &mut Vec<Part<'f>>,
+    next: &mut Vec<Part<'f>>,
+) {
+    let originals = equations.len();
+    for i in 0..originals {
+        let (lhs, parts) = equations.get(i);
+        current.clear();
+        current.extend_from_slice(parts);
         // The occurs check ran on ONE definition per variable; with
         // several definitions the substitution graph can still cycle
         // (e.g. x = [y,"a"], y = [x,"c"] alongside an acyclic x
@@ -1915,21 +2238,30 @@ fn flatten_equations(equations: Vec<(StrVar, Vec<Part>)>) -> Vec<(StrVar, Vec<Pa
         // bounded by the number of equations, so fuel exhaustion means
         // a cycle: abandon the flattened copy (it is only a redundant
         // search guide) and keep the original equation.
-        let mut fuel = equations.len() + 1;
+        let mut fuel = originals + 1;
         let mut diverged = false;
         loop {
-            let mut next = Vec::with_capacity(current.len());
+            next.clear();
             let mut changed = false;
-            for part in &current {
-                match part {
-                    Part::Var(v) if *v != *lhs && defs.contains_key(v) => {
-                        next.extend(defs[v].iter().cloned());
+            for &part in current.iter() {
+                // First definition wins for variables with several
+                // equations; the others still get checked via their
+                // own (flattened) equations.
+                let definition = match part {
+                    Part::Var(v) if v != lhs => (0..originals)
+                        .map(|j| equations.get(j))
+                        .find(|&(l, _)| l == v),
+                    _ => None,
+                };
+                match definition {
+                    Some((_, def)) => {
+                        next.extend_from_slice(def);
                         changed = true;
                     }
-                    other => next.push(other.clone()),
+                    None => next.push(part),
                 }
             }
-            current = next;
+            std::mem::swap(current, next);
             if !changed {
                 break;
             }
@@ -1939,77 +2271,105 @@ fn flatten_equations(equations: Vec<(StrVar, Vec<Part>)>) -> Vec<(StrVar, Vec<Pa
                 break;
             }
         }
-        if diverged {
-            continue;
-        }
-        let flattened = (*lhs, current);
-        if !out.contains(&flattened) {
-            out.push(flattened);
+        if !diverged {
+            equations.push_unique(lhs, current);
         }
     }
-    out
 }
 
-/// Orders equations so that inner (dependency) equations come first.
-fn topo_sort(equations: Vec<(StrVar, Vec<Part>)>) -> Vec<(StrVar, Vec<Part>)> {
-    let mut out: Vec<(StrVar, Vec<Part>)> = Vec::with_capacity(equations.len());
-    let mut remaining = equations;
-    while !remaining.is_empty() {
-        let lhs_pending: std::collections::HashSet<StrVar> =
-            remaining.iter().map(|(l, _)| *l).collect();
-        let (ready, rest): (Vec<_>, Vec<_>) = remaining.into_iter().partition(|(lhs, parts)| {
-            parts.iter().all(|p| match p {
-                Part::Var(v) => !lhs_pending.contains(v) || v == lhs,
+/// Writes `equations` to `out` so that inner (dependency) equations
+/// come first. `pending` and `deferred` are index scratch.
+fn topo_sort<'f>(
+    equations: &Equations<'f>,
+    out: &mut Equations<'f>,
+    pending: &mut Vec<u32>,
+    deferred: &mut Vec<u32>,
+) {
+    out.clear();
+    pending.clear();
+    pending.extend(0..equations.len() as u32);
+    while !pending.is_empty() {
+        deferred.clear();
+        let before = out.len();
+        for &i in pending.iter() {
+            let (lhs, parts) = equations.get(i as usize);
+            let ready = parts.iter().all(|p| match *p {
+                Part::Var(v) => {
+                    !pending.iter().any(|&j| equations.get(j as usize).0 == v) || v == lhs
+                }
                 Part::Lit(_) => true,
-            })
-        });
-        if ready.is_empty() {
+            });
+            if ready {
+                out.push(lhs, parts);
+            } else {
+                deferred.push(i);
+            }
+        }
+        if out.len() == before {
             // Cycle was excluded earlier; defensive fallback.
-            out.extend(rest);
+            for &i in deferred.iter() {
+                let (lhs, parts) = equations.get(i as usize);
+                out.push(lhs, parts);
+            }
             break;
         }
-        out.extend(ready);
-        remaining = rest;
+        std::mem::swap(pending, deferred);
     }
-    out
 }
 
+/// Union-find over string ranks: `parent[v] == NIL` until `v` is
+/// touched, and `touched` lists the touched ranks in order, so a reset
+/// costs what the conjunction used.
 #[derive(Debug, Default)]
 struct UnionFind {
-    parent: HashMap<StrVar, StrVar>,
+    parent: Vec<u32>,
+    touched: Vec<u32>,
 }
 
 impl UnionFind {
-    fn touch(&mut self, v: StrVar) {
-        self.parent.entry(v).or_insert(v);
+    fn new(len: usize) -> UnionFind {
+        UnionFind {
+            parent: vec![NIL; len],
+            touched: Vec::new(),
+        }
     }
 
-    fn find(&mut self, v: StrVar) -> StrVar {
+    fn touch(&mut self, v: u32) {
+        if self.parent[v as usize] == NIL {
+            self.parent[v as usize] = v;
+            self.touched.push(v);
+        }
+    }
+
+    fn find(&mut self, v: u32) -> u32 {
         self.touch(v);
         let mut root = v;
-        while self.parent[&root] != root {
-            root = self.parent[&root];
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
         }
         // Path compression.
         let mut cur = v;
-        while self.parent[&cur] != root {
-            let next = self.parent[&cur];
-            self.parent.insert(cur, root);
+        while self.parent[cur as usize] != root {
+            let next = self.parent[cur as usize];
+            self.parent[cur as usize] = root;
             cur = next;
         }
         root
     }
 
-    fn union(&mut self, a: StrVar, b: StrVar) {
+    fn union(&mut self, a: u32, b: u32) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra != rb {
-            self.parent.insert(ra, rb);
+            self.parent[ra as usize] = rb;
         }
     }
 
-    fn all_vars(&self) -> Vec<StrVar> {
-        self.parent.keys().copied().collect()
+    fn reset(&mut self) {
+        for &v in &self.touched {
+            self.parent[v as usize] = NIL;
+        }
+        self.touched.clear();
     }
 }
 
@@ -2017,7 +2377,6 @@ impl UnionFind {
 mod tests {
     use super::*;
     use crate::vars::VarPool;
-    use automata::CharSet;
 
     fn solve(f: &Formula) -> Outcome {
         Solver::default().solve(f).0

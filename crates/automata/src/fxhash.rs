@@ -9,7 +9,7 @@
 //!
 //! The rule: an Fx-hashed map is keyed only by internal ids or
 //! pointers, never by content that comes from input text. Maps keyed
-//! by such content keep the std hasher or are small linear scans.
+//! by such content keep the std hasher.
 //!
 //! The state-id maps are keyed by state-id sets and pairs the
 //! constructions generate themselves, hashed once per transition.

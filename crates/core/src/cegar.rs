@@ -1103,7 +1103,7 @@ mod tests {
             .get(&posed(&assumption))
             .cloned()
             .expect("stored");
-        cache.entries.lock().insert(posed(&other), stored);
+        let _evicted = cache.entries.lock().insert(posed(&other), stored);
 
         let result =
             cegar.solve_incremental(&session, session.depth(), &other, constraints, Some(&cache));

@@ -76,6 +76,7 @@ const NIL: usize = usize::MAX;
 /// it frees them: a caller holding the map behind a lock binds it and
 /// lets it drop after the guard. A capacity eviction pushes out at most
 /// one entry, which is held without allocating.
+#[must_use = "bind the evicted entries and let them drop after the lock is released"]
 #[derive(Debug)]
 pub struct Evicted<K, V> {
     first: Option<(Arc<K>, V)>,
@@ -434,8 +435,8 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut lru: Lru<u32, &str> = Lru::new(2);
-        lru.insert(1, "one");
-        lru.insert(2, "two");
+        let _ = lru.insert(1, "one");
+        let _ = lru.insert(2, "two");
         assert_eq!(lru.get(&1), Some(&"one")); // refresh 1
         let evicted = lru.insert(3, "three");
         assert_eq!(evicted.keys().collect::<Vec<_>>(), [&2]);
@@ -448,7 +449,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_storage() {
         let mut lru: Lru<u32, &str> = Lru::new(0);
-        lru.insert(1, "one");
+        let _ = lru.insert(1, "one");
         assert!(lru.is_empty());
         assert_eq!(lru.get(&1), None);
     }
@@ -456,9 +457,9 @@ mod tests {
     #[test]
     fn byte_budget_evicts_weighted_entries() {
         let mut lru: Lru<u32, &str> = Lru::with_byte_budget(16, 100);
-        lru.insert_weighted(1, "one", 60);
+        let _ = lru.insert_weighted(1, "one", 60);
         assert_eq!(lru.bytes(), 60);
-        lru.insert_weighted(2, "two", 60); // 120 > 100 → evicts 1
+        let _ = lru.insert_weighted(2, "two", 60); // 120 > 100 → evicts 1
         assert_eq!(lru.get(&1), None);
         assert_eq!(lru.get(&2), Some(&"two"));
         assert_eq!(lru.bytes(), 60);
@@ -468,7 +469,7 @@ mod tests {
     #[test]
     fn oversized_entry_is_not_retained() {
         let mut lru: Lru<u32, &str> = Lru::with_byte_budget(16, 100);
-        lru.insert_weighted(1, "big", 200);
+        let _ = lru.insert_weighted(1, "big", 200);
         assert!(lru.is_empty());
         assert_eq!(lru.bytes(), 0);
     }
@@ -476,8 +477,8 @@ mod tests {
     #[test]
     fn replacing_an_entry_updates_bytes() {
         let mut lru: Lru<u32, &str> = Lru::with_byte_budget(16, 100);
-        lru.insert_weighted(1, "one", 40);
-        lru.insert_weighted(1, "uno", 70);
+        let _ = lru.insert_weighted(1, "one", 40);
+        let _ = lru.insert_weighted(1, "uno", 70);
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.bytes(), 70);
         assert_eq!(lru.evictions(), 0);

@@ -17,8 +17,9 @@
 //! `Unknown`, which DSE treats like an SMT timeout (paper §5.3).
 
 use std::cmp::Reverse;
+use std::collections::hash_map::RandomState;
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hash};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -434,17 +435,16 @@ impl DfaCache {
     }
 
     /// The interned minterm alphabet of a conjunction's character sets
-    /// and literal characters. The partition is order- and
-    /// duplicate-independent, so the key is normalized (sorted,
-    /// deduped) before lookup; a miss builds via
+    /// (its regexes' sets and a single-char set per literal character).
+    /// The partition is order- and duplicate-independent, so the key
+    /// is normalized (sorted, deduped) over the borrowed sets and only
+    /// the distinct ones are cloned; a miss builds via
     /// [`Alphabet::from_sets`] on the normalized sets, which yields
     /// the same classes as the raw collection would.
-    fn alphabet_for(&self, mut sets: Vec<CharSet>, literal_chars: &str) -> Arc<Alphabet> {
-        for c in literal_chars.chars() {
-            sets.push(CharSet::single(c));
-        }
+    fn alphabet_for(&self, mut sets: Vec<&CharSet>) -> Arc<Alphabet> {
         sets.sort_unstable();
         sets.dedup();
+        let sets: Vec<CharSet> = sets.into_iter().cloned().collect();
         if let Some(alphabet) = self.alphabets.lock().get(&sets) {
             return Arc::clone(alphabet);
         }
@@ -540,39 +540,20 @@ type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// Sorting or breaking ties by rank therefore orders exactly as by id,
 /// and the per-conjunction tables are as long as the formula has
 /// variables, whatever the magnitude of their ids.
+#[derive(Default)]
 struct Ranks {
     strs: Vec<StrVar>,
     bools: Vec<BoolVar>,
-    /// The rank of string id `str_base + i` at `str_index[i]`, when
-    /// the ids span at most twice their count (pools number densely);
-    /// empty otherwise, and lookups search `strs`.
-    str_base: u32,
-    str_index: Vec<u32>,
 }
 
 impl Ranks {
     fn of(formula: &Formula) -> Ranks {
-        let mut ranks = Ranks {
-            strs: Vec::new(),
-            bools: Vec::new(),
-            str_base: 0,
-            str_index: Vec::new(),
-        };
+        let mut ranks = Ranks::default();
         ranks.collect(formula);
         ranks.strs.sort_unstable();
         ranks.strs.dedup();
         ranks.bools.sort_unstable();
         ranks.bools.dedup();
-        if let (Some(first), Some(last)) = (ranks.strs.first(), ranks.strs.last()) {
-            let span = (last.0 - first.0) as usize + 1;
-            if span <= 2 * ranks.strs.len() {
-                ranks.str_base = first.0;
-                ranks.str_index = vec![NIL; span];
-                for (rank, v) in ranks.strs.iter().enumerate() {
-                    ranks.str_index[(v.0 - first.0) as usize] = rank as u32;
-                }
-            }
-        }
         ranks
     }
 
@@ -602,13 +583,9 @@ impl Ranks {
     }
 
     fn str(&self, v: StrVar) -> u32 {
-        if self.str_index.is_empty() {
-            self.strs
-                .binary_search(&v)
-                .expect("every variable is ranked") as u32
-        } else {
-            self.str_index[(v.0 - self.str_base) as usize]
-        }
+        self.strs
+            .binary_search(&v)
+            .expect("every variable is ranked") as u32
     }
 
     fn bool(&self, b: BoolVar) -> usize {
@@ -644,11 +621,20 @@ struct Tables<'f> {
     eq_depth: Vec<Option<u32>>,
     assignment: Vec<Option<String>>,
     /// Congruence-closure scratch: each right-hand side's owner.
-    owners: Equations<'f>,
+    owners: Owners<'f>,
     /// The equations as collected, then topologically sorted and
     /// extended with their flattened copies.
     collected: Equations<'f>,
     equations: Equations<'f>,
+    /// Per rank, an index into an equation list (`NIL` for none):
+    /// [`has_cycle`] fills it with each variable's last definition in
+    /// `collected` and clears it again; [`flatten_equations`] then
+    /// fills it with each variable's first definition in `equations`,
+    /// which holds until the reset.
+    defs: Vec<u32>,
+    /// Per rank, [`topo_sort`]'s count of pending definitions (zero
+    /// outside it).
+    pending_defs: Vec<u32>,
     /// Sort and substitution scratch.
     pending_eqs: Vec<u32>,
     deferred_eqs: Vec<u32>,
@@ -669,6 +655,8 @@ impl<'f> Tables<'f> {
             intervals: vec![None; strs],
             eq_depth: vec![None; strs],
             assignment: vec![None; strs],
+            defs: vec![NIL; strs],
+            pending_defs: vec![0; strs],
             ..Tables::default()
         }
     }
@@ -689,6 +677,7 @@ impl<'f> Tables<'f> {
             self.intervals[v] = None;
             self.eq_depth[v] = None;
             self.assignment[v] = None;
+            self.defs[v] = NIL;
         }
         self.uf.reset();
         self.collected.clear();
@@ -917,31 +906,24 @@ impl<'a> Search<'a> {
             .count()
             >= 2;
         while merging {
-            // The owner of each right-hand side seen this round, as
-            // equations `owner = rhs` found by a linear scan: a
-            // conjunction holds a handful of equations.
             t.owners.clear();
             let mut changed = false;
             for atom in atoms {
                 let Atom::EqConcat(v, parts) = atom else {
                     continue;
                 };
-                let start = t.owners.parts.len();
+                let start = t.owners.eqs.parts.len();
                 for term in parts {
                     let p = part(&mut t.uf, term);
-                    t.owners.parts.push(p);
+                    t.owners.eqs.parts.push(p);
                 }
                 let root = t.uf.find(rank(v));
-                let rhs = &t.owners.parts[start..];
-                let owner = t.owners.iter().find(|&(_, seen)| seen == rhs);
-                match owner.map(|(owner, _)| owner) {
+                match t.owners.owner(start, root) {
                     Some(owner) if t.uf.find(owner) != root => {
                         t.uf.union(owner, root);
                         changed = true;
-                        t.owners.parts.truncate(start);
                     }
-                    Some(_) => t.owners.parts.truncate(start),
-                    None => t.owners.commit(root),
+                    _ => {}
                 }
             }
             merging = changed;
@@ -1017,7 +999,7 @@ impl<'a> Search<'a> {
         }
 
         // --- Occurs check (cyclic equations are outside the fragment) ----
-        if has_cycle(&t.collected) {
+        if has_cycle(&t.collected, &mut t.defs) {
             return Outcome::Unknown;
         }
         topo_sort(
@@ -1025,8 +1007,14 @@ impl<'a> Search<'a> {
             &mut t.equations,
             &mut t.pending_eqs,
             &mut t.deferred_eqs,
+            &mut t.pending_defs,
         );
-        flatten_equations(&mut t.equations, &mut t.current_parts, &mut t.next_parts);
+        flatten_equations(
+            &mut t.equations,
+            &mut t.defs,
+            &mut t.current_parts,
+            &mut t.next_parts,
+        );
         let equations = &t.equations;
         let ne_pairs = &t.ne_pairs;
 
@@ -1059,23 +1047,19 @@ impl<'a> Search<'a> {
                 }
             }
         }
+        // One single-char set per distinct character; the alphabet key
+        // itself is normalized by `alphabet_for`.
         chars.sort_unstable();
         chars.dedup();
         let singles: Vec<CharSet> = chars.iter().map(|&c| CharSet::single(c)).collect();
-        // The key is normalized (sorted, deduped) over references, so
-        // only distinct sets are cloned; interned through the shared
-        // cache.
-        let mut distinct: Vec<&CharSet> = singles.iter().collect();
+        let mut sets: Vec<&CharSet> = singles.iter().collect();
         for v in constrained() {
             let info = &t.cons[v];
             for re in info.pos.iter().chain(info.neg.iter()) {
-                distinct.extend(&self.sets_memo[&(Arc::as_ptr(re) as usize)].1);
+                sets.extend(&self.sets_memo[&(Arc::as_ptr(re) as usize)].1);
             }
         }
-        distinct.sort_unstable();
-        distinct.dedup();
-        let sets = distinct.into_iter().cloned().collect();
-        let alphabet = self.dfas.alphabet_for(sets, "");
+        let alphabet = self.dfas.alphabet_for(sets);
 
         // --- Per-root DFAs -----------------------------------------------
         let roots = &mut t.roots;
@@ -1178,10 +1162,11 @@ impl<'a> Search<'a> {
         // first: finite, then infinite-nonempty, then near-universal
         // (the latter are best derived by propagation/unit slicing).
         let order = &mut t.order;
+        let defs = &t.defs;
         for (_, parts) in equations.iter() {
             for p in parts {
                 if let Part::Var(v) = *p {
-                    if !equations.iter().any(|(l, _)| l == v)
+                    if defs[v as usize] == NIL
                         && assignment[v as usize].is_none()
                         && !order.contains(&v)
                     {
@@ -1743,7 +1728,7 @@ enum StepResult {
     Truncated,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Part<'f> {
     Var(u32),
     Lit(&'f str),
@@ -2146,7 +2131,7 @@ impl<'f> Equations<'f> {
         (lhs, &self.parts[start..end as usize])
     }
 
-    fn iter(&self) -> impl DoubleEndedIterator<Item = (u32, &[Part<'f>])> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (u32, &[Part<'f>])> + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
 
@@ -2179,10 +2164,60 @@ impl<'f> Equations<'f> {
     }
 }
 
-fn has_cycle(equations: &Equations) -> bool {
+/// The congruence closure's distinct right-hand sides, each with its
+/// owner: the equations `owner = rhs`, found by a hash of the parts
+/// (the std hasher: literal parts are input text). `index` maps a hash
+/// to the latest equation with it, and `next` chains each equation to
+/// the previous one with the same hash.
+#[derive(Default)]
+struct Owners<'f> {
+    eqs: Equations<'f>,
+    index: HashMap<u64, u32>,
+    next: Vec<u32>,
+    hasher: RandomState,
+}
+
+impl<'f> Owners<'f> {
+    fn clear(&mut self) {
+        self.eqs.clear();
+        self.index.clear();
+        self.next.clear();
+    }
+
+    /// The owner of the right-hand side pushed to `eqs.parts` since
+    /// `start`, which is then dropped; a new right-hand side is kept
+    /// with `root` as its owner.
+    fn owner(&mut self, start: usize, root: u32) -> Option<u32> {
+        let rhs = &self.eqs.parts[start..];
+        let hash = self.hasher.hash_one(rhs);
+        let mut i = self.index.get(&hash).copied().unwrap_or(NIL);
+        while i != NIL {
+            let (owner, seen) = self.eqs.get(i as usize);
+            if seen == rhs {
+                self.eqs.parts.truncate(start);
+                return Some(owner);
+            }
+            i = self.next[i as usize];
+        }
+        let latest = self.index.insert(hash, self.eqs.len() as u32);
+        self.next.push(latest.unwrap_or(NIL));
+        self.eqs.commit(root);
+        None
+    }
+}
+
+/// Whether the equations cycle. `defs` is all `NIL` on entry and on
+/// return.
+fn has_cycle(equations: &Equations, defs: &mut [u32]) -> bool {
     // DFS from each lhs through parts that are themselves lhs, along
     // the *last* definition of each variable.
-    fn visit(v: u32, equations: &Equations, visiting: &mut Vec<u32>, done: &mut Vec<u32>) -> bool {
+    fn visit(
+        v: u32,
+        equations: &Equations,
+        defs: &[u32],
+        visiting: &mut Vec<u32>,
+        done: &mut Vec<u32>,
+    ) -> bool {
         if done.contains(&v) {
             return false;
         }
@@ -2190,10 +2225,12 @@ fn has_cycle(equations: &Equations) -> bool {
             return true;
         }
         visiting.push(v);
-        if let Some((_, parts)) = equations.iter().rev().find(|&(lhs, _)| lhs == v) {
+        let def = defs[v as usize];
+        if def != NIL {
+            let (_, parts) = equations.get(def as usize);
             for p in parts {
                 if let Part::Var(u) = *p {
-                    if visit(u, equations, visiting, done) {
+                    if visit(u, equations, defs, visiting, done) {
                         return true;
                     }
                 }
@@ -2203,14 +2240,18 @@ fn has_cycle(equations: &Equations) -> bool {
         done.push(v);
         false
     }
-    let mut done = Vec::new();
-    for (lhs, _) in equations.iter() {
-        let mut visiting = Vec::new();
-        if visit(lhs, equations, &mut visiting, &mut done) {
-            return true;
-        }
+    for (i, (lhs, _)) in equations.iter().enumerate() {
+        defs[lhs as usize] = i as u32;
     }
-    false
+    let mut done = Vec::new();
+    let cyclic = equations.iter().any(|(lhs, _)| {
+        let mut visiting = Vec::new();
+        visit(lhs, equations, defs, &mut visiting, &mut done)
+    });
+    for (lhs, _) in equations.iter() {
+        defs[lhs as usize] = NIL;
+    }
+    cyclic
 }
 
 /// Adds the transitive closures of nested equations: when the lhs of
@@ -2220,13 +2261,22 @@ fn has_cycle(equations: &Equations) -> bool {
 /// copies relate *base* variables directly to outer words, so a pinned
 /// outer word guides candidate enumeration for inner variables instead
 /// of leaving them near-universal (which floods the node budget).
-/// `current` and `next` are substitution scratch.
+/// `defs` is all `NIL` on entry and maps each lhs to its first
+/// definition on return; `current` and `next` are substitution scratch.
 fn flatten_equations<'f>(
     equations: &mut Equations<'f>,
+    defs: &mut [u32],
     current: &mut Vec<Part<'f>>,
     next: &mut Vec<Part<'f>>,
 ) {
     let originals = equations.len();
+    // First definition wins for variables with several equations; the
+    // others still get checked via their own (flattened) equations.
+    for (i, (lhs, _)) in equations.iter().enumerate() {
+        if defs[lhs as usize] == NIL {
+            defs[lhs as usize] = i as u32;
+        }
+    }
     for i in 0..originals {
         let (lhs, parts) = equations.get(i);
         current.clear();
@@ -2244,21 +2294,12 @@ fn flatten_equations<'f>(
             next.clear();
             let mut changed = false;
             for &part in current.iter() {
-                // First definition wins for variables with several
-                // equations; the others still get checked via their
-                // own (flattened) equations.
-                let definition = match part {
-                    Part::Var(v) if v != lhs => (0..originals)
-                        .map(|j| equations.get(j))
-                        .find(|&(l, _)| l == v),
-                    _ => None,
-                };
-                match definition {
-                    Some((_, def)) => {
-                        next.extend_from_slice(def);
+                match part {
+                    Part::Var(v) if v != lhs && defs[v as usize] != NIL => {
+                        next.extend_from_slice(equations.get(defs[v as usize] as usize).1);
                         changed = true;
                     }
-                    None => next.push(part),
+                    _ => next.push(part),
                 }
             }
             std::mem::swap(current, next);
@@ -2278,25 +2319,30 @@ fn flatten_equations<'f>(
 }
 
 /// Writes `equations` to `out` so that inner (dependency) equations
-/// come first. `pending` and `deferred` are index scratch.
+/// come first. `pending` and `deferred` are index scratch;
+/// `pending_defs` is all zero on entry and on return.
 fn topo_sort<'f>(
     equations: &Equations<'f>,
     out: &mut Equations<'f>,
     pending: &mut Vec<u32>,
     deferred: &mut Vec<u32>,
+    pending_defs: &mut [u32],
 ) {
     out.clear();
     pending.clear();
     pending.extend(0..equations.len() as u32);
+    for (lhs, _) in equations.iter() {
+        pending_defs[lhs as usize] += 1;
+    }
     while !pending.is_empty() {
         deferred.clear();
         let before = out.len();
+        // Readiness is judged against the definitions pending at the
+        // start of the round.
         for &i in pending.iter() {
             let (lhs, parts) = equations.get(i as usize);
             let ready = parts.iter().all(|p| match *p {
-                Part::Var(v) => {
-                    !pending.iter().any(|&j| equations.get(j as usize).0 == v) || v == lhs
-                }
+                Part::Var(v) => pending_defs[v as usize] == 0 || v == lhs,
                 Part::Lit(_) => true,
             });
             if ready {
@@ -2313,7 +2359,13 @@ fn topo_sort<'f>(
             }
             break;
         }
+        for i in before..out.len() {
+            pending_defs[out.get(i).0 as usize] -= 1;
+        }
         std::mem::swap(pending, deferred);
+    }
+    for (lhs, _) in equations.iter() {
+        pending_defs[lhs as usize] = 0;
     }
 }
 
@@ -2666,8 +2718,9 @@ mod tests {
         ]));
         let mut sets = Vec::new();
         re.collect_sets(&mut sets);
-        let own = cache.alphabet_for(sets.clone(), "");
-        let wider = cache.alphabet_for(sets, "bxz\u{1F600}");
+        let own = cache.alphabet_for(sets.iter().collect());
+        let singles: Vec<CharSet> = "bxz\u{1F600}".chars().map(CharSet::single).collect();
+        let wider = cache.alphabet_for(sets.iter().chain(&singles).collect());
         for alphabet in [&own, &wider] {
             for complemented in [false, true] {
                 let got = cache.get_or_build(&re, alphabet, complemented, &mut stats);
@@ -2694,7 +2747,7 @@ mod tests {
     fn universal_dfa_is_served_once_per_alphabet() {
         let cache = DfaCache::new(64);
         let mut stats = SolveStats::default();
-        let alphabet = cache.alphabet_for(vec![CharSet::range('a', 'c')], "z");
+        let alphabet = cache.alphabet_for(vec![&CharSet::range('a', 'c'), &CharSet::single('z')]);
         let first = cache.universal_dfa(&alphabet, &mut stats);
         let second = cache.universal_dfa(&alphabet, &mut stats);
         assert!(Arc::ptr_eq(&first, &second));

@@ -6,9 +6,24 @@
 //! coarsest partition such that every `CharSet` appearing in the problem
 //! is a union of classes. Typical problems produce a handful of classes.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use crate::charset::CharSet;
+use crate::fxhash::FxHashMap;
+
+/// The surrogate block `[SURROGATE_LO, SURROGATE_END)`, and one past the
+/// last scalar value: fixed boundaries of every alphabet.
+const SURROGATE_LO: u32 = 0xD800;
+const SURROGATE_END: u32 = 0xE000;
+const SCALAR_END: u32 = 0x110000;
+
+/// True when the interval `[lo, end)` lies in the surrogate block. An
+/// interval is either inside the block or disjoint from it, since the
+/// block's ends are boundaries.
+fn is_gap(lo: u32, end: u32) -> bool {
+    lo >= SURROGATE_LO && end <= SURROGATE_END
+}
 
 /// Identifier of an alphabet class (a "minterm").
 pub type ClassId = u16;
@@ -60,57 +75,92 @@ impl Alphabet {
     /// assert_ne!(alpha.classify('b'), alpha.classify('m'));
     /// assert_ne!(alpha.classify('m'), alpha.classify('q'));
     /// ```
-    pub fn from_sets(sets: &[CharSet]) -> Alphabet {
+    pub fn from_sets<S: Borrow<CharSet>>(sets: &[S]) -> Alphabet {
         // Collect boundaries: starts and one-past-ends of every range.
         // The surrogate block D800–DFFF is carved out: `char` cannot
         // represent it, and complements exclude it, so no class may
         // contain it.
-        let mut bounds: Vec<u32> = vec![0, 0xD800, 0xE000, 0x110000];
+        let mut bounds: Vec<u32> = vec![0, SURROGATE_LO, SURROGATE_END, SCALAR_END];
         for set in sets {
-            for &(lo, hi) in set.ranges() {
+            for &(lo, hi) in set.borrow().ranges() {
                 bounds.push(lo);
                 bounds.push(hi + 1);
             }
         }
         bounds.sort_unstable();
         bounds.dedup();
+        let intervals = bounds.len() - 1;
 
-        // Signature per interval: which sets contain it.
-        let mut interval_class = Vec::with_capacity(bounds.len() - 1);
-        let mut classes: Vec<CharSet> = Vec::new();
-        let mut signature_to_class: std::collections::HashMap<Vec<bool>, ClassId> =
-            std::collections::HashMap::new();
-        for w in bounds.windows(2) {
-            let (lo, hi) = (w[0], w[1] - 1);
-            let surrogate_gap = lo >= 0xD800 && hi <= 0xDFFF;
-            let probe = char::from_u32(lo)
-                .or_else(|| char::from_u32(hi))
-                .unwrap_or('\u{FFFD}');
-            let signature: Vec<bool> = if surrogate_gap {
-                vec![false; sets.len()]
-            } else {
-                sets.iter().map(|s| s.contains(probe)).collect()
-            };
+        // Signature per interval: a bitset of the sets that cover it.
+        // Every range starts and ends on a boundary, so each range marks
+        // a run of whole intervals.
+        let words = sets.len().div_ceil(64);
+        let mut signatures = vec![0u64; intervals * words];
+        for (i, set) in sets.iter().enumerate() {
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            for &(lo, hi) in set.borrow().ranges() {
+                let mut k = bounds.partition_point(|&b| b < lo);
+                while bounds[k] <= hi {
+                    signatures[k * words + word] |= bit;
+                    k += 1;
+                }
+            }
+        }
+        // The gap is in no class's set; a range past U+10FFFF (only
+        // raw `CharSet::from_ranges` input has one) takes the signature
+        // of U+FFFD, the character that stands for it.
+        let fffd = bounds.partition_point(|&b| b <= 0xFFFD) - 1;
+        for k in 0..intervals {
+            let row = k * words..(k + 1) * words;
+            if is_gap(bounds[k], bounds[k + 1]) {
+                signatures[row].fill(0);
+            } else if bounds[k] >= SCALAR_END {
+                signatures.copy_within(fffd * words..(fffd + 1) * words, row.start);
+            }
+        }
+
+        // Classes in order of their first interval. Intervals ascend,
+        // so each class's ranges append in order and only a range that
+        // touches the previous one merges into it.
+        let mut interval_class = Vec::with_capacity(intervals);
+        let mut ranges: Vec<Vec<(u32, u32)>> = Vec::new();
+        let mut signature_to_class: FxHashMap<&[u64], ClassId> = FxHashMap::default();
+        for k in 0..intervals {
+            let signature = &signatures[k * words..(k + 1) * words];
             let class = *signature_to_class.entry(signature).or_insert_with(|| {
-                classes.push(CharSet::empty());
-                (classes.len() - 1) as ClassId
+                ranges.push(Vec::new());
+                (ranges.len() - 1) as ClassId
             });
-            if !surrogate_gap {
-                classes[class as usize] =
-                    classes[class as usize].union(&CharSet::from_ranges(vec![(lo, hi)]));
+            let (lo, hi) = (bounds[k], bounds[k + 1] - 1);
+            if !is_gap(lo, hi + 1) {
+                let class_ranges = &mut ranges[class as usize];
+                match class_ranges.last_mut() {
+                    Some((_, last)) if *last + 1 == lo => *last = hi,
+                    _ => class_ranges.push((lo, hi)),
+                }
             }
             interval_class.push(class);
         }
+        let classes: Vec<CharSet> = ranges.into_iter().map(CharSet::from_sorted).collect();
+        Alphabet::assemble(bounds, interval_class, classes)
+    }
+
+    /// Wraps the tables and hashes their content into the fingerprint.
+    pub(crate) fn assemble(
+        boundaries: Vec<u32>,
+        interval_class: Vec<ClassId>,
+        classes: Vec<CharSet>,
+    ) -> Alphabet {
         let fingerprint = {
             use std::hash::{Hash, Hasher};
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            bounds.hash(&mut hasher);
+            boundaries.hash(&mut hasher);
             interval_class.hash(&mut hasher);
             classes.hash(&mut hasher);
             hasher.finish()
         };
         Alphabet {
-            boundaries: bounds,
+            boundaries,
             interval_class,
             classes,
             fingerprint,
@@ -156,7 +206,7 @@ impl Alphabet {
             .expect("classes are nonempty")
     }
 
-    /// Decomposes a set into the classes it covers.
+    /// Decomposes a set into the classes it covers, in class order.
     ///
     /// # Panics
     ///
@@ -164,14 +214,31 @@ impl Alphabet {
     /// whenever the set participated in [`Alphabet::from_sets`].
     pub fn classes_of(&self, set: &CharSet) -> Vec<ClassId> {
         let mut out = Vec::new();
-        for (id, class) in self.classes.iter().enumerate() {
-            let inter = class.intersect(set);
-            if !inter.is_empty() {
-                debug_assert_eq!(inter, *class, "set must be a union of alphabet classes");
-                out.push(id as ClassId);
+        self.classes_into(set, &mut out);
+        out
+    }
+
+    /// [`Alphabet::classes_of`] into a reused buffer, read off the
+    /// interval tables: the classes of the intervals the set's ranges
+    /// overlap, the surrogate gap excepted.
+    pub(crate) fn classes_into(&self, set: &CharSet, out: &mut Vec<ClassId>) {
+        out.clear();
+        let bounds = &self.boundaries;
+        for &(lo, hi) in set.ranges() {
+            let mut k = bounds.partition_point(|&b| b <= lo) - 1;
+            while k < self.interval_class.len() && bounds[k] <= hi {
+                if !is_gap(bounds[k], bounds[k + 1]) {
+                    out.push(self.interval_class[k]);
+                }
+                k += 1;
             }
         }
-        out
+        out.sort_unstable();
+        out.dedup();
+        debug_assert!(
+            out.iter().all(|&c| self.classes[c as usize].is_subset(set)),
+            "set must be a union of alphabet classes"
+        );
     }
 
     /// When this alphabet refines `coarser` — every class of `self`
@@ -194,7 +261,17 @@ impl Alphabet {
     /// assert!(coarse.refinement_map(&fine).is_none());
     /// ```
     pub fn refinement_map(&self, coarser: &Alphabet) -> Option<Vec<ClassId>> {
-        let mut map: Vec<Option<ClassId>> = vec![None; self.class_count()];
+        let mut map = Vec::new();
+        self.refinement_into(coarser, &mut map).then_some(map)
+    }
+
+    /// [`Alphabet::refinement_map`] into a reused buffer; false when
+    /// `self` does not refine `coarser`.
+    pub(crate) fn refinement_into(&self, coarser: &Alphabet, map: &mut Vec<ClassId>) -> bool {
+        // `ClassId::MAX` marks a class not yet mapped; no alphabet comes
+        // near 65,535 classes.
+        map.clear();
+        map.resize(self.class_count(), ClassId::MAX);
         // Both boundary lists start at 0 and end at 0x110000; walk the
         // coarser intervals that overlap each interval of `self`.
         let mut j = 0;
@@ -207,14 +284,14 @@ impl Alphabet {
             while coarser.boundaries[k] < hi {
                 let target = coarser.interval_class[k];
                 match map[class as usize] {
-                    None => map[class as usize] = Some(target),
-                    Some(mapped) if mapped != target => return None,
-                    Some(_) => {}
+                    ClassId::MAX => map[class as usize] = target,
+                    mapped if mapped != target => return false,
+                    _ => {}
                 }
                 k += 1;
             }
         }
-        map.into_iter().collect()
+        !map.contains(&ClassId::MAX)
     }
 
     /// Converts a word of class ids into a concrete string of
@@ -272,7 +349,7 @@ mod tests {
 
     #[test]
     fn empty_sets_one_class() {
-        let alpha = Alphabet::from_sets(&[]);
+        let alpha = Alphabet::from_sets::<CharSet>(&[]);
         assert_eq!(alpha.class_count(), 1);
     }
 

@@ -58,6 +58,12 @@ impl CharSet {
         }
     }
 
+    /// Wraps ranges that are already sorted, disjoint and non-adjacent.
+    pub(crate) fn from_sorted(ranges: Vec<(u32, u32)>) -> CharSet {
+        debug_assert!(ranges.windows(2).all(|w| w[0].1.saturating_add(1) < w[1].0));
+        CharSet { ranges }
+    }
+
     /// Converts a parsed character class (resolving negation, predefined
     /// escapes and ranges).
     pub fn from_class(class: &ClassSet) -> CharSet {
@@ -130,6 +136,17 @@ impl CharSet {
         CharSet { ranges: out }
     }
 
+    /// True when every member of `self` is in `other`.
+    pub(crate) fn is_subset(&self, other: &CharSet) -> bool {
+        let mut j = 0;
+        self.ranges.iter().all(|&(lo, hi)| {
+            while j < other.ranges.len() && other.ranges[j].1 < lo {
+                j += 1;
+            }
+            j < other.ranges.len() && other.ranges[j].0 <= lo && hi <= other.ranges[j].1
+        })
+    }
+
     /// Complement over the scalar-value space.
     pub fn complement(&self) -> CharSet {
         CharSet {
@@ -194,6 +211,18 @@ mod tests {
         let b = CharSet::range('g', 'z');
         assert_eq!(a.union(&b), CharSet::range('a', 'z'));
         assert_eq!(a.intersect(&b), CharSet::range('g', 'm'));
+    }
+
+    #[test]
+    fn subsets() {
+        let az = CharSet::range('a', 'z');
+        assert!(CharSet::range('c', 'f').is_subset(&az));
+        assert!(CharSet::empty().is_subset(&az));
+        assert!(!CharSet::range('Z', 'b').is_subset(&az));
+        let gapped = CharSet::from_ranges(vec![(0x61, 0x63), (0x70, 0x72)]);
+        assert!(gapped.is_subset(&az));
+        assert!(!az.is_subset(&gapped));
+        assert!(!CharSet::range('b', 'q').is_subset(&gapped));
     }
 
     #[test]

@@ -205,6 +205,21 @@ impl CRegex {
         }
     }
 
+    /// [`CRegex::collect_sets`] without the clones: borrows every
+    /// [`CharSet`] of the expression, in the same order.
+    pub fn collect_set_refs<'r>(&'r self, out: &mut Vec<&'r CharSet>) {
+        match self {
+            CRegex::Set(set) => out.push(set),
+            CRegex::Concat(items) | CRegex::Alt(items) | CRegex::And(items) => {
+                for item in items {
+                    item.collect_set_refs(out);
+                }
+            }
+            CRegex::Star(inner) | CRegex::Not(inner) => inner.collect_set_refs(out),
+            _ => {}
+        }
+    }
+
     /// True if the expression contains `And` or `Not` (requiring DFA
     /// operations to compile).
     pub fn has_boolean_ops(&self) -> bool {
@@ -616,6 +631,15 @@ mod tests {
         let re = CRegex::repeat(CRegex::lit("a"), 2, Some(3));
         // aa(a|ε)
         assert!(!re.nullable());
+    }
+
+    #[test]
+    fn collect_set_refs_borrows_what_collect_sets_clones() {
+        let re = compile("(?![0-9])[a-z]+x|y*");
+        let (mut owned, mut borrowed) = (Vec::new(), Vec::new());
+        re.collect_sets(&mut owned);
+        re.collect_set_refs(&mut borrowed);
+        assert_eq!(owned.iter().collect::<Vec<_>>(), borrowed);
     }
 
     #[test]

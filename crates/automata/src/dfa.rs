@@ -18,10 +18,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::alphabet::{Alphabet, ClassId};
+use crate::build::with_scratch;
 use crate::config::{AutomataConfig, BuildMetrics};
 use crate::cregex::CRegex;
-use crate::fxhash::FxHashMap;
-use crate::nfa::Nfa;
 
 /// A complete deterministic finite automaton.
 #[derive(Debug, Clone)]
@@ -53,18 +52,36 @@ impl Dfa {
         class_count: usize,
         alphabet: Arc<Alphabet>,
     ) -> Dfa {
-        let mut dfa = Dfa {
+        let distances = with_scratch(|s| s.distances(&transitions, &accepting, class_count));
+        Dfa::with_distances(
             transitions,
             accepting,
             start,
             class_count,
             alphabet,
-            distances: Vec::new(),
+            distances,
+        )
+    }
+
+    /// Assembles a DFA whose distance metadata is already known.
+    pub(crate) fn with_distances(
+        transitions: Vec<u32>,
+        accepting: Vec<bool>,
+        start: u32,
+        class_count: usize,
+        alphabet: Arc<Alphabet>,
+        distances: Vec<Option<u32>>,
+    ) -> Dfa {
+        Dfa {
+            transitions,
+            accepting,
+            start,
+            class_count,
+            alphabet,
+            distances,
             infinite: std::sync::OnceLock::new(),
             bounds: std::sync::OnceLock::new(),
-        };
-        dfa.compute_distances();
-        dfa
+        }
     }
 
     /// Compiles a classical regex to a DFA over `alphabet`, eagerly and
@@ -104,14 +121,16 @@ impl Dfa {
     /// Applies the thresholded minimization pass, recording before and
     /// after state counts in `metrics`. The language is unchanged.
     pub fn reduced(self, config: &AutomataConfig, metrics: &mut BuildMetrics) -> Dfa {
+        self.reduce(config, metrics).0
+    }
+
+    /// [`Dfa::reduced`], also saying whether the pass minimized.
+    fn reduce(self, config: &AutomataConfig, metrics: &mut BuildMetrics) -> (Dfa, bool) {
         metrics.states_built += self.state_count() as u64;
-        let out = if config.should_minimize(self.state_count()) {
-            self.minimized()
-        } else {
-            self
-        };
+        let minimize = config.should_minimize(self.state_count());
+        let out = if minimize { self.minimized() } else { self };
         metrics.states_after_minimize += out.state_count() as u64;
-        out
+        (out, minimize)
     }
 
     /// A hashable identity of the automaton's structure under its
@@ -121,80 +140,6 @@ impl Dfa {
     /// coincide.
     pub fn canonical_key(&self) -> (u32, Vec<u32>, Vec<bool>) {
         (self.start, self.transitions.clone(), self.accepting.clone())
-    }
-
-    /// Subset construction.
-    pub fn from_nfa(nfa: &Nfa) -> Dfa {
-        Dfa::from_nfa_bounded(nfa, usize::MAX).expect("unbounded construction cannot overflow")
-    }
-
-    /// [`Dfa::from_nfa`] with a cap on the number of subset states:
-    /// `None` when the construction would exceed `max_states`.
-    ///
-    /// Subset construction is exponential in the worst case (an
-    /// unanchored `Σ*·body·Σ*` language can visit millions of subset
-    /// states before minimizing to a dozen); bounded construction lets
-    /// batch consumers — the differential fuzzer foremost — skip
-    /// pathological instances instead of stalling on them.
-    ///
-    /// States are numbered in discovery order: breadth-first from the
-    /// start set, classes in id order.
-    pub fn from_nfa_bounded(nfa: &Nfa, max_states: usize) -> Option<Dfa> {
-        let class_count = nfa.alphabet.class_count();
-        let mut closure = Closure::new(nfa);
-        let mut next: Vec<u32> = Vec::new();
-        closure.of(&[nfa.start], &mut next);
-
-        let mut ids: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
-        // Subset of each state id, in id order (the BFS queue).
-        let mut sets: Vec<Vec<u32>> = Vec::new();
-        let mut transitions: Vec<u32> = Vec::new();
-        let mut accepting: Vec<bool> = Vec::new();
-
-        ids.insert(next.clone(), 0);
-        accepting.push(closure.holds(nfa.accept));
-        sets.push(std::mem::take(&mut next));
-
-        // Targets of the current subset's edges, bucketed by class in
-        // one pass over its edges.
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); class_count];
-        let mut id = 0;
-        while id < sets.len() {
-            for bucket in &mut buckets {
-                bucket.clear();
-            }
-            for &s in &sets[id] {
-                for &(c, t) in &nfa.states[s as usize].transitions {
-                    buckets[c as usize].push(t);
-                }
-            }
-            for bucket in &buckets {
-                closure.of(bucket, &mut next);
-                let next_id = match ids.get(&next) {
-                    Some(&id) => id,
-                    None => {
-                        if accepting.len() >= max_states {
-                            return None;
-                        }
-                        let new_id = accepting.len() as u32;
-                        ids.insert(next.clone(), new_id);
-                        accepting.push(closure.holds(nfa.accept));
-                        sets.push(next.clone());
-                        new_id
-                    }
-                };
-                transitions.push(next_id);
-            }
-            id += 1;
-        }
-
-        Some(Dfa::from_parts(
-            transitions,
-            accepting,
-            0,
-            class_count,
-            Arc::clone(&nfa.alphabet),
-        ))
     }
 
     /// [`Dfa::from_cregex_with`] under a state budget: every subset
@@ -209,43 +154,96 @@ impl Dfa {
         metrics: &mut BuildMetrics,
         max_states: usize,
     ) -> Option<Dfa> {
-        let capped = |dfa: Dfa| {
-            if dfa.state_count() > max_states {
-                None
-            } else {
-                Some(dfa)
-            }
+        Some(Dfa::construct(re, alphabet, config, metrics, max_states)?.0)
+    }
+
+    /// The minimal, canonically numbered DFA of `re` over `alphabet`:
+    /// [`Dfa::from_cregex_with`] under the default configuration, then
+    /// a final minimization unless the last pass already minimized.
+    /// `metrics` reports *retained* states, so a re-minimized result
+    /// replaces its thresholded count.
+    ///
+    /// ```
+    /// use automata::{Alphabet, BuildMetrics, CRegex, CharSet, Dfa};
+    /// use std::sync::Arc;
+    ///
+    /// let re = CRegex::plus(CRegex::lit("ab"));
+    /// let alphabet = Arc::new(Alphabet::from_sets(&[CharSet::single('a'), CharSet::single('b')]));
+    /// let dfa = Dfa::minimal_from_cregex(&re, &alphabet, &mut BuildMetrics::default());
+    /// assert_eq!(dfa.canonical_key(), Dfa::from_cregex(&re, &alphabet).minimized().canonical_key());
+    /// ```
+    pub fn minimal_from_cregex(
+        re: &CRegex,
+        alphabet: &Arc<Alphabet>,
+        metrics: &mut BuildMetrics,
+    ) -> Dfa {
+        let (dfa, minimal) = Dfa::construct(
+            re,
+            alphabet,
+            &AutomataConfig::default(),
+            metrics,
+            usize::MAX,
+        )
+        .expect("unbounded construction cannot overflow");
+        if minimal {
+            return dfa;
+        }
+        let minimal = dfa.minimized();
+        metrics.states_after_minimize =
+            metrics.states_after_minimize - dfa.state_count() as u64 + minimal.state_count() as u64;
+        minimal
+    }
+
+    /// [`Dfa::try_from_cregex_with`], also saying whether the last
+    /// pass minimized the result.
+    fn construct(
+        re: &CRegex,
+        alphabet: &Arc<Alphabet>,
+        config: &AutomataConfig,
+        metrics: &mut BuildMetrics,
+        max_states: usize,
+    ) -> Option<(Dfa, bool)> {
+        let capped = |(dfa, minimal): (Dfa, bool)| {
+            (dfa.state_count() <= max_states).then_some((dfa, minimal))
         };
         match re {
             CRegex::And(items) => {
-                let mut operands: Vec<Dfa> = items
+                let mut operands: Vec<(Dfa, bool)> = items
                     .iter()
-                    .map(|item| {
-                        Dfa::try_from_cregex_with(item, alphabet, config, metrics, max_states)
-                    })
+                    .map(|item| Dfa::construct(item, alphabet, config, metrics, max_states))
                     .collect::<Option<_>>()?;
                 // Smallest-first fold: the product worklist only visits
                 // reachable pairs, so keeping the accumulator small
                 // bounds every intermediate.
-                operands.sort_by_key(Dfa::state_count);
+                operands.sort_by_key(|(dfa, _)| dfa.state_count());
                 let mut iter = operands.into_iter();
                 let mut acc = iter.next().expect("And is non-empty");
-                for operand in iter {
+                for (operand, _) in iter {
                     acc = capped(
-                        acc.product(&operand, ProductMode::Intersect)
-                            .reduced(config, metrics),
+                        acc.0
+                            .product(&operand, ProductMode::Intersect)
+                            .reduce(config, metrics),
                     )?;
                 }
                 Some(acc)
             }
             CRegex::Not(inner) => capped(
-                Dfa::try_from_cregex_with(inner, alphabet, config, metrics, max_states)?
+                Dfa::construct(inner, alphabet, config, metrics, max_states)?
+                    .0
                     .complement()
-                    .reduced(config, metrics),
+                    .reduce(config, metrics),
             ),
             _ => {
-                let nfa = Nfa::thompson(re, alphabet);
-                Some(Dfa::from_nfa_bounded(&nfa, max_states)?.reduced(config, metrics))
+                let (transitions, accepting) =
+                    with_scratch(|s| s.subset(re, alphabet, max_states))?;
+                let dfa = Dfa::from_parts(
+                    transitions,
+                    accepting,
+                    0,
+                    alphabet.class_count(),
+                    Arc::clone(alphabet),
+                );
+                Some(dfa.reduce(config, metrics))
             }
         }
     }
@@ -386,38 +384,15 @@ impl Dfa {
     /// assert_eq!(projected.canonical_key(), fresh(&problem).canonical_key());
     /// ```
     pub fn project(&self, target: &Arc<Alphabet>) -> Option<Dfa> {
-        let map = target.refinement_map(&self.alphabet)?;
-        let class_count = map.len();
-        let mut canon = vec![u32::MAX; self.state_count()];
-        let mut order = vec![self.start]; // canonical id → own state
-        canon[self.start as usize] = 0;
-        let mut transitions = Vec::with_capacity(self.state_count() * class_count);
-        let mut next = 0;
-        while next < order.len() {
-            let state = order[next];
-            next += 1;
-            for &class in &map {
-                let t = self.step(state, class);
-                if canon[t as usize] == u32::MAX {
-                    canon[t as usize] = order.len() as u32;
-                    order.push(t);
-                }
-                transitions.push(canon[t as usize]);
-            }
-        }
-        // The map is onto (every coarser class holds some interval of
-        // `target`), so a state's shortest accepted suffix lifts class
-        // by class: distances carry over unchanged.
-        Some(Dfa {
+        let (transitions, accepting, distances) = with_scratch(|s| s.project(self, target))?;
+        Some(Dfa::with_distances(
             transitions,
-            accepting: order.iter().map(|&s| self.is_accepting(s)).collect(),
-            start: 0,
-            class_count,
-            alphabet: Arc::clone(target),
-            distances: order.iter().map(|&s| self.distances[s as usize]).collect(),
-            infinite: std::sync::OnceLock::new(),
-            bounds: std::sync::OnceLock::new(),
-        })
+            accepting,
+            0,
+            target.class_count(),
+            Arc::clone(target),
+            distances,
+        ))
     }
 
     /// Intersection product.
@@ -448,113 +423,14 @@ impl Dfa {
             self.class_count, other.class_count,
             "product requires a shared alphabet"
         );
-        let class_count = self.class_count;
-        let dead_pair = |a: u32, b: u32| -> bool {
-            let a_dead = self.distance_to_accept(a).is_none();
-            let b_dead = other.distance_to_accept(b).is_none();
-            match mode {
-                ProductMode::Intersect => a_dead || b_dead,
-                ProductMode::Union => a_dead && b_dead,
-            }
-        };
-        let accept = |a: u32, b: u32| -> bool {
-            match mode {
-                ProductMode::Intersect => self.is_accepting(a) && other.is_accepting(b),
-                ProductMode::Union => self.is_accepting(a) || other.is_accepting(b),
-            }
-        };
-        let mut ids: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-        let mut transitions: Vec<u32> = Vec::new();
-        let mut accepting: Vec<bool> = Vec::new();
-        let mut worklist = VecDeque::new();
-        let mut sink: Option<u32> = None;
-
-        let start_pair = (self.start, other.start);
-        ids.insert(start_pair, 0);
-        transitions.resize(class_count, u32::MAX);
-        accepting.push(accept(self.start, other.start));
-        worklist.push_back(start_pair);
-
-        while let Some((a, b)) = worklist.pop_front() {
-            let id = ids[&(a, b)];
-            for class in 0..class_count {
-                let next = (
-                    self.step(a, class as ClassId),
-                    other.step(b, class as ClassId),
-                );
-                let next_id = if dead_pair(next.0, next.1) {
-                    *sink.get_or_insert_with(|| {
-                        let sink_id = accepting.len() as u32;
-                        // Self-looping rejecting sink.
-                        transitions.extend(std::iter::repeat_n(sink_id, class_count));
-                        accepting.push(false);
-                        sink_id
-                    })
-                } else {
-                    match ids.get(&next) {
-                        Some(&id) => id,
-                        None => {
-                            let new_id = accepting.len() as u32;
-                            ids.insert(next, new_id);
-                            transitions.extend(std::iter::repeat_n(u32::MAX, class_count));
-                            accepting.push(accept(next.0, next.1));
-                            worklist.push_back(next);
-                            new_id
-                        }
-                    }
-                };
-                transitions[id as usize * class_count + class] = next_id;
-            }
-        }
-
+        let (transitions, accepting) = with_scratch(|s| s.product(self, other, mode));
         Dfa::from_parts(
             transitions,
             accepting,
             0,
-            class_count,
+            self.class_count,
             Arc::clone(&self.alphabet),
         )
-    }
-
-    fn compute_distances(&mut self) {
-        let n = self.state_count();
-        let mut distances: Vec<Option<u32>> = vec![None; n];
-        // Reverse BFS from accepting states, over the reverse edges in
-        // one flat CSR array: the predecessors of `t` are
-        // `preds[offsets[t]..offsets[t + 1]]`.
-        let mut offsets: Vec<u32> = vec![0; n + 1];
-        for &t in &self.transitions {
-            offsets[t as usize + 1] += 1;
-        }
-        for t in 0..n {
-            offsets[t + 1] += offsets[t];
-        }
-        let mut fill: Vec<u32> = offsets[..n].to_vec();
-        let mut preds: Vec<u32> = vec![0; self.transitions.len()];
-        for (state, row) in self.transitions.chunks_exact(self.class_count).enumerate() {
-            for &t in row {
-                preds[fill[t as usize] as usize] = state as u32;
-                fill[t as usize] += 1;
-            }
-        }
-        let mut queue = VecDeque::new();
-        for (state, &acc) in self.accepting.iter().enumerate() {
-            if acc {
-                distances[state] = Some(0);
-                queue.push_back(state as u32);
-            }
-        }
-        while let Some(state) = queue.pop_front() {
-            let d = distances[state as usize].expect("queued states have distance");
-            let (lo, hi) = (offsets[state as usize], offsets[state as usize + 1]);
-            for &prev in &preds[lo as usize..hi as usize] {
-                if distances[prev as usize].is_none() {
-                    distances[prev as usize] = Some(d + 1);
-                    queue.push_back(prev);
-                }
-            }
-        }
-        self.distances = distances;
     }
 
     /// The shortest accepted word (readable representatives), if any.
@@ -642,64 +518,10 @@ impl Dfa {
     }
 }
 
-/// ε-closures over one NFA, deduplicated with a generation-stamped
-/// mark array instead of linear `contains` scans.
-struct Closure<'a> {
-    nfa: &'a Nfa,
-    /// `mark[s] == stamp` iff `s` is in the latest closure.
-    mark: Vec<u32>,
-    stamp: u32,
-    stack: Vec<u32>,
-}
-
-impl<'a> Closure<'a> {
-    fn new(nfa: &'a Nfa) -> Closure<'a> {
-        Closure {
-            nfa,
-            mark: vec![0; nfa.len()],
-            stamp: 0,
-            stack: Vec::new(),
-        }
-    }
-
-    /// Writes the sorted ε-closure of `seeds` into `out`.
-    fn of(&mut self, seeds: &[u32], out: &mut Vec<u32>) {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.mark.fill(0);
-            self.stamp = 1;
-        }
-        out.clear();
-        for &s in seeds {
-            self.visit(s, out);
-        }
-        let nfa = self.nfa;
-        while let Some(s) = self.stack.pop() {
-            for &t in &nfa.states[s as usize].epsilon {
-                self.visit(t, out);
-            }
-        }
-        out.sort_unstable();
-    }
-
-    fn visit(&mut self, s: u32, out: &mut Vec<u32>) {
-        if self.mark[s as usize] != self.stamp {
-            self.mark[s as usize] = self.stamp;
-            out.push(s);
-            self.stack.push(s);
-        }
-    }
-
-    /// True when `state` is in the latest closure.
-    fn holds(&self, state: u32) -> bool {
-        self.mark[state as usize] == self.stamp
-    }
-}
-
 /// How a [`Dfa::product`] combines its operands' acceptance, which also
 /// determines when a pair is provably dead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProductMode {
+pub(crate) enum ProductMode {
     Intersect,
     Union,
 }
@@ -863,56 +685,6 @@ mod tests {
         assert!(d.contains("anything at all"));
     }
 
-    /// The subset construction as first written — per-class edge
-    /// scans, `Vec::contains` dedup, SipHash id map — kept as the
-    /// oracle the bucketed construction must match state for state.
-    fn subset_reference(nfa: &Nfa) -> Dfa {
-        let class_count = nfa.alphabet.class_count();
-        let mut start_set = vec![nfa.start];
-        nfa.epsilon_closure(&mut start_set);
-        let mut ids: std::collections::HashMap<Vec<u32>, u32> = std::collections::HashMap::new();
-        let mut transitions: Vec<u32> = Vec::new();
-        let mut accepting: Vec<bool> = Vec::new();
-        let mut worklist: VecDeque<Vec<u32>> = VecDeque::new();
-        ids.insert(start_set.clone(), 0);
-        transitions.resize(class_count, u32::MAX);
-        accepting.push(start_set.contains(&nfa.accept));
-        worklist.push_back(start_set);
-        while let Some(set) = worklist.pop_front() {
-            let id = ids[&set];
-            for class in 0..class_count {
-                let mut next: Vec<u32> = Vec::new();
-                for &s in &set {
-                    for &(c, t) in &nfa.states[s as usize].transitions {
-                        if c as usize == class && !next.contains(&t) {
-                            next.push(t);
-                        }
-                    }
-                }
-                nfa.epsilon_closure(&mut next);
-                let next_id = match ids.get(&next) {
-                    Some(&id) => id,
-                    None => {
-                        let new_id = accepting.len() as u32;
-                        ids.insert(next.clone(), new_id);
-                        transitions.extend(std::iter::repeat_n(u32::MAX, class_count));
-                        accepting.push(next.contains(&nfa.accept));
-                        worklist.push_back(next);
-                        new_id
-                    }
-                };
-                transitions[id as usize * class_count + class] = next_id;
-            }
-        }
-        Dfa::from_parts(
-            transitions,
-            accepting,
-            0,
-            class_count,
-            Arc::clone(&nfa.alphabet),
-        )
-    }
-
     /// A small random classical regex over `a`–`d` and a non-BMP
     /// character, with intersections and complements.
     fn random_regex(rng: &mut rand::rngs::StdRng, depth: usize) -> CRegex {
@@ -948,7 +720,8 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_subset_construction_matches_the_reference() {
+    fn flat_construction_matches_the_reference_builders() {
+        use crate::oracle;
         use rand::SeedableRng;
         for seed in 0..300u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -956,18 +729,46 @@ mod tests {
             let mut sets = vec![CharSet::range('b', 'e')];
             re.collect_sets(&mut sets);
             let alphabet = Arc::new(Alphabet::from_sets(&sets));
-            let nfa = Nfa::thompson(&re, &alphabet);
-            let fast = Dfa::from_nfa(&nfa);
-            let reference = subset_reference(&nfa);
-            assert_eq!(
-                fast.canonical_key(),
-                reference.canonical_key(),
-                "seed {seed}: {re}"
-            );
-            assert_eq!(distances(&fast), distances(&reference), "seed {seed}");
+            for config in [AutomataConfig::disabled(), AutomataConfig::default()] {
+                let (mut flat_metrics, mut oracle_metrics) =
+                    (BuildMetrics::default(), BuildMetrics::default());
+                let flat = Dfa::from_cregex_with(&re, &alphabet, &config, &mut flat_metrics);
+                let reference = oracle::try_from_cregex_with(
+                    &re,
+                    &alphabet,
+                    &config,
+                    &mut oracle_metrics,
+                    usize::MAX,
+                )
+                .expect("unbounded");
+                assert_eq!(
+                    flat.canonical_key(),
+                    reference.canonical_key(),
+                    "seed {seed}: {re}"
+                );
+                assert_eq!(distances(&flat), distances(&reference), "seed {seed}");
+                assert_eq!(flat_metrics, oracle_metrics, "seed {seed}");
+                let (minimal, reference) = (flat.minimized(), oracle::minimized(&reference));
+                assert_eq!(
+                    minimal.canonical_key(),
+                    reference.canonical_key(),
+                    "seed {seed}"
+                );
+                assert_eq!(distances(&minimal), distances(&reference), "seed {seed}");
+            }
             // The cap trips exactly where the reference outgrows it.
-            assert!(Dfa::from_nfa_bounded(&nfa, reference.state_count()).is_some());
-            assert!(Dfa::from_nfa_bounded(&nfa, reference.state_count() - 1).is_none());
+            let nfa = oracle::Nfa::thompson(&re, &alphabet);
+            let states = oracle::subset(&nfa, usize::MAX)
+                .expect("unbounded")
+                .state_count();
+            let capped = |max| {
+                let cfg = AutomataConfig::disabled();
+                Dfa::try_from_cregex_with(&re, &alphabet, &cfg, &mut BuildMetrics::default(), max)
+            };
+            if !matches!(re, CRegex::And(_) | CRegex::Not(_)) {
+                assert!(capped(states).is_some(), "seed {seed}");
+                assert!(capped(states - 1).is_none(), "seed {seed}");
+            }
         }
     }
 
@@ -979,7 +780,7 @@ mod tests {
             Alphabet::for_problem(&[CharSet::range('a', 'z')], &["hey", "a", "zz"]),
             Alphabet::for_problem(&[], &["ab"]),
             Alphabet::for_problem(&[CharSet::single('\0')], &["\0\0b"]),
-            Arc::new(Alphabet::from_sets(&[])),
+            Arc::new(Alphabet::from_sets::<CharSet>(&[])),
         ];
         let words = ["", "hey", "a", "zz", "ab", "ba", "\0\0b", "\0"];
         for alphabet in &alphabets {

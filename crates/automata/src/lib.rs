@@ -10,13 +10,16 @@
 //!   complement (for lookaheads and non-membership);
 //! * [`Alphabet`] — minterm partitions shared across a constraint
 //!   problem, keeping DFAs small;
-//! * [`Nfa`]/[`Dfa`] — Thompson construction, subset construction,
-//!   product, complement, projection onto a refining alphabet,
-//!   emptiness, shortest-word and bounded word enumeration;
+//! * [`Dfa`] — Thompson construction, subset construction, product,
+//!   complement, projection onto a refining alphabet, emptiness,
+//!   shortest-word and bounded word enumeration, all on flat,
+//!   reused storage;
 //! * [`minimize`] — Hopcroft minimization with canonical state
 //!   numbering plus accepted-word [`LengthBounds`], driven by
 //!   [`AutomataConfig`] thresholds and reported through
-//!   [`BuildMetrics`].
+//!   [`BuildMetrics`];
+//! * [`oracle`] — the reference builders the flat ones must reproduce
+//!   byte for byte, for tests and the differential fuzzer.
 //!
 //! # Examples
 //!
@@ -36,13 +39,15 @@
 //! ```
 
 pub mod alphabet;
+mod build;
 pub mod charset;
 pub mod config;
 pub mod cregex;
 pub mod dfa;
 mod fxhash;
 pub mod minimize;
-pub mod nfa;
+mod nfa;
+pub mod oracle;
 
 pub use alphabet::{Alphabet, ClassId};
 pub use charset::CharSet;
@@ -51,4 +56,3 @@ pub use cregex::{compile_classical, compile_classical_into, CRegex, CompileOptio
 pub use dfa::{Dfa, WordIter};
 pub use fxhash::FxHasher;
 pub use minimize::LengthBounds;
-pub use nfa::{Nfa, NfaState, StateId};

@@ -17,6 +17,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::alphabet::ClassId;
+use crate::build::with_scratch;
 use crate::dfa::Dfa;
 
 /// Inclusive bounds on the lengths of a DFA's accepted words; see
@@ -57,187 +58,12 @@ impl Dfa {
     /// assert!(d1.contains("aaa") && !d1.contains(""));
     /// ```
     pub fn minimized(&self) -> Dfa {
-        let class_count = self.class_count;
-        // --- Restrict to states reachable from the start -------------
-        let total = self.state_count();
-        let mut compact: Vec<u32> = vec![u32::MAX; total]; // old → compact
-        let mut reachable: Vec<u32> = Vec::new(); // compact → old
-        {
-            let mut queue = VecDeque::new();
-            compact[self.start as usize] = 0;
-            reachable.push(self.start);
-            queue.push_back(self.start);
-            while let Some(s) = queue.pop_front() {
-                for class in 0..class_count {
-                    let t = self.step(s, class as ClassId);
-                    if compact[t as usize] == u32::MAX {
-                        compact[t as usize] = reachable.len() as u32;
-                        reachable.push(t);
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-        let n = reachable.len();
-
-        // --- Reverse transitions over the compact states -------------
-        // rev[class * n + target] = predecessor list.
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); class_count * n];
-        for (s, &old) in reachable.iter().enumerate() {
-            for class in 0..class_count {
-                let t = compact[self.step(old, class as ClassId) as usize];
-                rev[class * n + t as usize].push(s as u32);
-            }
-        }
-
-        // --- Hopcroft refinement -------------------------------------
-        let mut block_of: Vec<u32> = vec![0; n];
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
-        {
-            let mut accepting_block: Vec<u32> = Vec::new();
-            let mut rejecting_block: Vec<u32> = Vec::new();
-            for (s, &old) in reachable.iter().enumerate() {
-                if self.is_accepting(old) {
-                    accepting_block.push(s as u32);
-                } else {
-                    rejecting_block.push(s as u32);
-                }
-            }
-            for block in [accepting_block, rejecting_block] {
-                if !block.is_empty() {
-                    let id = blocks.len() as u32;
-                    for &s in &block {
-                        block_of[s as usize] = id;
-                    }
-                    blocks.push(block);
-                }
-            }
-        }
-        // Worklist of (block, class) splitters; `in_worklist` mirrors
-        // membership so a pending pair is never enqueued twice.
-        let mut worklist: VecDeque<(u32, usize)> = VecDeque::new();
-        let mut in_worklist: Vec<bool> = Vec::new();
-        let enqueue_all =
-            |worklist: &mut VecDeque<(u32, usize)>, in_worklist: &mut Vec<bool>, block: u32| {
-                for class in 0..class_count {
-                    worklist.push_back((block, class));
-                    in_worklist[block as usize * class_count + class] = true;
-                }
-            };
-        in_worklist.resize(blocks.len() * class_count, false);
-        for b in 0..blocks.len() as u32 {
-            enqueue_all(&mut worklist, &mut in_worklist, b);
-        }
-
-        let mut marked: Vec<bool> = vec![false; n];
-        let mut marked_states: Vec<u32> = Vec::new();
-        let mut hit_count: Vec<u32> = vec![0; blocks.len()];
-        while let Some((a, class)) = worklist.pop_front() {
-            in_worklist[a as usize * class_count + class] = false;
-            // X = preimage of block `a` under `class`.
-            let mut touched: Vec<u32> = Vec::new();
-            for &t in &blocks[a as usize] {
-                for &s in &rev[class * n + t as usize] {
-                    if !marked[s as usize] {
-                        marked[s as usize] = true;
-                        marked_states.push(s);
-                        let b = block_of[s as usize];
-                        if hit_count[b as usize] == 0 {
-                            touched.push(b);
-                        }
-                        hit_count[b as usize] += 1;
-                    }
-                }
-            }
-            for &b in &touched {
-                let size = blocks[b as usize].len();
-                let hits = hit_count[b as usize] as usize;
-                hit_count[b as usize] = 0;
-                if hits == size {
-                    continue; // no split: every member is in X
-                }
-                // Split block `b` into marked (keeps id `b`) and
-                // unmarked (new id) halves.
-                let members = std::mem::take(&mut blocks[b as usize]);
-                let (inside, outside): (Vec<u32>, Vec<u32>) =
-                    members.into_iter().partition(|&s| marked[s as usize]);
-                let new_id = blocks.len() as u32;
-                for &s in &outside {
-                    block_of[s as usize] = new_id;
-                }
-                blocks[b as usize] = inside;
-                blocks.push(outside);
-                hit_count.push(0);
-                in_worklist.resize(blocks.len() * class_count, false);
-                for d in 0..class_count {
-                    if in_worklist[b as usize * class_count + d] {
-                        // (b, d) is pending and now means the inside
-                        // half; the outside half must also be
-                        // processed.
-                        worklist.push_back((new_id, d));
-                        in_worklist[new_id as usize * class_count + d] = true;
-                    } else {
-                        // Enqueue the smaller half (Hopcroft's trick).
-                        let smaller = if blocks[b as usize].len() <= blocks[new_id as usize].len() {
-                            b
-                        } else {
-                            new_id
-                        };
-                        worklist.push_back((smaller, d));
-                        in_worklist[smaller as usize * class_count + d] = true;
-                    }
-                }
-            }
-            for s in marked_states.drain(..) {
-                marked[s as usize] = false;
-            }
-        }
-
-        // --- Canonical rebuild: BFS over blocks from the start block --
-        let block_count = blocks.len();
-        let mut canon_of_block: Vec<u32> = vec![u32::MAX; block_count];
-        let mut order: Vec<u32> = Vec::new(); // canonical id → block
-        {
-            let start_block = block_of[0]; // compact state 0 is the start
-            let mut queue = VecDeque::new();
-            canon_of_block[start_block as usize] = 0;
-            order.push(start_block);
-            queue.push_back(start_block);
-            while let Some(b) = queue.pop_front() {
-                let representative = blocks[b as usize][0];
-                let old = reachable[representative as usize];
-                for class in 0..class_count {
-                    let t = compact[self.step(old, class as ClassId) as usize];
-                    let tb = block_of[t as usize];
-                    if canon_of_block[tb as usize] == u32::MAX {
-                        canon_of_block[tb as usize] = order.len() as u32;
-                        order.push(tb);
-                        queue.push_back(tb);
-                    }
-                }
-            }
-        }
-        // Every block is reachable (blocks partition reachable states),
-        // so `order` covers all of them.
-        debug_assert_eq!(order.len(), block_count);
-
-        let mut transitions = vec![0u32; order.len() * class_count];
-        let mut accepting = vec![false; order.len()];
-        for (canon, &b) in order.iter().enumerate() {
-            let representative = blocks[b as usize][0];
-            let old = reachable[representative as usize];
-            accepting[canon] = self.is_accepting(old);
-            for class in 0..class_count {
-                let t = compact[self.step(old, class as ClassId) as usize];
-                transitions[canon * class_count + class] =
-                    canon_of_block[block_of[t as usize] as usize];
-            }
-        }
+        let (transitions, accepting) = with_scratch(|s| s.minimize(self));
         Dfa::from_parts(
             transitions,
             accepting,
             0,
-            class_count,
+            self.class_count,
             Arc::clone(&self.alphabet),
         )
     }

@@ -1,10 +1,12 @@
-//! Thompson NFA construction over a minterm alphabet.
+//! The reference Thompson NFA over a minterm alphabet, one `Vec` of
+//! edges per state; re-exported by [`crate::oracle`].
 
 use std::sync::Arc;
 
 use crate::alphabet::{Alphabet, ClassId};
 use crate::cregex::CRegex;
 use crate::dfa::Dfa;
+use crate::oracle;
 
 /// State identifier within an [`Nfa`].
 pub type StateId = u32;
@@ -35,8 +37,8 @@ pub struct Nfa {
 impl Nfa {
     /// Builds the Thompson NFA of a classical regex.
     ///
-    /// `And`/`Not` subtrees are compiled through the DFA layer
-    /// (product/complement) and re-embedded, so arbitrary combinations
+    /// `And`/`Not` subtrees are compiled through the reference DFA
+    /// pipeline (product/complement) and re-embedded, so arbitrary combinations
     /// of boolean operations with concatenation and star are supported.
     pub fn thompson(re: &CRegex, alphabet: &Arc<Alphabet>) -> Nfa {
         let mut builder = Builder {
@@ -111,7 +113,7 @@ impl Builder {
             CRegex::Set(set) => {
                 let s = self.new_state();
                 let a = self.new_state();
-                let classes = self.alphabet.classes_of(set);
+                let classes = oracle::classes_of(&self.alphabet, set);
                 for class in classes {
                     self.states[s as usize].transitions.push((class, a));
                 }
@@ -158,7 +160,7 @@ impl Builder {
             }
             CRegex::And(_) | CRegex::Not(_) => {
                 // Compile through the DFA layer, then embed.
-                let dfa = Dfa::from_cregex(re, &self.alphabet);
+                let dfa = oracle::from_cregex(re, &self.alphabet);
                 self.embed_dfa(&dfa)
             }
         }

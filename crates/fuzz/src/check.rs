@@ -6,6 +6,7 @@
 //! |---|---|---|
 //! | oracle | `es6-matcher` (budgeted) | ground truth |
 //! | automata | wrapped-word-language DFA | classical fragment |
+//! | construction | `automata::oracle` reference builders | the flat builders' outputs |
 //! | solver | `strsolve` on the Algorithm 2 model | verdict + model |
 //! | CEGAR | `expose-core` Algorithm 1 | precedence-correct captures |
 //!
@@ -17,7 +18,7 @@
 use std::hash::Hasher;
 use std::sync::Arc;
 
-use automata::{Alphabet, Dfa, FxHasher};
+use automata::{oracle, Alphabet, AutomataConfig, BuildMetrics, CRegex, CharSet, Dfa, FxHasher};
 use es6_matcher::{MatchResult, RegExp};
 use expose_core::api::{build_match_model, CapturingConstraint};
 use expose_core::cegar::{CegarCache, CegarResult};
@@ -111,6 +112,10 @@ pub enum Layer {
     /// leftmost extent, or capture slots diverged (or the VM blew its
     /// linear step bound).
     EngineVsEngine,
+    /// The flat minterm and DFA builders vs. the reference builders of
+    /// `automata::oracle`: an alphabet, automaton, distance table or
+    /// build count differs.
+    Construction,
     /// Concrete matcher vs. word-language DFA membership.
     MatcherVsDfa,
     /// A `Sat` model does not satisfy its own formula (model
@@ -134,6 +139,7 @@ impl Layer {
         match self {
             Layer::Parser => "parser",
             Layer::EngineVsEngine => "engine-vs-engine",
+            Layer::Construction => "construction",
             Layer::MatcherVsDfa => "matcher-vs-dfa",
             Layer::SolverModel => "solver-model",
             Layer::SolverVsOracle => "solver-vs-oracle",
@@ -783,6 +789,76 @@ fn check_engine_vs_engine(
     None
 }
 
+/// The flat builders against the reference builders on one case: both
+/// alphabets (the language's own over `sets[..own_sets]`, the case's
+/// over all of `sets`), the bounded pipeline over each, and the minimization of
+/// each result must agree byte for byte, build counts included.
+fn check_construction(
+    lang: &CRegex,
+    sets: &[CharSet],
+    own_sets: usize,
+    own_alphabet: &Arc<Alphabet>,
+    dfa_alphabet: &Arc<Alphabet>,
+    budget: &FuzzBudget,
+) -> Option<Disagreement> {
+    let disagreement = |what: &str| {
+        Some(Disagreement {
+            layer: Layer::Construction,
+            detail: format!("{what} differs from the reference builder's"),
+        })
+    };
+    if **own_alphabet != oracle::alphabet_from_sets(&sets[..own_sets]) {
+        return disagreement("the own-alphabet partition");
+    }
+    if **dfa_alphabet != oracle::alphabet_from_sets(sets) {
+        return disagreement("the case-alphabet partition");
+    }
+    let config = AutomataConfig::default();
+    for alphabet in [own_alphabet, dfa_alphabet] {
+        let (mut flat_metrics, mut oracle_metrics) =
+            (BuildMetrics::default(), BuildMetrics::default());
+        let flat = Dfa::try_from_cregex_with(
+            lang,
+            alphabet,
+            &config,
+            &mut flat_metrics,
+            budget.max_dfa_states,
+        );
+        let reference = oracle::try_from_cregex_with(
+            lang,
+            alphabet,
+            &config,
+            &mut oracle_metrics,
+            budget.max_dfa_states,
+        );
+        match (flat, reference) {
+            (None, None) => {}
+            (Some(flat), Some(reference)) => {
+                if flat.canonical_key() != reference.canonical_key()
+                    || distances(&flat) != distances(&reference)
+                    || flat_metrics != oracle_metrics
+                {
+                    return disagreement("a bounded DFA build");
+                }
+                let (minimal, reference) = (flat.minimized(), oracle::minimized(&reference));
+                if minimal.canonical_key() != reference.canonical_key()
+                    || distances(&minimal) != distances(&reference)
+                {
+                    return disagreement("a minimized DFA");
+                }
+            }
+            _ => return disagreement("the state cap's verdict"),
+        }
+    }
+    None
+}
+
+fn distances(dfa: &Dfa) -> Vec<Option<u32>> {
+    (0..dfa.state_count() as u32)
+        .map(|s| dfa.distance_to_accept(s))
+        .collect()
+}
+
 fn check_matcher_vs_dfa(
     regex: &Regex,
     alphabet: &[char],
@@ -794,10 +870,16 @@ fn check_matcher_vs_dfa(
     let mut sets = Vec::new();
     lang.collect_sets(&mut sets);
     let own_alphabet = Arc::new(Alphabet::from_sets(&sets));
+    let own_sets = sets.len();
     for &c in alphabet {
         sets.push(automata::CharSet::single(c));
     }
     let dfa_alphabet = Arc::new(Alphabet::from_sets(&sets));
+    if let Some(disagreement) =
+        check_construction(&lang, &sets, own_sets, &own_alphabet, &dfa_alphabet, budget)
+    {
+        return Some(disagreement);
+    }
     // Bounded minimizing pipeline: subset construction of unanchored
     // `Σ*·body·Σ*` languages can visit millions of intermediate states
     // before collapsing — abandon those instances (skip the layer)

@@ -11,6 +11,8 @@
 //! * the **concrete matcher** (`es6-matcher`, step-budgeted) as ground
 //!   truth,
 //! * the **automata** word-language DFA on the classical fragment,
+//!   whose alphabets and automata are also rebuilt by the reference
+//!   builders of `automata::oracle` and must come out byte-identical,
 //! * the **string solver** (`strsolve`) verdict and model on the
 //!   Algorithm 2 formula,
 //! * the full **CEGAR** loop, with every `Sat` model re-executed

@@ -17,9 +17,9 @@
 //! `Unknown`, which DSE treats like an SMT timeout (paper §5.3).
 
 use std::cmp::Reverse;
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -135,10 +135,12 @@ impl Solver {
     pub fn solve(&self, formula: &Formula) -> (Outcome, SolveStats) {
         let start = Instant::now();
         let ranks = Ranks::of(formula);
+        let ranked = Ranked::of(formula, &ranks);
         let mut search = Search {
             config: &self.config,
             dfas: &self.dfas,
             ranks: &ranks,
+            ranked: &ranked,
             stats: SolveStats::default(),
             nodes_left: self.config.max_nodes,
             branches_left: self.config.max_bool_branches,
@@ -149,7 +151,7 @@ impl Solver {
             scratch: Scratch::default(),
             spare: Vec::new(),
         };
-        let mut pending = vec![(formula, NIL)];
+        let mut pending = vec![(ranked.root, NIL)];
         let mut atoms = Vec::new();
         let outcome = search.boolean_dfs(&mut pending, 0, &mut atoms);
         search.stats.duration = start.elapsed();
@@ -266,12 +268,14 @@ pub(crate) struct DfaCache {
     /// Each regex's minimal, canonically numbered DFA over its own
     /// minterm alphabet — the source every `entries` miss projects
     /// from.
-    bases: Shard<Arc<CRegex>, Arc<Dfa>>,
-    /// Interned minterm alphabets, keyed by the normalized problem
-    /// (sorted deduped sets + literal characters). Building the
-    /// partition is pure per-conjunction overhead, and interning also
-    /// makes repeated conjunctions share one `Arc`.
-    alphabets: Shard<Vec<CharSet>, Arc<Alphabet>>,
+    bases: Shard<ReKey, Arc<Dfa>>,
+    /// Interned minterm alphabets, keyed by a std-hashed digest of the
+    /// normalized problem (sorted deduped sets + literal characters);
+    /// the value keeps the sets, and a hit compares them in place, so
+    /// a digest collision is a miss. Building the partition is pure
+    /// per-conjunction overhead, and interning also makes repeated
+    /// conjunctions share one `Arc`.
+    alphabets: Shard<u64, (Vec<CharSet>, Arc<Alphabet>)>,
     /// Exact-word DFAs for equality/disequality literals, keyed by
     /// word + alphabet pointer (the alphabet `Arc` is retained in the
     /// value, so a resident key's address cannot be recycled).
@@ -314,9 +318,43 @@ type ProductEntry = (Arc<Dfa>, Vec<Arc<Dfa>>);
 /// entries — and a stale pointer can never alias a different partition.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct DfaKey {
-    re: Arc<CRegex>,
+    re: ReKey,
     alphabet: Arc<Alphabet>,
     complemented: bool,
+}
+
+/// A regex as a cache key: compared by content, hashed by a std-hashed
+/// digest of that content taken once per [`DfaCache::get_or_build`]
+/// instead of once per shard operation (a lookup and a store in each of
+/// `entries` and `bases`).
+#[derive(Debug, Clone)]
+struct ReKey {
+    digest: u64,
+    re: Arc<CRegex>,
+}
+
+impl ReKey {
+    fn of(re: &Arc<CRegex>) -> ReKey {
+        ReKey {
+            digest: BuildHasherDefault::<DefaultHasher>::default().hash_one(&**re),
+            re: Arc::clone(re),
+        }
+    }
+}
+
+impl PartialEq for ReKey {
+    fn eq(&self, other: &ReKey) -> bool {
+        self.digest == other.digest && self.re == other.re
+    }
+}
+
+impl Eq for ReKey {}
+
+impl Hash for ReKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Consistent with `Eq`: equal regexes have equal digests.
+        state.write_u64(self.digest);
+    }
 }
 
 impl DfaCache {
@@ -421,15 +459,16 @@ impl DfaCache {
             return Arc::clone(dfa);
         }
         self.note(stats, false);
-        let mut iter = factors.iter();
-        let mut acc: Dfa = (**iter.next().expect("at least two factors")).clone();
-        for factor in iter {
+        let (first, rest) = factors.split_first().expect("at least two factors");
+        let mut acc: Option<Dfa> = None;
+        for factor in rest {
             let mut metrics = automata::BuildMetrics::default();
-            acc = acc.intersect(factor).reduced(&FOLD_CONFIG, &mut metrics);
+            let left = acc.as_ref().unwrap_or(first);
+            acc = Some(left.intersect(factor).reduced(&FOLD_CONFIG, &mut metrics));
             stats.dfa_states_built += metrics.states_built;
             stats.states_after_minimize += metrics.states_after_minimize;
         }
-        let product = Arc::new(acc);
+        let product = Arc::new(acc.expect("at least two factors"));
         store(&self.products, key, (Arc::clone(&product), factors));
         product
     }
@@ -437,19 +476,22 @@ impl DfaCache {
     /// The interned minterm alphabet of a conjunction's character sets
     /// (its regexes' sets and a single-char set per literal character).
     /// The partition is order- and duplicate-independent, so the key
-    /// is normalized (sorted, deduped) over the borrowed sets and only
-    /// the distinct ones are cloned; a miss builds via
-    /// [`Alphabet::from_sets`] on the normalized sets, which yields
-    /// the same classes as the raw collection would.
-    fn alphabet_for(&self, mut sets: Vec<&CharSet>) -> Arc<Alphabet> {
+    /// is normalized (sorted, deduped) over the borrowed sets. A hit
+    /// clones nothing; a miss builds via [`Alphabet::from_sets`] on the
+    /// normalized sets, which yields the same classes as the raw
+    /// collection would, and clones the distinct sets into the entry.
+    fn alphabet_for(&self, sets: &mut Vec<&CharSet>) -> Arc<Alphabet> {
         sets.sort_unstable();
         sets.dedup();
-        let sets: Vec<CharSet> = sets.into_iter().cloned().collect();
-        if let Some(alphabet) = self.alphabets.lock().get(&sets) {
-            return Arc::clone(alphabet);
+        let digest = BuildHasherDefault::<DefaultHasher>::default().hash_one(&*sets);
+        if let Some((stored, alphabet)) = self.alphabets.lock().get(&digest) {
+            if stored.len() == sets.len() && stored.iter().zip(sets.iter()).all(|(a, b)| a == *b) {
+                return Arc::clone(alphabet);
+            }
         }
-        let alphabet = Arc::new(Alphabet::from_sets(&sets));
-        store(&self.alphabets, sets, Arc::clone(&alphabet));
+        let alphabet = Arc::new(Alphabet::from_sets(sets));
+        let owned = sets.iter().map(|&set| set.clone()).collect();
+        store(&self.alphabets, digest, (owned, Arc::clone(&alphabet)));
         alphabet
     }
 
@@ -468,7 +510,7 @@ impl DfaCache {
         stats: &mut SolveStats,
     ) -> Arc<Dfa> {
         let key = DfaKey {
-            re: Arc::clone(re),
+            re: ReKey::of(re),
             alphabet: Arc::clone(alphabet),
             complemented,
         };
@@ -480,7 +522,7 @@ impl DfaCache {
         // A conjunction's alphabet partitions every set of its regexes,
         // so it refines each regex's own alphabet.
         let projected = self
-            .base_dfa(re, stats)
+            .base_dfa(&key.re, stats)
             .project(alphabet)
             .expect("a conjunction alphabet refines its regexes' own alphabets");
         // Complementing a minimal complete DFA keeps it minimal and its
@@ -496,36 +538,22 @@ impl DfaCache {
 
     /// The minimal, canonically numbered DFA of `re` over its own
     /// minterm alphabet, built on first use.
-    fn base_dfa(&self, re: &Arc<CRegex>, stats: &mut SolveStats) -> Arc<Dfa> {
-        if let Some(base) = self.bases.lock().get(re) {
+    fn base_dfa(&self, key: &ReKey, stats: &mut SolveStats) -> Arc<Dfa> {
+        if let Some(base) = self.bases.lock().get(key) {
             return Arc::clone(base);
         }
+        let re = &key.re;
         stats.dfas_built += 1;
+        // The partition is order- and duplicate-independent: the
+        // borrowed sets go in as the walk finds them.
         let mut sets = Vec::new();
-        re.collect_sets(&mut sets);
-        sets.sort_unstable();
-        sets.dedup();
+        re.collect_set_refs(&mut sets);
         let alphabet = Arc::new(Alphabet::from_sets(&sets));
-        let config = automata::AutomataConfig::default();
         let mut metrics = automata::BuildMetrics::default();
-        let dfa = Dfa::from_cregex_with(re, &alphabet, &config, &mut metrics);
-        // A result at or above the threshold is already minimal and
-        // canonically numbered (the last `reduced()` produced it); only
-        // the small automata the threshold skipped need a pass here.
-        // The metric reports *retained* states, so a re-minimized
-        // top-level automaton replaces its thresholded count.
-        let base = if !config.should_minimize(dfa.state_count()) {
-            let minimal = dfa.minimized();
-            metrics.states_after_minimize = metrics.states_after_minimize
-                - dfa.state_count() as u64
-                + minimal.state_count() as u64;
-            Arc::new(minimal)
-        } else {
-            Arc::new(dfa)
-        };
+        let base = Arc::new(Dfa::minimal_from_cregex(re, &alphabet, &mut metrics));
         stats.dfa_states_built += metrics.states_built;
         stats.states_after_minimize += metrics.states_after_minimize;
-        store(&self.bases, Arc::clone(re), Arc::clone(&base));
+        store(&self.bases, key.clone(), Arc::clone(&base));
         base
     }
 }
@@ -592,6 +620,120 @@ impl Ranks {
         self.bools
             .binary_search(&b)
             .expect("every variable is ranked")
+    }
+}
+
+/// One node of a [`Ranked`] formula.
+#[derive(Clone, Copy)]
+enum RankedNode<'f> {
+    Atom(RankedAtom<'f>),
+    /// A conjunction or disjunction of the nodes `kids[lo..hi]`.
+    And(u32, u32),
+    Or(u32, u32),
+}
+
+/// An [`Atom`] with its variables numbered by rank.
+#[derive(Clone, Copy)]
+enum RankedAtom<'f> {
+    InRe(u32, &'f Arc<CRegex>),
+    NotInRe(u32, &'f Arc<CRegex>),
+    EqLit(u32, &'f str),
+    NeLit(u32, &'f str),
+    EqVar(u32, u32),
+    NeVar(u32, u32),
+    /// `lhs = parts[lo..hi]`, variable parts by rank.
+    EqConcat(u32, u32, u32),
+    Bool(usize, bool),
+    True,
+    False,
+}
+
+/// The formula in rank form, built once per solve, so that no pass over
+/// a conjunction looks a variable's rank up again: a node arena whose
+/// children sit contiguously in `kids`, and the parts of its word
+/// equations. Each table is sized by a first walk and allocated once.
+struct Ranked<'f> {
+    root: u32,
+    nodes: Vec<RankedNode<'f>>,
+    kids: Vec<u32>,
+    parts: Vec<Part<'f>>,
+}
+
+impl<'f> Ranked<'f> {
+    fn of(formula: &'f Formula, ranks: &Ranks) -> Ranked<'f> {
+        let mut sizes = [0; 3];
+        Ranked::size(formula, &mut sizes);
+        let mut ranked = Ranked {
+            root: 0,
+            nodes: Vec::with_capacity(sizes[0]),
+            kids: Vec::with_capacity(sizes[1]),
+            parts: Vec::with_capacity(sizes[2]),
+        };
+        ranked.root = ranked.lower(formula, ranks);
+        ranked
+    }
+
+    /// Adds `formula`'s node, child and part counts to `sizes`.
+    fn size(formula: &Formula, sizes: &mut [usize; 3]) {
+        sizes[0] += 1;
+        match formula {
+            Formula::And(items) | Formula::Or(items) => {
+                sizes[1] += items.len();
+                for item in items {
+                    Ranked::size(item, sizes);
+                }
+            }
+            Formula::Atom(Atom::EqConcat(_, terms)) => sizes[2] += terms.len(),
+            Formula::Atom(_) => {}
+        }
+    }
+
+    /// Appends `formula`'s nodes, children first, and returns its id.
+    fn lower(&mut self, formula: &'f Formula, ranks: &Ranks) -> u32 {
+        let node = match formula {
+            Formula::And(items) | Formula::Or(items) => {
+                let lo = self.kids.len();
+                self.kids.resize(lo + items.len(), 0);
+                for (i, item) in items.iter().enumerate() {
+                    self.kids[lo + i] = self.lower(item, ranks);
+                }
+                let (lo, hi) = (lo as u32, (lo + items.len()) as u32);
+                if matches!(formula, Formula::And(_)) {
+                    RankedNode::And(lo, hi)
+                } else {
+                    RankedNode::Or(lo, hi)
+                }
+            }
+            Formula::Atom(atom) => {
+                let rank = |v: &StrVar| ranks.str(*v);
+                let ranked = match atom {
+                    Atom::InRe(v, re) => RankedAtom::InRe(rank(v), re),
+                    Atom::NotInRe(v, re) => RankedAtom::NotInRe(rank(v), re),
+                    Atom::EqLit(v, s) => RankedAtom::EqLit(rank(v), s),
+                    Atom::NeLit(v, s) => RankedAtom::NeLit(rank(v), s),
+                    Atom::EqVar(a, b) => RankedAtom::EqVar(rank(a), rank(b)),
+                    Atom::NeVar(a, b) => RankedAtom::NeVar(rank(a), rank(b)),
+                    Atom::EqConcat(v, terms) => {
+                        let lo = self.parts.len() as u32;
+                        self.parts.extend(terms.iter().map(|term| match term {
+                            Term::Var(u) => Part::Var(rank(u)),
+                            Term::Lit(s) => Part::Lit(s.as_str()),
+                        }));
+                        RankedAtom::EqConcat(rank(v), lo, self.parts.len() as u32)
+                    }
+                    Atom::Bool(b, value) => RankedAtom::Bool(ranks.bool(*b), *value),
+                    Atom::True => RankedAtom::True,
+                    Atom::False => RankedAtom::False,
+                };
+                RankedNode::Atom(ranked)
+            }
+        };
+        self.nodes.push(node);
+        self.nodes.len() as u32 - 1
+    }
+
+    fn parts(&self, lo: u32, hi: u32) -> &[Part<'f>] {
+        &self.parts[lo as usize..hi as usize]
     }
 }
 
@@ -702,6 +844,7 @@ struct Search<'a> {
     config: &'a SolverConfig,
     dfas: &'a DfaCache,
     ranks: &'a Ranks,
+    ranked: &'a Ranked<'a>,
     stats: SolveStats,
     nodes_left: u64,
     branches_left: u64,
@@ -716,10 +859,11 @@ struct Search<'a> {
     /// pays. The value keeps both `Arc`s alive, so a resident key's
     /// addresses can never be recycled by another allocation.
     query_dfa_memo: QueryDfaMemo,
-    /// Per-query memo of each regex's collected `CharSet`s (alphabet
-    /// construction input), keyed by `Arc` pointer with the `Arc` kept
-    /// alive in the value.
-    sets_memo: FxHashMap<usize, (Arc<CRegex>, Vec<CharSet>)>,
+    /// Per-query memo of each regex's `CharSet`s (alphabet
+    /// construction input), borrowed from the formula and keyed by
+    /// `Arc` pointer: the formula outlives the solve, so a key's
+    /// address cannot be recycled meanwhile.
+    sets_memo: FxHashMap<usize, Vec<&'a CharSet>>,
     tables: Tables<'a>,
     scratch: Scratch,
     /// Buffers of finished candidate enumerations.
@@ -728,9 +872,9 @@ struct Search<'a> {
 
 type QueryDfaMemo = FxHashMap<(usize, usize, bool), (Arc<Dfa>, Arc<CRegex>, Arc<Alphabet>)>;
 
-/// One cell of the pending-formula list: a formula and the index of
-/// the cell below it ([`NIL`] at the bottom).
-type Pending<'f> = (&'f Formula, u32);
+/// One cell of the pending-formula list: a [`Ranked`] node and the
+/// index of the cell below it ([`NIL`] at the bottom).
+type Pending = (u32, u32);
 
 impl<'a> Search<'a> {
     /// The constraint DFA of `re` under `alphabet`, through the
@@ -766,39 +910,40 @@ impl<'a> Search<'a> {
     /// it, so no branch copies the pending list.
     fn boolean_dfs(
         &mut self,
-        pending: &mut Vec<Pending<'a>>,
+        pending: &mut Vec<Pending>,
         mut head: u32,
-        atoms: &mut Vec<&'a Atom>,
+        atoms: &mut Vec<&'a RankedAtom<'a>>,
     ) -> Outcome {
+        let ranked = self.ranked;
         // Flatten conjunctions and atoms until we hit a disjunction.
         let mut pushed = 0usize;
         let result = loop {
             if head == NIL {
                 break self.solve_conjunction(atoms);
             }
-            let (formula, below) = pending[head as usize];
+            let (node, below) = pending[head as usize];
             head = below;
-            match formula {
-                Formula::Atom(a) => {
-                    if matches!(a, Atom::False) {
+            match &ranked.nodes[node as usize] {
+                RankedNode::Atom(a) => {
+                    if matches!(a, RankedAtom::False) {
                         break Outcome::Unsat;
                     }
-                    if !matches!(a, Atom::True) {
+                    if !matches!(a, RankedAtom::True) {
                         atoms.push(a);
                         pushed += 1;
                     }
                 }
-                Formula::And(items) => {
-                    for item in items {
+                &RankedNode::And(lo, hi) => {
+                    for &item in &ranked.kids[lo as usize..hi as usize] {
                         pending.push((item, head));
                         head = (pending.len() - 1) as u32;
                     }
                 }
-                Formula::Or(branches) => {
+                &RankedNode::Or(lo, hi) => {
                     let mark = pending.len();
                     let mut any_unknown = false;
                     let mut branch_result = Outcome::Unsat;
-                    for branch in branches {
+                    for &branch in &ranked.kids[lo as usize..hi as usize] {
                         if self.branches_left == 0 {
                             any_unknown = true;
                             break;
@@ -831,7 +976,7 @@ impl<'a> Search<'a> {
     }
 
     /// Decides a conjunction of atoms over the solve's reused tables.
-    fn solve_conjunction(&mut self, atoms: &[&'a Atom]) -> Outcome {
+    fn solve_conjunction(&mut self, atoms: &[&'a RankedAtom<'a>]) -> Outcome {
         let mut tables = std::mem::take(&mut self.tables);
         tables.reset();
         let outcome = self.decide(atoms, &mut tables);
@@ -839,15 +984,14 @@ impl<'a> Search<'a> {
         outcome
     }
 
-    fn decide(&mut self, atoms: &[&'a Atom], t: &mut Tables<'a>) -> Outcome {
-        let ranks = self.ranks;
-        let rank = |v: &StrVar| ranks.str(*v);
+    fn decide(&mut self, atoms: &[&'a RankedAtom<'a>], t: &mut Tables<'a>) -> Outcome {
+        let (ranks, ranked) = (self.ranks, self.ranked);
 
         // --- Boolean flags ---------------------------------------------
         for atom in atoms {
-            if let Atom::Bool(b, v) = atom {
-                match t.bools[ranks.bool(*b)].replace(*v) {
-                    Some(prev) if prev != *v => return Outcome::Unsat,
+            if let RankedAtom::Bool(b, v) = **atom {
+                match t.bools[b].replace(v) {
+                    Some(prev) if prev != v => return Outcome::Unsat,
                     _ => {}
                 }
             }
@@ -856,38 +1000,36 @@ impl<'a> Search<'a> {
         // --- Union-find over aliases ------------------------------------
         let uf = &mut t.uf;
         for atom in atoms {
-            match atom {
-                Atom::EqVar(a, b) => uf.union(rank(a), rank(b)),
-                // An equation `v = [u]` with a single variable part is an
-                // alias: merging lets the DFAs intersect directly.
-                Atom::EqConcat(v, parts)
-                    if parts.len() == 1 && matches!(parts[0], Term::Var(_)) =>
-                {
-                    if let Term::Var(u) = &parts[0] {
-                        uf.union(rank(v), rank(u));
-                    }
-                }
-                Atom::NeVar(a, b) => {
-                    uf.touch(rank(a));
-                    uf.touch(rank(b));
-                }
-                Atom::InRe(v, _) | Atom::NotInRe(v, _) | Atom::EqLit(v, _) | Atom::NeLit(v, _) => {
-                    uf.touch(rank(v))
-                }
-                Atom::EqConcat(v, parts) => {
-                    uf.touch(rank(v));
-                    for p in parts {
-                        if let Term::Var(u) = p {
-                            uf.touch(rank(u));
+            match **atom {
+                RankedAtom::EqVar(a, b) => uf.union(a, b),
+                RankedAtom::EqConcat(v, lo, hi) => match *ranked.parts(lo, hi) {
+                    // An equation `v = [u]` with a single variable part
+                    // is an alias: merging lets the DFAs intersect
+                    // directly.
+                    [Part::Var(u)] => uf.union(v, u),
+                    ref parts => {
+                        uf.touch(v);
+                        for p in parts {
+                            if let Part::Var(u) = *p {
+                                uf.touch(u);
+                            }
                         }
                     }
+                },
+                RankedAtom::NeVar(a, b) => {
+                    uf.touch(a);
+                    uf.touch(b);
                 }
+                RankedAtom::InRe(v, _)
+                | RankedAtom::NotInRe(v, _)
+                | RankedAtom::EqLit(v, _)
+                | RankedAtom::NeLit(v, _) => uf.touch(v),
                 _ => {}
             }
         }
-        let part = |uf: &mut UnionFind, term: &'a Term| match term {
-            Term::Var(u) => Part::Var(uf.find(rank(u))),
-            Term::Lit(s) => Part::Lit(s.as_str()),
+        let part = |uf: &mut UnionFind, p: &Part<'a>| match *p {
+            Part::Var(u) => Part::Var(uf.find(u)),
+            lit => lit,
         };
 
         // --- Congruence closure over word equations -----------------------
@@ -902,22 +1044,22 @@ impl<'a> Search<'a> {
         // most conjunctions have none — skip the fixpoint entirely.
         let mut merging = atoms
             .iter()
-            .filter(|atom| matches!(atom, Atom::EqConcat(..)))
+            .filter(|atom| matches!(atom, RankedAtom::EqConcat(..)))
             .count()
             >= 2;
         while merging {
             t.owners.clear();
             let mut changed = false;
             for atom in atoms {
-                let Atom::EqConcat(v, parts) = atom else {
+                let RankedAtom::EqConcat(v, lo, hi) = **atom else {
                     continue;
                 };
                 let start = t.owners.eqs.parts.len();
-                for term in parts {
-                    let p = part(&mut t.uf, term);
+                for p in ranked.parts(lo, hi) {
+                    let p = part(&mut t.uf, p);
                     t.owners.eqs.parts.push(p);
                 }
-                let root = t.uf.find(rank(v));
+                let root = t.uf.find(v);
                 match t.owners.owner(start, root) {
                     Some(owner) if t.uf.find(owner) != root => {
                         t.uf.union(owner, root);
@@ -931,43 +1073,43 @@ impl<'a> Search<'a> {
 
         // --- Per-root constraint collection ------------------------------
         for atom in atoms {
-            match atom {
-                Atom::InRe(v, re) => {
-                    let cons = &mut t.cons[t.uf.find(rank(v)) as usize];
+            match **atom {
+                RankedAtom::InRe(v, re) => {
+                    let cons = &mut t.cons[t.uf.find(v) as usize];
                     cons.present = true;
                     cons.pos.push(re);
                 }
-                Atom::NotInRe(v, re) => {
-                    let cons = &mut t.cons[t.uf.find(rank(v)) as usize];
+                RankedAtom::NotInRe(v, re) => {
+                    let cons = &mut t.cons[t.uf.find(v) as usize];
                     cons.present = true;
                     cons.neg.push(re);
                 }
-                Atom::EqLit(v, s) => {
-                    let cons = &mut t.cons[t.uf.find(rank(v)) as usize];
+                RankedAtom::EqLit(v, s) => {
+                    let cons = &mut t.cons[t.uf.find(v) as usize];
                     cons.present = true;
                     match cons.eq {
                         Some(prev) if prev != s => return Outcome::Unsat,
-                        _ => cons.eq = Some(s.as_str()),
+                        _ => cons.eq = Some(s),
                     }
                 }
-                Atom::NeLit(v, s) => {
-                    let cons = &mut t.cons[t.uf.find(rank(v)) as usize];
+                RankedAtom::NeLit(v, s) => {
+                    let cons = &mut t.cons[t.uf.find(v) as usize];
                     cons.present = true;
-                    cons.ne.push(s.as_str());
+                    cons.ne.push(s);
                 }
-                Atom::NeVar(a, b) => {
-                    let (ra, rb) = (t.uf.find(rank(a)), t.uf.find(rank(b)));
+                RankedAtom::NeVar(a, b) => {
+                    let (ra, rb) = (t.uf.find(a), t.uf.find(b));
                     if ra == rb {
                         // x ≠ x is unsatisfiable.
                         return Outcome::Unsat;
                     }
                     t.ne_pairs.push((ra, rb));
                 }
-                Atom::EqConcat(v, parts) => {
-                    let lhs = t.uf.find(rank(v));
+                RankedAtom::EqConcat(v, lo, hi) => {
+                    let lhs = t.uf.find(v);
                     let start = t.collected.parts.len();
-                    for term in parts {
-                        let p = part(&mut t.uf, term);
+                    for p in ranked.parts(lo, hi) {
+                        let p = part(&mut t.uf, p);
                         t.collected.parts.push(p);
                     }
                     // Single-variable equations were merged as aliases;
@@ -1019,18 +1161,17 @@ impl<'a> Search<'a> {
         let ne_pairs = &t.ne_pairs;
 
         // --- Alphabet -----------------------------------------------------
-        // Each regex's sets are memoized per query: walking the regex
-        // clones every `CharSet`, and the same `Arc`s recur in every
-        // conjunction of a query.
+        // Each regex's sets are memoized per query: the same `Arc`s
+        // recur in every conjunction of a query.
         for v in constrained() {
             let info = &t.cons[v];
-            for re in info.pos.iter().chain(info.neg.iter()) {
+            for &re in info.pos.iter().chain(info.neg.iter()) {
                 self.sets_memo
                     .entry(Arc::as_ptr(re) as usize)
                     .or_insert_with(|| {
                         let mut fresh = Vec::new();
-                        re.collect_sets(&mut fresh);
-                        (Arc::clone(re), fresh)
+                        re.collect_set_refs(&mut fresh);
+                        fresh
                     });
             }
         }
@@ -1056,10 +1197,10 @@ impl<'a> Search<'a> {
         for v in constrained() {
             let info = &t.cons[v];
             for re in info.pos.iter().chain(info.neg.iter()) {
-                sets.extend(&self.sets_memo[&(Arc::as_ptr(re) as usize)].1);
+                sets.extend(&self.sets_memo[&(Arc::as_ptr(re) as usize)]);
             }
         }
-        let alphabet = self.dfas.alphabet_for(sets);
+        let alphabet = self.dfas.alphabet_for(&mut sets);
 
         // --- Per-root DFAs -----------------------------------------------
         let roots = &mut t.roots;
@@ -2718,9 +2859,9 @@ mod tests {
         ]));
         let mut sets = Vec::new();
         re.collect_sets(&mut sets);
-        let own = cache.alphabet_for(sets.iter().collect());
+        let own = cache.alphabet_for(&mut sets.iter().collect());
         let singles: Vec<CharSet> = "bxz\u{1F600}".chars().map(CharSet::single).collect();
-        let wider = cache.alphabet_for(sets.iter().chain(&singles).collect());
+        let wider = cache.alphabet_for(&mut sets.iter().chain(&singles).collect());
         for alphabet in [&own, &wider] {
             for complemented in [false, true] {
                 let got = cache.get_or_build(&re, alphabet, complemented, &mut stats);
@@ -2747,7 +2888,8 @@ mod tests {
     fn universal_dfa_is_served_once_per_alphabet() {
         let cache = DfaCache::new(64);
         let mut stats = SolveStats::default();
-        let alphabet = cache.alphabet_for(vec![&CharSet::range('a', 'c'), &CharSet::single('z')]);
+        let (az, z) = (CharSet::range('a', 'c'), CharSet::single('z'));
+        let alphabet = cache.alphabet_for(&mut vec![&az, &z]);
         let first = cache.universal_dfa(&alphabet, &mut stats);
         let second = cache.universal_dfa(&alphabet, &mut stats);
         assert!(Arc::ptr_eq(&first, &second));

@@ -106,16 +106,10 @@ impl Alphabet {
                 }
             }
         }
-        // The gap is in no class's set; a range past U+10FFFF (only
-        // raw `CharSet::from_ranges` input has one) takes the signature
-        // of U+FFFD, the character that stands for it.
-        let fffd = bounds.partition_point(|&b| b <= 0xFFFD) - 1;
+        // The gap is in no class's set.
         for k in 0..intervals {
-            let row = k * words..(k + 1) * words;
             if is_gap(bounds[k], bounds[k + 1]) {
-                signatures[row].fill(0);
-            } else if bounds[k] >= SCALAR_END {
-                signatures.copy_within(fffd * words..(fffd + 1) * words, row.start);
+                signatures[k * words..(k + 1) * words].fill(0);
             }
         }
 
@@ -390,6 +384,15 @@ mod tests {
             identity,
             (0..left.class_count() as ClassId).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_set_reaching_the_last_scalar_is_a_union_of_classes() {
+        let set = CharSet::from_ranges(vec![(0x10FFF0, 0x110010)]);
+        let alpha = Alphabet::from_sets(std::slice::from_ref(&set));
+        let classes = alpha.classes_of(&set);
+        assert_eq!(classes.len(), 1);
+        assert_eq!(alpha.class_set(classes[0]), &set);
     }
 
     #[test]

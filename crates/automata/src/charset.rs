@@ -51,8 +51,14 @@ impl CharSet {
         }
     }
 
-    /// Builds a set from raw inclusive ranges.
-    pub fn from_ranges(ranges: Vec<(u32, u32)>) -> CharSet {
+    /// Builds a set from raw inclusive ranges, clamped at U+10FFFF: a
+    /// range that starts past it is dropped.
+    pub fn from_ranges(mut ranges: Vec<(u32, u32)>) -> CharSet {
+        // Normalizing drops the ranges whose clamped end falls below
+        // their start.
+        for (_, hi) in &mut ranges {
+            *hi = (*hi).min(MAX_CHAR);
+        }
         CharSet {
             ranges: normalize_ranges(ranges),
         }
@@ -266,6 +272,13 @@ mod tests {
         let set = CharSet::from_ranges(vec![(10, 20), (30, 40), (50, 60)]);
         assert!(set.contains(char::from_u32(35).unwrap()));
         assert!(!set.contains(char::from_u32(45).unwrap()));
+    }
+
+    #[test]
+    fn from_ranges_clamps_at_the_last_scalar() {
+        let set = CharSet::from_ranges(vec![(0x10FFF0, 0x110010)]);
+        assert_eq!(set.ranges(), &[(0x10FFF0, MAX_CHAR)]);
+        assert!(CharSet::from_ranges(vec![(0x110000, 0x110005)]).is_empty());
     }
 
     #[test]

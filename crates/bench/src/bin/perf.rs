@@ -76,6 +76,7 @@ use expose_dse::{
     explore_with_caches, run_dse_with_caches, DseCaches, EngineConfig, ExploreConfig, Harness,
     Report,
 };
+use expose_service::json::{self, Value};
 
 /// One named, parsed workload.
 struct Workload {
@@ -207,40 +208,11 @@ fn run_config(
     let started = Instant::now();
     for w in set {
         let report = run_dse_with_caches(&w.program, &w.harness, &config_for(), caches);
-        if std::env::var("PERF_VERBOSE").is_ok() {
-            eprintln!(
-                "  {:24} solver {:7.1} ms, {:3} queries, {:6} nodes",
-                w.name,
-                report.solver_time().as_secs_f64() * 1e3,
-                report.queries.len(),
-                report.solver_nodes(),
-            );
-        }
         aggregate.absorb(&report);
         trails.push(verdicts(&report));
     }
     aggregate.wall_ms = started.elapsed().as_secs_f64() * 1e3;
     (aggregate, trails)
-}
-
-/// Pulls `"key": <number>` out of a flat JSON document — enough to read
-/// our own artifact back without a JSON dependency.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let pattern = format!("\"{key}\":");
-    let at = json.find(&pattern)? + pattern.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls `"key": "<string>"` out of a flat JSON document (no escapes).
-fn extract_string<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\":");
-    let at = json.find(&pattern)? + pattern.len();
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    Some(&rest[..rest.find('"')?])
 }
 
 /// Pushes the workload corpus through the NDJSON job service (the
@@ -311,7 +283,7 @@ fn measure_latency(
             expose_service::serve_listener(listener.as_mut(), &options, &server_state)
                 .expect("latency server failed");
         });
-        let report = expose_service::run_soak(&expose_service::SoakOptions {
+        let report = bench::soak::run_soak(&bench::soak::SoakOptions {
             addr,
             clients,
             seconds: 0,
@@ -941,8 +913,11 @@ fn main() {
     if let Some(path) = check {
         let reference = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let reference_ms = extract_number(&reference, "optimized_wall_ms")
-            .unwrap_or_else(|| panic!("no optimized_wall_ms in {path}"));
+        let reference =
+            json::parse(&reference).unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
+        let number = |key: &str| reference.get(key).and_then(Value::as_f64);
+        let reference_ms =
+            number("optimized_wall_ms").unwrap_or_else(|| panic!("no optimized_wall_ms in {path}"));
         let limit = reference_ms * 2.0;
         eprintln!(
             "perf: check {:.0} ms against baseline {:.0} ms (limit {:.0} ms)",
@@ -966,7 +941,7 @@ fn main() {
         // the worker count, so any change against the checked-in
         // baseline means the search itself changed. A change that is
         // meant to move them must regenerate the baseline.
-        let reference_nodes = extract_number(&reference, "optimized_solver_nodes")
+        let reference_nodes = number("optimized_solver_nodes")
             .unwrap_or_else(|| panic!("no optimized_solver_nodes in {path}"));
         eprintln!(
             "perf: check {} solver nodes against baseline {reference_nodes:.0} (exact)",
@@ -981,7 +956,7 @@ fn main() {
         // CI runs without --throughput and older baselines lack the
         // key — both skip the gate rather than failing spuriously).
         if let Some((_, _, _, jobs_per_sec)) = &throughput_numbers {
-            if let Some(reference_tps) = extract_number(&reference, "throughput_jobs_per_sec") {
+            if let Some(reference_tps) = number("throughput_jobs_per_sec") {
                 let floor = reference_tps / 2.0;
                 eprintln!(
                     "perf: check {jobs_per_sec:.1} jobs/sec against baseline {reference_tps:.1} \
@@ -1001,7 +976,7 @@ fn main() {
         // each regress at most 2x against the checked-in baseline.
         if let Some(l) = &latency_numbers {
             for (key, measured) in [("latency_p50_ms", l.p50_ms), ("latency_p99_ms", l.p99_ms)] {
-                if let Some(reference_ms) = extract_number(&reference, key) {
+                if let Some(reference_ms) = number(key) {
                     let limit = reference_ms * 2.0;
                     eprintln!(
                         "perf: check {key} {measured:.1} ms against baseline {reference_ms:.1} \
@@ -1020,7 +995,9 @@ fn main() {
         // this run measured them and the baseline carries the key. The
         // trajectory digest is deterministic, so it must match exactly.
         if let Some(e) = &explore_numbers {
-            if let Some(reference_digest) = extract_string(&reference, "explore_trajectory") {
+            if let Some(reference_digest) =
+                reference.get("explore_trajectory").and_then(Value::as_str)
+            {
                 let digest = format!("{:016x}", e.trajectory);
                 eprintln!(
                     "perf: check explore_trajectory {digest} against baseline \
@@ -1033,7 +1010,7 @@ fn main() {
             } else {
                 eprintln!("perf: baseline has no explore_trajectory; gate skipped");
             }
-            if let Some(reference_pps) = extract_number(&reference, "unique_paths_per_sec") {
+            if let Some(reference_pps) = number("unique_paths_per_sec") {
                 let floor = reference_pps / 2.0;
                 eprintln!(
                     "perf: check {:.1} paths/sec against baseline {reference_pps:.1} \

@@ -1,10 +1,11 @@
 //! Shared harness for the evaluation reproduction (Tables 4–8).
 //!
 //! Each `table*` binary regenerates one table of the paper's evaluation
-//! section; this library holds the run helpers they share with the
-//! criterion micro-benchmarks.
+//! section; this library holds the run helpers they share, the ReDoS
+//! corpus, and the TCP soak client of `perf` and `serve-harness`.
 
 pub mod redos;
+pub mod soak;
 
 use corpus::{DseProgram, LibraryWorkload};
 use expose_core::SupportLevel;

@@ -3,9 +3,8 @@
 //! astronomically large while the Pike VM's `O(n·m)` simulation decides
 //! each in microseconds.
 //!
-//! Used by the `redos` CI gate binary, the `perf` artifact, and the
-//! criterion micro-benchmarks — one corpus, three consumers, so the
-//! numbers all describe the same workload.
+//! Used by the `redos` CI gate binary and the `perf` artifact — one
+//! corpus, two consumers, so the numbers describe the same workload.
 
 use es6_matcher::{compile, Engine, PikeVm, Prog};
 use regex_syntax_es6::{Flags, Regex};

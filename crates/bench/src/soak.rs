@@ -1,7 +1,7 @@
 //! A concurrent TCP soak client: N closed-loop clients submit the
 //! benchmark corpus over real sockets and measure end-to-end per-job
-//! latency — the client side of the `soak-smoke` CI job and of the
-//! `perf --throughput` latency trajectory
+//! latency — the client side of `serve-harness --soak` (the
+//! `soak-smoke` CI job) and of the `perf --throughput` latency trajectory
 //! (`latency_p50_ms`/`latency_p99_ms` in `BENCH_dse.json`).
 //!
 //! Each client is closed-loop (one submit in flight at a time), so the
@@ -14,7 +14,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::{corpus_submit_lines, CorpusBudget};
+use expose_service::{corpus_submit_lines, CorpusBudget};
 
 /// Options for one soak run.
 #[derive(Debug, Clone)]

@@ -1,4 +1,4 @@
-//! The `perf` and `redos` binaries answer `--help` and bad arguments
+//! The `perf`, `redos` and `serve-harness` binaries answer `--help` and bad arguments
 //! with a usage line and an exit code instead of a panic.
 
 use std::process::Command;
@@ -41,5 +41,21 @@ fn redos_cli_prints_usage_instead_of_panicking() {
         env!("CARGO_BIN_EXE_redos"),
         "redos",
         &[&["--no-such-flag"], &["--bt-budget", "lots"]],
+    );
+}
+
+#[test]
+fn serve_harness_cli_prints_usage_instead_of_panicking() {
+    assert_usage(
+        env!("CARGO_BIN_EXE_serve-harness"),
+        "serve-harness",
+        &[
+            &[],
+            &["--no-such-flag"],
+            &["--budget", "huge"],
+            &["--emit-corpus", "-1"],
+            &["--soak"],
+            &["--workers", "2"],
+        ],
     );
 }

@@ -9,7 +9,8 @@
 //! [`expose_dse::CacheSet`], and the `expose-serve` binary exposes the
 //! whole thing over stdio, a Unix socket, or TCP behind one `--listen`
 //! surface ([`transport`]), with admission control and graceful drain
-//! ([`server`]) and a concurrent soak client ([`soak`]).
+//! ([`server`]). [`serial_reference`] renders the one-worker batch
+//! reference its streams are checked against.
 //!
 //! Protocol v2 adds *streaming solve sessions* on top: a client
 //! replays a trace clause by clause (`open_session`/`push`) and poses
@@ -28,7 +29,6 @@ pub mod json;
 pub mod proto;
 pub mod server;
 pub mod session;
-pub mod soak;
 pub mod stream;
 pub mod transport;
 pub mod wire;
@@ -40,10 +40,15 @@ pub use proto::{
 };
 pub use server::{serve_listener, ServerState, ServerSummary};
 pub use session::{ServeOptions, ServiceConfig, ServiceSummary};
-pub use soak::{run_soak, SoakOptions, SoakReport};
 pub use transport::{Listen, Listener};
 
+use std::io::{self, BufRead, Write};
+
+use expose_dse::sched::Completion;
+use expose_dse::BatchOptions;
+
 use crate::json::escaped;
+use crate::session::job_from_submit;
 
 /// Execution budget for [`corpus_submit_lines`] (mirrors the bench
 /// harness presets: quick for PR CI, full for the nightly run).
@@ -119,6 +124,85 @@ pub fn corpus_explore_lines(
         lines.push(explore(&p.name, &p.source, &p.entry, p.arity));
     }
     lines
+}
+
+/// The serial reference of a submit stream: collects the submits of
+/// `input`, runs them through a one-worker batch, and writes to `out`
+/// the `result` and `done` lines a streamed session prints for the same
+/// input — byte for byte, at any worker count.
+///
+/// Requests that need a served session (the v2 session verbs and
+/// `explore`) are answered with a `no_session` error line; progress
+/// queries are skipped; `shutdown` ends the input.
+pub fn serial_reference(
+    input: impl BufRead,
+    config: &ServiceConfig,
+    mut out: impl Write,
+) -> io::Result<()> {
+    let mut pending: Vec<(String, ProtoVersion, Result<expose_dse::Job, String>)> = Vec::new();
+    let mut stream_version = ProtoVersion::V1;
+    for line in input.lines() {
+        let line = line?;
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let (request, version) = match parse_request(line) {
+            Ok(parsed) => parsed,
+            Err(error) => {
+                writeln!(out, "{}", proto::error_line(&error))?;
+                continue;
+            }
+        };
+        if version == ProtoVersion::V2 {
+            stream_version = ProtoVersion::V2;
+        }
+        match request {
+            Request::Submit(submit) => {
+                let name = submit
+                    .name
+                    .clone()
+                    .unwrap_or_else(|| format!("job{}", pending.len()));
+                let job = job_from_submit(&submit, &name, &config.engine);
+                pending.push((name, version, job));
+            }
+            Request::Shutdown => break,
+            Request::Status | Request::Stats | Request::Metrics => {}
+            Request::OpenSession(_)
+            | Request::Push(_)
+            | Request::Pop
+            | Request::Solve { .. }
+            | Request::CloseSession
+            | Request::Explore(_) => {
+                let error = RequestError::new(
+                    ErrorCode::NoSession,
+                    "streaming sessions need a served session, not --batch",
+                    version,
+                );
+                writeln!(out, "{}", proto::error_line(&error))?;
+            }
+        }
+    }
+
+    let jobs: Vec<expose_dse::Job> = pending
+        .iter()
+        .filter_map(|(_, _, job)| job.as_ref().ok().cloned())
+        .collect();
+    let mut reports = BatchOptions::new().workers(1).run(jobs).into_iter();
+    let total = pending.len() as u64;
+    for (id, (name, version, job)) in pending.into_iter().enumerate() {
+        let outcome = match job {
+            Ok(_) => Ok(reports.next().expect("one report per job")),
+            Err(error) => Err(error),
+        };
+        let completion = Completion {
+            id: id as u64,
+            name,
+            outcome,
+        };
+        writeln!(out, "{}", result_line(&completion, version))?;
+    }
+    writeln!(out, "{}", proto::done_line(total, stream_version))
 }
 
 #[cfg(test)]

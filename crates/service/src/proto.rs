@@ -462,7 +462,7 @@ pub fn parse_request(line: &str) -> Result<(Request, ProtoVersion), RequestError
 
 /// Incremental FNV-1a 64 digest over a verdict trail: one `(sat,
 /// refinements, limit_hit)` record per query, in clause order. The
-/// streamed `--replay-stream` checker folds `solved` responses into one
+/// streaming differential test folds `solved` responses into one
 /// of these and compares against [`verdict_digest`] of the
 /// whole-program report — byte-identity of the two trails is the
 /// streaming determinism contract.

@@ -8,8 +8,8 @@
 //! stack the in-process run used, so the verdict trail folded from the
 //! `solved` responses is byte-identical to [`verdict_digest`] of the
 //! recorded report — that equality is the streaming determinism
-//! contract checked by `expose-serve --replay-stream` in CI and by
-//! `crates/service/tests/streaming_differential.rs`.
+//! contract `crates/service/tests/streaming_differential.rs` checks over
+//! the 21-workload quick corpus.
 //!
 //! [`verdict_digest`]: crate::proto::verdict_digest
 

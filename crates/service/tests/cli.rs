@@ -1,5 +1,6 @@
 //! The `expose-serve` binary answers `--help` and bad arguments with a
-//! usage line and an exit code instead of a panic.
+//! usage line and an exit code instead of a panic. It takes only
+//! serving flags: the harness modes belong to `serve-harness`.
 
 use std::process::Command;
 
@@ -17,8 +18,10 @@ fn expose_serve_cli_prints_usage_instead_of_panicking() {
         &["--no-such-flag"][..],
         &["--workers"],
         &["--workers", "many"],
-        &["--budget", "huge"],
-        &["--emit-corpus", "-1"],
+        &["--batch"],
+        &["--emit-corpus", "10"],
+        &["--replay-stream", "10"],
+        &["--soak", "127.0.0.1:1"],
     ] {
         let out = Command::new(bin)
             .args(args)

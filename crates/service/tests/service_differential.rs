@@ -3,10 +3,7 @@
 //! one-worker batch reference rendered through the same formatter — the
 //! in-process version of the `service-smoke` CI job.
 
-use expose_dse::sched::Completion;
-use expose_dse::{BatchOptions, Job};
-use expose_service::session::job_from_submit;
-use expose_service::{proto, ProtoVersion, Request, ServeOptions, ServiceConfig};
+use expose_service::{serial_reference, ServeOptions, ServiceConfig};
 
 /// Small-budget submit lines over a seeded generated corpus (the
 /// suite runs in debug CI; the quick bench budget is too slow here).
@@ -61,37 +58,14 @@ fn stream_matches_the_serial_batch_reference() {
     let mut input = lines.join("\n");
     input.push('\n');
 
-    // The reference: parse the same submits, run them through a
-    // one-worker batch, render with the same formatter — exactly
-    // what `expose-serve --batch` does.
-    let config = ServiceConfig::default();
-    let mut named: Vec<(String, Job)> = Vec::new();
-    for line in &lines {
-        let (request, _) = proto::parse_request(line).expect("parses");
-        let Request::Submit(submit) = request else {
-            panic!("submit line");
-        };
-        let name = submit.name.clone().expect("corpus lines are named");
-        let job = job_from_submit(&submit, &name, &config.engine).expect("parses");
-        named.push((name, job));
-    }
-    let reports = BatchOptions::new()
-        .workers(1)
-        .run(named.iter().map(|(_, j)| j.clone()).collect());
-    let mut reference = String::new();
-    for (id, ((name, _), report)) in named.into_iter().zip(reports).enumerate() {
-        reference.push_str(&proto::result_line(
-            &Completion {
-                id: id as u64,
-                name,
-                outcome: Ok(report),
-            },
-            ProtoVersion::V1,
-        ));
-        reference.push('\n');
-    }
-    reference.push_str(&proto::done_line(lines.len() as u64, ProtoVersion::V1));
-    reference.push('\n');
+    // The reference: the same submits through a one-worker batch,
+    // rendered with the same formatter — what `serve-harness --batch`
+    // prints.
+    let mut reference: Vec<u8> = Vec::new();
+    serial_reference(input.as_bytes(), &ServiceConfig::default(), &mut reference)
+        .expect("serial reference");
+    let reference = String::from_utf8(reference).expect("utf8");
+    assert_eq!(reference.lines().count(), lines.len() + 1, "{reference}");
 
     let streamed = serve_session(&input, 8);
     assert_eq!(streamed, reference);

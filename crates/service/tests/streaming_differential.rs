@@ -4,50 +4,41 @@
 //! every misuse of the session verbs must come back as a structured
 //! error, never a panic or a torn stream.
 
-use expose_dse::{parser::parse_program, EngineConfig, Harness, Job};
+use expose_dse::Job;
 use expose_service::json::{self, Value};
 use expose_service::proto::verdict_digest;
+use expose_service::session::job_from_submit;
 use expose_service::stream::{fold_responses, record_stream};
-use expose_service::{ServeOptions, ServiceConfig};
+use expose_service::{
+    corpus_submit_lines, parse_request, CorpusBudget, Request, ServeOptions, ServiceConfig,
+    ServiceSummary,
+};
 
-fn quick_engine() -> EngineConfig {
-    EngineConfig {
-        max_executions: 3,
-        max_steps: 10_000,
-        ..EngineConfig::default()
-    }
-}
-
-fn quick_jobs(programs: usize, seed: u64) -> Vec<Job> {
-    corpus::generate_dse_programs(programs, seed)
+/// The quick benchmark corpus — the 11 library workloads plus 10
+/// generated programs — as `(submit line, parsed job)` pairs.
+fn corpus_jobs() -> Vec<(String, Job)> {
+    let engine = ServiceConfig::default().engine;
+    corpus_submit_lines(10, CorpusBudget::Quick)
         .into_iter()
-        .map(|p| Job {
-            name: p.name.clone(),
-            program: parse_program(&p.source).expect("corpus program parses"),
-            harness: Harness::strings(&p.entry, p.arity),
-            config: quick_engine(),
+        .map(|line| {
+            let (request, _) = parse_request(&line).expect("corpus line parses");
+            let Request::Submit(submit) = request else {
+                panic!("corpus line is a submit");
+            };
+            let name = submit.name.clone().expect("corpus lines are named");
+            let job = job_from_submit(&submit, &name, &engine).expect("corpus job parses");
+            (line, job)
         })
         .collect()
 }
 
-fn submit_line(job: &Job, source: &str) -> String {
-    format!(
-        "{{\"type\":\"submit\",\"name\":{},\"entry\":{},\"arity\":{},\
-         \"max_executions\":3,\"max_steps\":10000,\"program\":{}}}",
-        json::escaped(&job.name),
-        json::escaped(job.harness.entry.as_deref().expect("corpus entry")),
-        job.harness.args.len(),
-        json::escaped(source),
-    )
-}
-
-fn serve_text(input: &str, config: &ServiceConfig) -> String {
+fn serve_text(input: &str, config: &ServiceConfig) -> (String, ServiceSummary) {
     let mut out: Vec<u8> = Vec::new();
-    ServeOptions::new()
+    let summary = ServeOptions::new()
         .config(config.clone())
         .serve(input.as_bytes(), &mut out)
         .expect("serve");
-    String::from_utf8(out).expect("utf8")
+    (String::from_utf8(out).expect("utf8"), summary)
 }
 
 /// The `verdicts` digest of the first `result` line in a served stream.
@@ -69,13 +60,11 @@ fn result_digest(output: &str) -> String {
 
 #[test]
 fn streamed_digest_matches_whole_program_submit_across_workers() {
-    let sources: Vec<String> = corpus::generate_dse_programs(3, 0x57e4)
-        .into_iter()
-        .map(|p| p.source)
-        .collect();
-    let jobs = quick_jobs(3, 0x57e4);
+    let corpus = corpus_jobs();
+    assert_eq!(corpus.len(), 21, "11 library workloads + 10 generated");
     let mut saw_multi_flip = false;
-    for (job, source) in jobs.iter().zip(&sources) {
+    let mut prefix_reuse_hits = 0;
+    for (submit, job) in &corpus {
         let recording = record_stream(job);
         let reference = verdict_digest(&recording.report);
         saw_multi_flip |= recording.max_session_flips >= 2;
@@ -83,21 +72,21 @@ fn streamed_digest_matches_whole_program_submit_across_workers() {
         // One connection interleaves the whole-program submit (routed
         // through the scheduler) with the streamed sessions (solved on
         // the reader thread): both must land on the same digest.
-        let mut input = submit_line(job, source);
-        input.push('\n');
+        let mut input = format!("{submit}\n");
         for line in &recording.script {
             input.push_str(line);
             input.push('\n');
         }
 
         let mut outputs = Vec::new();
-        for workers in [1, 8] {
+        for workers in [1, 2, 8] {
             let config = ServiceConfig {
                 workers,
                 ..ServiceConfig::default()
             };
-            let output = serve_text(&input, &config);
+            let (output, summary) = serve_text(&input, &config);
             let folded = fold_responses(output.lines()).expect("responses parse");
+            assert_eq!(summary.request_errors, 0, "{}: {output}", job.name);
             assert_eq!(folded.errors, 0, "{}: {output}", job.name);
             assert_eq!(
                 folded.digest, reference,
@@ -110,6 +99,9 @@ fn streamed_digest_matches_whole_program_submit_across_workers() {
                 "{} workers={workers}: submit digest diverged",
                 job.name
             );
+            if workers == 1 {
+                prefix_reuse_hits += folded.prefix_reuse_hits;
+            }
             outputs.push(output);
         }
         // The result line lands asynchronously relative to the
@@ -122,16 +114,24 @@ fn streamed_digest_matches_whole_program_submit_across_workers() {
                 .map(str::to_string)
                 .partition(|l| l.contains("\"type\":\"result\"") || l.contains("\"type\":\"done\""))
         };
-        assert_eq!(
-            split(&outputs[0]),
-            split(&outputs[1]),
-            "{}: stream bytes changed with the worker count",
-            job.name
-        );
+        for output in &outputs[1..] {
+            assert_eq!(
+                split(&outputs[0]),
+                split(output),
+                "{}: stream bytes changed with the worker count",
+                job.name
+            );
+        }
     }
+    // A single workload can legitimately reuse no prefix (every deep
+    // flip statically infeasible), but the corpus as a whole must.
     assert!(
         saw_multi_flip,
         "corpus must include at least one multi-flip trace"
+    );
+    assert!(
+        prefix_reuse_hits > 0,
+        "multi-flip workloads streamed without any prefix reuse"
     );
 }
 
@@ -160,7 +160,7 @@ fn pop_and_repush_resolves_byte_identically() {
         r#"{"v":2,"type":"close_session"}"#,
         "\n",
     );
-    let output = serve_text(input, &ServiceConfig::default());
+    let (output, _) = serve_text(input, &ServiceConfig::default());
     let lines: Vec<&str> = output.lines().collect();
     let solved: Vec<&&str> = lines
         .iter()
@@ -214,7 +214,7 @@ fn session_misuse_is_structured_never_fatal() {
         r#"{"v":2,"type":"solve","depth":0}"#,
     ]
     .join("\n");
-    let output = serve_text(&input, &config);
+    let (output, _) = serve_text(&input, &config);
     let codes: Vec<String> = output
         .lines()
         .filter_map(|line| {
@@ -273,7 +273,7 @@ fn stats_report_session_depth_and_prefix_reuse() {
         r#"{"v":2,"type":"stats"}"#,
         "\n",
     );
-    let output = serve_text(input, &ServiceConfig::default());
+    let (output, _) = serve_text(input, &ServiceConfig::default());
     let stats: Vec<Value> = output
         .lines()
         .filter(|l| l.contains("\"type\":\"stats\""))

@@ -2,7 +2,7 @@
 //!
 //! Each `table*` binary regenerates one table of the paper's evaluation
 //! section; this library holds the run helpers they share, the ReDoS
-//! corpus, and the TCP soak client of `perf` and `serve-harness`.
+//! corpus, and the TCP soak client of `serve-harness`.
 
 pub mod redos;
 pub mod soak;

@@ -1,8 +1,7 @@
 //! A concurrent TCP soak client: N closed-loop clients submit the
 //! benchmark corpus over real sockets and measure end-to-end per-job
 //! latency — the client side of `serve-harness --soak` (the
-//! `soak-smoke` CI job) and of the `perf --throughput` latency trajectory
-//! (`latency_p50_ms`/`latency_p99_ms` in `BENCH_dse.json`).
+//! `soak-smoke` CI job).
 //!
 //! Each client is closed-loop (one submit in flight at a time), so the
 //! measured latency is end-to-end service time — parse, schedule,

@@ -36,6 +36,21 @@ fn perf_cli_prints_usage_instead_of_panicking() {
 }
 
 #[test]
+fn perf_rejects_its_removed_flags() {
+    assert_usage(
+        env!("CARGO_BIN_EXE_perf"),
+        "perf",
+        &[
+            &["--throughput"],
+            &["--explore"],
+            &["--budget", "full"],
+            &["--programs", "10"],
+            &["--flip-workers", "4"],
+        ],
+    );
+}
+
+#[test]
 fn redos_cli_prints_usage_instead_of_panicking() {
     assert_usage(
         env!("CARGO_BIN_EXE_redos"),

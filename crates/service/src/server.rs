@@ -98,6 +98,15 @@ fn refuse(conn: Box<dyn Connection>, code: ErrorCode, message: &str) {
     }
 }
 
+/// Whether a session error only says the peer has gone: writing to a
+/// socket the peer closed fails with `BrokenPipe` or `ConnectionReset`.
+fn peer_gone(error: &io::Error) -> bool {
+    matches!(
+        error.kind(),
+        io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset
+    )
+}
+
 /// Serves connections from `listener` until the listener is exhausted
 /// (stdio) or `state` drains. Each admitted connection runs
 /// [`ServeOptions::serve`] on its own thread over a clone of one
@@ -163,11 +172,14 @@ pub fn serve_listener(
                             Ok((input, output)) => serve.serve(input, output),
                             Err(e) => Err(e),
                         };
+                        // A peer that hung up (a readiness probe that
+                        // never sent a line, a client killed mid-stream)
+                        // is a quiet close. Any other failure is logged,
+                        // but must never take the server down.
                         if let Err(e) = result {
-                            // A dropped peer is routine for a network
-                            // service; it must never take the server
-                            // down.
-                            eprintln!("expose-serve: session on {peer} ended with error: {e}");
+                            if !peer_gone(&e) {
+                                eprintln!("expose-serve: session on {peer} ended with error: {e}");
+                            }
                         }
                         state.active.fetch_sub(1, Ordering::SeqCst);
                     });
@@ -176,4 +188,23 @@ pub fn serve_listener(
         }
     })?;
     Ok(summary)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_gone_peer_is_a_quiet_close() {
+        for kind in [io::ErrorKind::BrokenPipe, io::ErrorKind::ConnectionReset] {
+            assert!(peer_gone(&io::Error::from(kind)), "{kind:?}");
+        }
+        for kind in [
+            io::ErrorKind::InvalidData,
+            io::ErrorKind::PermissionDenied,
+            io::ErrorKind::Other,
+        ] {
+            assert!(!peer_gone(&io::Error::from(kind)), "{kind:?}");
+        }
+    }
 }

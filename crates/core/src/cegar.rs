@@ -47,10 +47,6 @@ pub struct CegarStats {
     pub limit_hit: bool,
     /// Aggregated solver statistics across iterations.
     pub solver: SolveStats,
-    /// Total wall-clock time of the CEGAR loop.
-    pub duration: std::time::Duration,
-    /// Whether any constraint in the problem modeled a capture group.
-    pub had_captures: bool,
     /// True when the whole run (verdict, refinement count, model) was
     /// replayed from a [`CegarCache`] instead of re-running the loop.
     pub replayed: bool,
@@ -145,12 +141,11 @@ impl CegarSolver {
         problem: &Formula,
         constraints: &[C],
     ) -> CegarResult {
-        let start = Instant::now();
         // P := problem ∧ all constraint models.
         let mut parts = vec![problem.clone()];
         parts.extend(constraints.iter().map(|c| c.borrow().formula.clone()));
         let p = Formula::and(parts);
-        self.run(&self.solver, p, constraints, start)
+        self.run(&self.solver, p, constraints)
     }
 
     /// The incremental counterpart of [`CegarSolver::solve`]: the
@@ -190,26 +185,23 @@ impl CegarSolver {
         if let Some((cache, probe)) = &probed {
             if let Some(entry) = cache.lookup(probe, &view) {
                 let outcome = entry.run.rehydrate(&probe.ext);
-                let elapsed = start.elapsed();
                 return CegarResult {
                     outcome,
                     stats: CegarStats {
                         refinements: entry.run.refinements,
                         limit_hit: entry.run.limit_hit,
-                        had_captures: had_captures(constraints),
                         solver: SolveStats {
-                            duration: elapsed,
+                            duration: start.elapsed(),
                             prefix_reuse_hits: view.reused_frames(),
                             ..SolveStats::default()
                         },
-                        duration: elapsed,
                         replayed: true,
                     },
                 };
             }
         }
 
-        let mut result = self.run(session.solver(), view.original(), constraints, start);
+        let mut result = self.run(session.solver(), view.original(), constraints);
         result.stats.solver.prefix_reuse_hits += view.reused_frames();
         if let Some((cache, probe)) = probed {
             cache.store(probe, &view, &result);
@@ -250,18 +242,13 @@ impl CegarSolver {
         solver: &Solver,
         mut p: Formula,
         constraints: &[C],
-        start: Instant,
     ) -> CegarResult {
-        let mut stats = CegarStats {
-            had_captures: had_captures(constraints),
-            ..CegarStats::default()
-        };
+        let mut stats = CegarStats::default();
 
         loop {
             let (outcome, solve_stats) = solver.solve(&p);
             stats.solver.absorb(&solve_stats);
             if !self.refines {
-                stats.duration = start.elapsed();
                 return CegarResult { outcome, stats };
             }
             let model = match outcome {
@@ -276,7 +263,6 @@ impl CegarSolver {
                             .iter()
                             .map(C::borrow)
                             .any(|c| !c.positive && !c.exact);
-                    stats.duration = start.elapsed();
                     return CegarResult {
                         outcome: if unsound_unsat {
                             Outcome::Unknown
@@ -309,7 +295,6 @@ impl CegarSolver {
             }
 
             if !failed {
-                stats.duration = start.elapsed();
                 return CegarResult {
                     outcome: Outcome::Sat(model),
                     stats,
@@ -318,7 +303,6 @@ impl CegarSolver {
             stats.refinements += 1;
             if stats.refinements >= self.refinement_limit {
                 stats.limit_hit = true;
-                stats.duration = start.elapsed();
                 return CegarResult {
                     outcome: Outcome::Unknown,
                     stats,
@@ -347,7 +331,6 @@ impl CegarSolver {
                             matches!(self.validate(c.borrow(), &m), Validation::Valid)
                         }) =>
                     {
-                        stats.duration = start.elapsed();
                         return CegarResult {
                             outcome: Outcome::Sat(m),
                             stats,
@@ -454,14 +437,6 @@ enum Validation {
         /// `input = word ⟹ ⋀ᵢ Cᵢ = C♮ᵢ`.
         refinement: Formula,
     },
-}
-
-/// Whether any constraint models a capture group or backreference.
-fn had_captures<C: Borrow<CapturingConstraint>>(constraints: &[C]) -> bool {
-    constraints
-        .iter()
-        .map(C::borrow)
-        .any(|c| c.captures.len() > 1 || c.regex.ast.has_backref())
 }
 
 /// Everything the CEGAR loop's behaviour depends on for one constraint,

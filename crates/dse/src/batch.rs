@@ -5,8 +5,8 @@
 //! is highly scalable"). The unit of parallelism here is one *program*
 //! (the per-program engine stays deterministic, so the reproduced tables
 //! are stable). [`BatchOptions::run`] is the one-shot front door: it
-//! delegates to the work-stealing [`crate::sched::Scheduler`] — jobs
-//! migrate between shards instead of being statically partitioned — and
+//! delegates to the sharded [`crate::sched::Scheduler`] — each idle
+//! shard takes the oldest queued job instead of a static partition — and
 //! collects the re-sequenced reports in input order.
 
 use crate::ast::Program;

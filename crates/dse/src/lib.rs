@@ -11,7 +11,7 @@
 //!   capturing-language models and CEGAR loop of [`expose_core`];
 //! * a generational-search driver with CUPA-style scheduling
 //!   ([`engine`], §6.2), parameterized by the Table 7 support levels;
-//! * a work-stealing sharded scheduler for job streams ([`sched`]),
+//! * a sharded scheduler for job streams ([`sched`]),
 //!   with the one-shot batch front door ([`batch`]) on top;
 //! * a pure-concolic exploration orchestrator ([`mod@explore`]) that
 //!   closes the solve→seed loop over a deterministic corpus

@@ -1,14 +1,13 @@
-//! Work-stealing sharded scheduler for DSE job streams.
+//! Sharded scheduler for DSE job streams.
 //!
 //! ExpoSE's evaluation (§6.2) runs thousands of *independent* DSE jobs
 //! — the embarrassingly job-parallel shape a long-running service
 //! should exploit. [`Scheduler`] replaces the static fan-out of the old
 //! `run_batch` with a session-scoped pool of worker shards:
 //!
-//! * jobs enter through a global [`Injector`] queue and migrate into
-//!   per-shard deques in batches; an idle shard first drains its own
-//!   deque, then claims from the injector, then **steals** from
-//!   sibling shards — no shard ever idles while work exists anywhere;
+//! * jobs wait in one FIFO queue under the scheduler's state lock; an
+//!   idle shard pops the oldest job and parks only while the queue is
+//!   empty, so no shard idles while work is queued;
 //! * all shards share one [`CacheSet`] (regex models, solver verdicts,
 //!   and the DFA intern tables), so a regex determinized for one job
 //!   is free for every other job of the session;
@@ -16,7 +15,7 @@
 //!   to the consumer: the per-job engine is deterministic and every
 //!   cache layer is verdict-preserving, so the *results* of a session
 //!   — and any stream rendered from them — are byte-identical for any
-//!   worker count and any steal interleaving;
+//!   worker count and any interleaving;
 //! * submission applies backpressure: with a bound configured,
 //!   [`Scheduler::submit`] blocks while too many jobs are in flight,
 //!   which is what lets a service front-end stop reading its input
@@ -26,13 +25,11 @@
 //! job, cache hit/miss splits) live in [`ShardStats`] and the cache
 //! counters, deliberately outside the deterministic result stream.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use crossbeam::deque::{Injector, Stealer, Worker};
 
 use crate::batch::Job;
 use crate::caching::CacheSet;
@@ -62,12 +59,9 @@ pub struct SchedulerConfig {
 pub struct ShardStats {
     /// Jobs this shard executed.
     pub jobs_run: u64,
-    /// Claims served from the shard's own deque.
-    pub local_pops: u64,
-    /// Claims served from the global injector (including the batch
-    /// hand-offs that refill the local deque).
-    pub injector_claims: u64,
-    /// Claims stolen from sibling shards.
+    /// Always 0: shards pop one shared queue, so nothing is stolen.
+    /// Kept for the `steals` key of `stats` lines and the benchmark
+    /// counter that reads it.
     pub steals: u64,
 }
 
@@ -226,18 +220,16 @@ struct Task {
 struct State {
     next_id: JobId,
     next_emit: JobId,
-    /// Tasks submitted but not yet claimed by any shard.
-    queued: usize,
+    /// Tasks submitted but not yet claimed by any shard, oldest first.
+    queue: VecDeque<Task>,
     /// Completions not yet drained, keyed by id.
     finished: HashMap<JobId, Completion>,
-    /// No further submissions; shards exit once the queues drain.
+    /// No further submissions; shards exit once the queue drains.
     closed: bool,
     shard_stats: Vec<ShardStats>,
 }
 
 struct Shared {
-    injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
     caches: CacheSet,
     max_inflight: usize,
     state: Mutex<State>,
@@ -257,7 +249,7 @@ impl Shared {
     }
 }
 
-/// A session-scoped, work-stealing DSE job scheduler. See the module
+/// A session-scoped, sharded DSE job scheduler. See the module
 /// docs for the architecture.
 ///
 /// # Examples
@@ -298,17 +290,13 @@ impl Scheduler {
     /// Starts `config.workers` shards sharing `caches`.
     pub fn start(config: SchedulerConfig, caches: CacheSet) -> Scheduler {
         let workers = resolve_workers(config.workers);
-        let deques: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Task>> = deques.iter().map(Worker::stealer).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
             caches,
             max_inflight: config.max_inflight,
             state: Mutex::new(State {
                 next_id: 0,
                 next_emit: 0,
-                queued: 0,
+                queue: VecDeque::new(),
                 finished: HashMap::new(),
                 closed: false,
                 shard_stats: vec![ShardStats::default(); workers],
@@ -317,14 +305,12 @@ impl Scheduler {
             progress: Condvar::new(),
             latency: LatencyHistogram::new(),
         });
-        let handles = deques
-            .into_iter()
-            .enumerate()
-            .map(|(shard, local)| {
+        let handles = (0..workers)
+            .map(|shard| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dse-shard-{shard}"))
-                    .spawn(move || shard_loop(&shared, shard, &local))
+                    .spawn(move || shard_loop(&shared, shard))
                     .expect("spawn shard")
             })
             .collect();
@@ -363,10 +349,9 @@ impl Scheduler {
         assert!(!state.closed, "submit after close");
         let id = state.next_id;
         state.next_id += 1;
-        state.queued += 1;
+        state.queue.push_back(Task { id, job });
         drop(state);
-        self.shared.injector.push(Task { id, job });
-        self.shared.work_ready.notify_all();
+        self.shared.work_ready.notify_one();
         id
     }
 
@@ -392,7 +377,7 @@ impl Scheduler {
     }
 
     /// Closes the session: no further submissions; shards exit once
-    /// the queues drain; [`Scheduler::next_ordered`] returns `None`
+    /// the queue drains; [`Scheduler::next_ordered`] returns `None`
     /// after the last completion.
     pub fn close(&self) {
         let mut state = self.shared.lock();
@@ -438,7 +423,7 @@ impl Scheduler {
             drained: state.next_emit,
             inflight: state.next_id - state.next_emit,
             resequencing: state.finished.len() as u64,
-            queued: state.queued as u64,
+            queued: state.queue.len() as u64,
         }
     }
 
@@ -477,85 +462,43 @@ impl Drop for Scheduler {
     }
 }
 
-/// One shard: claim (local → injector → steal), run, complete; park
-/// when no work is queued anywhere; exit when the session is closed
-/// and drained.
-fn shard_loop(shared: &Shared, shard: usize, local: &Worker<Task>) {
-    loop {
-        let claimed = claim(shared, shard, local);
-        match claimed {
-            Some(task) => {
-                {
-                    let mut state = shared.lock();
-                    state.queued -= 1;
-                }
-                let Task { id, job } = task;
-                let name = job.name.clone();
-                let started = Instant::now();
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_dse_with_caches(&job.program, &job.harness, &job.config, &shared.caches)
-                }))
-                .map_err(|payload| {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "job panicked".to_string());
-                    format!("job panicked: {message}")
-                });
-                shared.latency.record(started.elapsed());
-                let mut state = shared.lock();
-                state.shard_stats[shard].jobs_run += 1;
-                state.finished.insert(id, Completion { id, name, outcome });
-                drop(state);
-                shared.progress.notify_all();
-            }
-            None => {
-                let state = shared.lock();
-                if state.queued > 0 {
-                    // A task exists but moved between queues mid-scan;
-                    // rescan immediately.
-                    drop(state);
-                    std::thread::yield_now();
-                    continue;
-                }
-                if state.closed {
-                    return;
-                }
-                // Park until a submit or close wakes us.
-                drop(
-                    shared
-                        .work_ready
-                        .wait(state)
-                        .expect("scheduler state poisoned"),
-                );
-            }
-        }
+/// One shard: pop the oldest task, run it, complete it; exit when the
+/// session is closed and the queue is empty.
+fn shard_loop(shared: &Shared, shard: usize) {
+    while let Some(Task { id, job }) = next_task(shared) {
+        let name = job.name.clone();
+        let started = Instant::now();
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_dse_with_caches(&job.program, &job.harness, &job.config, &shared.caches)
+        }))
+        .map_err(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "job panicked".to_string());
+            format!("job panicked: {message}")
+        });
+        shared.latency.record(started.elapsed());
+        let mut state = shared.lock();
+        state.shard_stats[shard].jobs_run += 1;
+        state.finished.insert(id, Completion { id, name, outcome });
+        drop(state);
+        shared.progress.notify_all();
     }
 }
 
-/// Claims one task: the shard's own deque first, then the injector
-/// (with a batch hand-off into the local deque), then siblings.
-fn claim(shared: &Shared, shard: usize, local: &Worker<Task>) -> Option<Task> {
-    if let Some(task) = local.pop() {
-        shared.lock().shard_stats[shard].local_pops += 1;
-        return Some(task);
-    }
-    if let Some(task) = shared.injector.steal_batch_and_pop(local).success() {
-        shared.lock().shard_stats[shard].injector_claims += 1;
-        return Some(task);
-    }
-    // Scan siblings starting after this shard so steal pressure
-    // spreads instead of always hitting shard 0.
-    let n = shared.stealers.len();
-    for offset in 1..n {
-        let victim = (shard + offset) % n;
-        if let Some(task) = shared.stealers[victim].steal().success() {
-            shared.lock().shard_stats[shard].steals += 1;
-            return Some(task);
-        }
-    }
-    None
+/// Pops the oldest queued task, parking while the queue is empty;
+/// `None` once the session is closed and the queue is empty.
+fn next_task(shared: &Shared) -> Option<Task> {
+    shared
+        .work_ready
+        .wait_while(shared.lock(), |state| {
+            state.queue.is_empty() && !state.closed
+        })
+        .expect("scheduler state poisoned")
+        .queue
+        .pop_front()
 }
 
 #[cfg(test)]
@@ -660,6 +603,47 @@ mod tests {
             scheduler.close();
             assert_eq!(drainer.join().expect("drainer"), 12);
         });
+    }
+
+    #[test]
+    fn eight_workers_under_tight_backpressure_lose_no_job() {
+        const JOBS: u64 = 300;
+        let scheduler = Scheduler::start(
+            SchedulerConfig {
+                workers: 8,
+                max_inflight: 2,
+            },
+            CacheSet::session(64, 64, 64),
+        );
+        // Tiny jobs keep the shards racing for the queue while the
+        // submitter parks on the bound and the drainer frees slots.
+        std::thread::scope(|scope| {
+            let drainer = scope.spawn(|| {
+                let mut expected = 0;
+                while let Some(completion) = scheduler.next_ordered() {
+                    assert_eq!(completion.id, expected);
+                    assert_eq!(completion.name, format!("job{expected}"));
+                    assert!(completion.outcome.is_ok());
+                    expected += 1;
+                }
+                expected
+            });
+            for i in 0..JOBS {
+                let mut job = simple(&format!("job{i}"), &format!("k{}", i % 7));
+                job.config.max_executions = 1;
+                assert_eq!(scheduler.submit(job), i);
+                assert!(scheduler.progress().inflight <= 2);
+            }
+            scheduler.close();
+            assert_eq!(drainer.join().expect("drainer"), JOBS);
+        });
+        let run: u64 = scheduler.shard_stats().iter().map(|s| s.jobs_run).sum();
+        assert_eq!(run, JOBS);
+        let progress = scheduler.progress();
+        assert_eq!(progress.submitted, JOBS);
+        assert_eq!(progress.drained, JOBS);
+        assert_eq!(progress.queued, 0);
+        scheduler.join();
     }
 
     #[test]

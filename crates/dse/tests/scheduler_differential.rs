@@ -1,4 +1,4 @@
-//! Scheduler determinism: the work-stealing sharded scheduler must
+//! Scheduler determinism: the sharded scheduler must
 //! produce the same results as serial execution — for every worker
 //! count, under job-submission-order shuffles, and with shared vs
 //! fresh caches — over a seeded corpus of generated DSE programs.

@@ -1,7 +1,7 @@
 //! `expose-serve` — the NDJSON DSE job service.
 //!
 //! ```text
-//! # Stream jobs through the work-stealing scheduler (stdin/stdout):
+//! # Stream jobs through the sharded scheduler (stdin/stdout):
 //! expose-serve [--workers N] [--max-inflight N]
 //!
 //! # Same protocol over a Unix socket or TCP (connections share warm

@@ -1,5 +1,5 @@
 //! The ExpoSE job service: a long-running NDJSON front-end over the
-//! work-stealing DSE scheduler.
+//! sharded DSE scheduler.
 //!
 //! The paper's evaluation shape — thousands of independent DSE jobs —
 //! is exactly what a service should amortize: [`ServeOptions::serve`]

@@ -724,8 +724,8 @@ fn write_counters(out: &mut String, report: &MetricsReport<'_>) {
         }
         let _ = write!(
             out,
-            "{{\"jobs\":{},\"local\":{},\"injector\":{},\"steals\":{}}}",
-            shard.jobs_run, shard.local_pops, shard.injector_claims, shard.steals
+            "{{\"jobs\":{},\"steals\":{}}}",
+            shard.jobs_run, shard.steals
         );
     }
     out.push(']');

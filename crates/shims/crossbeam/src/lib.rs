@@ -1,227 +1,6 @@
 //! Offline stand-in for `crossbeam`: scoped threads with the crossbeam
 //! calling convention (`scope` returns a `Result`, spawned closures
-//! receive the scope), implemented over `std::thread::scope`, plus the
-//! work-stealing [`deque`] primitives (`Injector`/`Worker`/`Stealer`)
-//! used by the sharded DSE scheduler.
-
-/// Work-stealing deques with the `crossbeam-deque` calling convention.
-///
-/// The real crate uses lock-free Chase-Lev deques; this stand-in uses
-/// mutex-guarded `VecDeque`s, which preserves the API and the
-/// scheduling semantics (local FIFO pop, batch hand-off from the
-/// injector, stealing from siblings) at contention levels where a
-/// mutex is indistinguishable — the unit of work here is an entire DSE
-/// job, milliseconds at minimum.
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// The result of a steal attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// The attempt lost a race and may be retried. The mutex-based
-        /// stand-in never loses races, but callers written against the
-        /// real API still match on it.
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// True when the steal succeeded.
-        pub fn is_success(&self) -> bool {
-            matches!(self, Steal::Success(_))
-        }
-
-        /// True when the attempt should be retried.
-        pub fn is_retry(&self) -> bool {
-            matches!(self, Steal::Retry)
-        }
-
-        /// The stolen task, if any.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(task) => Some(task),
-                _ => None,
-            }
-        }
-
-        /// Chains steal attempts: a success or retry short-circuits,
-        /// an empty result falls through to `f`.
-        pub fn or_else<F: FnOnce() -> Steal<T>>(self, f: F) -> Steal<T> {
-            match self {
-                Steal::Empty => f(),
-                other => other,
-            }
-        }
-    }
-
-    impl<T> FromIterator<Steal<T>> for Steal<T> {
-        /// Collects steal attempts: the first success or retry wins,
-        /// otherwise the result is `Empty` (mirrors `crossbeam-deque`).
-        fn from_iter<I: IntoIterator<Item = Steal<T>>>(iter: I) -> Steal<T> {
-            let mut retry = false;
-            for attempt in iter {
-                match attempt {
-                    Steal::Success(task) => return Steal::Success(task),
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
-            }
-            if retry {
-                Steal::Retry
-            } else {
-                Steal::Empty
-            }
-        }
-    }
-
-    /// A FIFO injector queue: the global entry point tasks are pushed
-    /// into before workers claim them.
-    #[derive(Debug)]
-    pub struct Injector<T> {
-        queue: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Injector<T> {
-            Injector::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        /// Creates an empty injector.
-        pub fn new() -> Injector<T> {
-            Injector {
-                queue: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        /// Pushes a task onto the back of the queue.
-        pub fn push(&self, task: T) {
-            self.queue
-                .lock()
-                .expect("injector poisoned")
-                .push_back(task);
-        }
-
-        /// Steals the front task.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().expect("injector poisoned").pop_front() {
-                Some(task) => Steal::Success(task),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Moves up to half of the queue into `dest`'s local deque and
-        /// pops one task for the caller.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let mut queue = self.queue.lock().expect("injector poisoned");
-            let Some(first) = queue.pop_front() else {
-                return Steal::Empty;
-            };
-            // Hand off up to half of what remains (the crossbeam batch
-            // heuristic), keeping the rest for other shards.
-            let batch = queue.len().div_ceil(2).min(Worker::<T>::MAX_BATCH);
-            if batch > 0 {
-                let mut local = dest.queue.lock().expect("worker poisoned");
-                for _ in 0..batch {
-                    match queue.pop_front() {
-                        Some(task) => local.push_back(task),
-                        None => break,
-                    }
-                }
-            }
-            Steal::Success(first)
-        }
-
-        /// True when no task is queued.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().expect("injector poisoned").is_empty()
-        }
-
-        /// Number of queued tasks.
-        pub fn len(&self) -> usize {
-            self.queue.lock().expect("injector poisoned").len()
-        }
-    }
-
-    /// A worker-local deque. The owning shard pushes and pops the
-    /// front; [`Stealer`]s claim from the back.
-    #[derive(Debug)]
-    pub struct Worker<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Default for Worker<T> {
-        fn default() -> Worker<T> {
-            Worker::new_fifo()
-        }
-    }
-
-    impl<T> Worker<T> {
-        /// Cap on one injector batch hand-off (crossbeam's constant).
-        const MAX_BATCH: usize = 32;
-
-        /// Creates an empty FIFO worker deque.
-        pub fn new_fifo() -> Worker<T> {
-            Worker {
-                queue: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        /// Pushes a task onto the local deque.
-        pub fn push(&self, task: T) {
-            self.queue.lock().expect("worker poisoned").push_back(task);
-        }
-
-        /// Pops the next local task (FIFO order).
-        pub fn pop(&self) -> Option<T> {
-            self.queue.lock().expect("worker poisoned").pop_front()
-        }
-
-        /// A handle other shards use to steal from this deque.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-
-        /// True when the local deque is empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().expect("worker poisoned").is_empty()
-        }
-
-        /// Number of locally queued tasks.
-        pub fn len(&self) -> usize {
-            self.queue.lock().expect("worker poisoned").len()
-        }
-    }
-
-    /// A stealing handle onto another shard's [`Worker`] deque.
-    #[derive(Debug, Clone)]
-    pub struct Stealer<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals one task from the back of the owner's deque (the
-        /// opposite end from the owner's pops).
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().expect("worker poisoned").pop_back() {
-                Some(task) => Steal::Success(task),
-                None => Steal::Empty,
-            }
-        }
-
-        /// True when the owner's deque is empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().expect("worker poisoned").is_empty()
-        }
-    }
-}
+//! receive the scope), implemented over `std::thread::scope`.
 
 /// Scoped threads.
 pub mod thread {
@@ -260,7 +39,7 @@ pub mod thread {
 
 #[cfg(test)]
 mod tests {
-    use super::{deque, thread};
+    use super::thread;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -273,93 +52,6 @@ mod tests {
         })
         .expect("no panics");
         assert_eq!(counter.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn injector_is_fifo() {
-        let injector: deque::Injector<u32> = deque::Injector::new();
-        injector.push(1);
-        injector.push(2);
-        assert_eq!(injector.len(), 2);
-        assert_eq!(injector.steal().success(), Some(1));
-        assert_eq!(injector.steal().success(), Some(2));
-        assert!(injector.steal().success().is_none());
-        assert!(injector.is_empty());
-    }
-
-    #[test]
-    fn batch_hand_off_fills_local_deque() {
-        let injector: deque::Injector<u32> = deque::Injector::new();
-        for i in 0..9 {
-            injector.push(i);
-        }
-        let local: deque::Worker<u32> = deque::Worker::new_fifo();
-        // Pops 0 for the caller, hands off ceil(8/2) = 4 to the deque.
-        assert_eq!(injector.steal_batch_and_pop(&local).success(), Some(0));
-        assert_eq!(local.len(), 4);
-        assert_eq!(injector.len(), 4);
-        // Local order is preserved (FIFO).
-        assert_eq!(local.pop(), Some(1));
-        assert_eq!(local.pop(), Some(2));
-    }
-
-    #[test]
-    fn stealers_take_the_opposite_end() {
-        let local: deque::Worker<u32> = deque::Worker::new_fifo();
-        local.push(1);
-        local.push(2);
-        local.push(3);
-        let stealer = local.stealer();
-        assert_eq!(stealer.steal().success(), Some(3));
-        assert_eq!(local.pop(), Some(1));
-        assert_eq!(stealer.steal().success(), Some(2));
-        assert!(stealer.is_empty());
-    }
-
-    #[test]
-    fn steal_collects_first_success() {
-        let a: deque::Worker<u32> = deque::Worker::new_fifo();
-        let b: deque::Worker<u32> = deque::Worker::new_fifo();
-        b.push(7);
-        let stealers = [a.stealer(), b.stealer()];
-        let stolen: deque::Steal<u32> = stealers.iter().map(|s| s.steal()).collect();
-        assert_eq!(stolen.success(), Some(7));
-        let empty: deque::Steal<u32> = stealers.iter().map(|s| s.steal()).collect();
-        assert!(!empty.is_success());
-        assert!(!empty.is_retry());
-    }
-
-    #[test]
-    fn concurrent_stealing_loses_no_task() {
-        let injector: deque::Injector<usize> = deque::Injector::new();
-        const TASKS: usize = 1000;
-        for i in 0..TASKS {
-            injector.push(i);
-        }
-        let sum = AtomicUsize::new(0);
-        let claimed = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|_| {
-                    let local: deque::Worker<usize> = deque::Worker::new_fifo();
-                    loop {
-                        let task = local
-                            .pop()
-                            .or_else(|| injector.steal_batch_and_pop(&local).success());
-                        match task {
-                            Some(task) => {
-                                sum.fetch_add(task, Ordering::Relaxed);
-                                claimed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            None => break,
-                        }
-                    }
-                });
-            }
-        })
-        .expect("no panics");
-        assert_eq!(claimed.load(Ordering::Relaxed), TASKS);
-        assert_eq!(sum.load(Ordering::Relaxed), TASKS * (TASKS - 1) / 2);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`core`] — capturing-language models, §4.4 negation, the CEGAR
 //!   matching-precedence refinement, the Algorithm 2 API models;
 //! * [`dse`] — the concolic engine for a JavaScript-like language,
-//!   plus the work-stealing job scheduler;
+//!   plus the sharded job scheduler;
 //! * [`service`] — the NDJSON job service over that scheduler
 //!   (`expose-serve`);
 //! * [`fuzz`] — the deterministic differential fuzzer (`fuzz` binary)

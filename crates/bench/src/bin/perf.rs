@@ -45,7 +45,6 @@ use std::fmt::Write as _;
 
 use bench::{engine_config, Budget};
 use corpus::{generate_dse_programs, library_workloads};
-use expose_core::cache::CacheStats;
 use expose_core::SupportLevel;
 use expose_dse::parser::parse_program;
 use expose_dse::{
@@ -53,6 +52,7 @@ use expose_dse::{
     ExploreReport, Harness, Report,
 };
 use expose_service::json::{self, Value};
+use strsolve::CacheStats;
 
 /// Flip workers of the optimized run and the exploration sweeps. No
 /// count in the artifact depends on it.
@@ -129,6 +129,7 @@ impl Aggregate {
         CacheStats {
             hits: self.model_cache_hits,
             misses: self.model_cache_misses,
+            ..CacheStats::default()
         }
         .hit_rate()
     }

@@ -17,13 +17,15 @@
 //! size yields exactly the constraint a direct build would have
 //! produced (the differential tests in `tests/cache_differential.rs`
 //! assert formula-level equality).
+//!
+//! The cache is a [`SharedLru`]: it locks, counts, bounds and evicts
+//! like every other shared cache, and reports one
+//! [`strsolve::CacheStats`] snapshot.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use regex_syntax_es6::{Flags, Regex};
-use strsolve::{Lru, VarPool};
+use strsolve::{CacheStats, SharedLru, VarPool};
 
 use crate::api::{build_match_model, CapturingConstraint};
 use crate::config::SupportLevel;
@@ -63,27 +65,6 @@ struct Entry {
     constraint: CapturingConstraint,
 }
 
-/// Hit/miss counters of a cache, as a point-in-time snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that built a fresh model.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hit rate in `[0, 1]` (`0` when no lookup happened yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A shared, thread-safe, capacity-bounded cache of built regex models,
 /// shared across queries, traces, and batch jobs.
 ///
@@ -109,11 +90,7 @@ impl CacheStats {
 /// ```
 #[derive(Debug)]
 pub struct ModelCache {
-    entries: Mutex<Lru<ModelKey, Arc<Entry>>>,
-    capacity: usize,
-    byte_budget: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    entries: SharedLru<ModelKey, Arc<Entry>>,
 }
 
 impl ModelCache {
@@ -129,32 +106,8 @@ impl ModelCache {
     /// large models accumulate.
     pub fn with_byte_budget(capacity: usize, byte_budget: usize) -> ModelCache {
         ModelCache {
-            entries: Mutex::new(Lru::with_byte_budget(capacity, byte_budget)),
-            capacity,
-            byte_budget,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            entries: SharedLru::new(capacity, byte_budget),
         }
-    }
-
-    /// The configured entry capacity (`0` = caching is disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The configured byte budget (`0` = unlimited).
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
-    }
-
-    /// Approximate bytes held by resident models.
-    pub fn bytes(&self) -> usize {
-        self.entries.lock().bytes()
-    }
-
-    /// Models evicted so far (capacity- or budget-driven).
-    pub fn evictions(&self) -> u64 {
-        self.entries.lock().evictions()
     }
 
     /// Returns the Algorithm 2 model for `regex` with the given
@@ -175,14 +128,11 @@ impl ModelCache {
             support,
             build: cfg.fingerprint(),
         };
-        let cached = self.entries.lock().get(&key).cloned();
-        if let Some(entry) = cached {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(entry) = self.entries.get(&key) {
             let (s, b) = pool.absorb(&entry.pool);
             return (entry.constraint.offset_vars(s, b), true);
         }
 
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let mut private = VarPool::new();
         let constraint = build_match_model(regex, positive, &mut private, cfg);
         let (s, b) = pool.absorb(&private);
@@ -192,7 +142,7 @@ impl ModelCache {
         let weight = constraint.formula.approx_bytes()
             + key.source.len()
             + (private.str_count() + private.bool_count()) * 24;
-        let evicted = self.entries.lock().insert_weighted(
+        self.entries.insert(
             key,
             Arc::new(Entry {
                 pool: private,
@@ -200,27 +150,13 @@ impl ModelCache {
             }),
             weight,
         );
-        // Evicted models are freed after the lock is released.
-        drop(evicted);
         (rebased, false)
     }
 
-    /// Point-in-time hit/miss counters.
+    /// The cache's counters: hits, misses, resident models and bytes,
+    /// evictions, and the configured bounds.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resident entry count.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when no model is resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.entries.stats()
     }
 }
 
@@ -295,9 +231,8 @@ mod tests {
             &mut pool,
             &cfg,
         );
-        assert_eq!(cache.stats().misses, 4);
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.len(), 4);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 4, 4));
     }
 
     #[test]
@@ -309,17 +244,18 @@ mod tests {
         for p in &patterns {
             unbounded.get_or_build(&regex(p), true, SupportLevel::Refinement, &mut pool, &cfg);
         }
-        assert_eq!(unbounded.evictions(), 0);
+        assert_eq!(unbounded.stats().evictions, 0);
         // A budget that fits only part of the set must evict, and the
         // resident total must stay within it.
-        let budget = unbounded.bytes() / 2;
+        let budget = unbounded.stats().bytes / 2;
         let bounded = ModelCache::with_byte_budget(64, budget);
         for p in &patterns {
             bounded.get_or_build(&regex(p), true, SupportLevel::Refinement, &mut pool, &cfg);
         }
-        assert!(bounded.bytes() <= budget);
-        assert!(bounded.evictions() > 0);
-        assert!(bounded.len() < patterns.len());
+        let stats = bounded.stats();
+        assert!(stats.bytes <= budget);
+        assert!(stats.evictions > 0);
+        assert!(stats.entries < patterns.len());
     }
 
     #[test]
@@ -331,7 +267,7 @@ mod tests {
         let (c1, h1) = cache.get_or_build(&re, true, SupportLevel::Refinement, &mut pool, &cfg);
         let (_c2, h2) = cache.get_or_build(&re, true, SupportLevel::Refinement, &mut pool, &cfg);
         assert!(!h1 && !h2);
-        assert!(cache.is_empty());
+        assert_eq!(cache.stats().entries, 0);
         // Still usable: the built model solves.
         let (outcome, _) = Solver::default().solve(&c1.formula);
         assert!(outcome.is_sat());

@@ -21,19 +21,23 @@
 //! [`CegarSolver::unrefined`] is the loop cut after its first solve (the
 //! support levels below `Refinement`), so every support level solves
 //! through the same entry points and replays from the same cache.
+//!
+//! [`CegarCache`] is a [`SharedLru`]: it locks, counts, bounds and
+//! evicts like every other shared cache, and reports one
+//! [`strsolve::CacheStats`] snapshot. An entry weighs what it owns —
+//! its compact key, signatures and cached outcome — not the constraint
+//! models it shares.
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use automata::FxHasher;
 use es6_matcher::RegExp;
-use parking_lot::Mutex;
 use strsolve::{
-    Canonicalizer, Formula, Group, Lru, Model, Outcome, SessionView, SolveSession, SolveStats,
-    Solver, ViewKey,
+    CacheStats, Canonicalizer, Formula, Group, Model, Outcome, SessionView, SharedLru,
+    SolveSession, SolveStats, Solver, ViewKey,
 };
 
 use crate::api::CapturingConstraint;
@@ -606,11 +610,7 @@ fn constraint_signatures<C: Borrow<CapturingConstraint>>(
 /// the whole refinement chain instead of just iteration 0.
 #[derive(Debug)]
 pub struct CegarCache {
-    entries: Mutex<Lru<u64, Arc<CegarEntry>>>,
-    capacity: usize,
-    byte_budget: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    entries: SharedLru<u64, Arc<CegarEntry>>,
 }
 
 impl CegarCache {
@@ -623,65 +623,24 @@ impl CegarCache {
     /// budget (`0` = unlimited).
     pub fn with_byte_budget(capacity: usize, byte_budget: usize) -> CegarCache {
         CegarCache {
-            entries: Mutex::new(Lru::with_byte_budget(capacity, byte_budget)),
-            capacity,
-            byte_budget,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            entries: SharedLru::new(capacity, byte_budget),
         }
     }
 
-    /// The configured entry capacity (`0` = the cache is disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The configured byte budget (`0` = unlimited).
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
-    }
-
-    /// Runs replayed from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that fell through to a full CEGAR loop.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Resident run count.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when no run is resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-
-    /// Approximate bytes held by resident runs.
-    pub fn bytes(&self) -> usize {
-        self.entries.lock().bytes()
-    }
-
-    /// Runs evicted so far.
-    pub fn evictions(&self) -> u64 {
-        self.entries.lock().evictions()
+    /// The cache's counters: replays (hits), lookups that fell through
+    /// to a full CEGAR loop (misses), resident runs and bytes,
+    /// evictions, and the configured bounds.
+    pub fn stats(&self) -> CacheStats {
+        self.entries.stats()
     }
 
     /// The entry stored under the probe's digest, if its full key
-    /// equals this query's; the comparison runs outside the lock.
+    /// equals this query's; the comparison runs outside the lock, and
+    /// a digest collision counts as a miss.
     fn lookup(&self, probe: &CacheProbe, view: &SessionView<'_>) -> Option<Arc<CegarEntry>> {
-        let resident = self.entries.lock().get(&probe.digest).cloned();
-        let found = resident
-            .filter(|entry| entry.key.params == probe.params && view.matches(&entry.key.view));
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.entries.get_with(&probe.digest, Arc::clone, |entry| {
+            entry.key.params == probe.params && view.matches(&entry.key.view)
+        })
     }
 
     fn store(&self, probe: CacheProbe, view: &SessionView<'_>, result: &CegarResult) {
@@ -706,7 +665,8 @@ impl CegarCache {
             Outcome::Unsat => CachedOutcome::Unsat,
             Outcome::Unknown => CachedOutcome::Unknown,
         };
-        let weight = view.approx_bytes()
+        let key = view.key();
+        let weight = key.approx_bytes()
             + probe
                 .params
                 .constraints
@@ -721,7 +681,7 @@ impl CegarCache {
             };
         let entry = CegarEntry {
             key: CegarKey {
-                view: view.key(),
+                view: key,
                 params: probe.params,
             },
             run: CachedRun {
@@ -730,12 +690,7 @@ impl CegarCache {
                 limit_hit: result.stats.limit_hit,
             },
         };
-        let evicted = self
-            .entries
-            .lock()
-            .insert_weighted(probe.digest, Arc::new(entry), weight);
-        // Evicted runs are freed after the lock is released.
-        drop(evicted);
+        self.entries.insert(probe.digest, Arc::new(entry), weight);
     }
 }
 
@@ -912,7 +867,7 @@ mod tests {
             Some(&cache),
         );
         assert!(!first.stats.replayed);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.stats().misses, 1);
         assert!(first.stats.refinements > 0, "fixture must refine");
 
         let second = cegar.solve_incremental(
@@ -923,7 +878,7 @@ mod tests {
             Some(&cache),
         );
         assert!(second.stats.replayed);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.stats().hits, 1);
         assert_eq!(second.outcome, first.outcome);
         assert_eq!(second.stats.refinements, first.stats.refinements);
         assert_eq!(second.stats.limit_hit, first.stats.limit_hit);
@@ -965,8 +920,8 @@ mod tests {
         // unvalidated verdict.
         let refined = solve(&CegarSolver::default());
         assert!(!refined.stats.replayed);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
@@ -1007,9 +962,9 @@ mod tests {
             assert!(!model.get_bool(c.captures[1].defined));
             outcomes.push(model.get_str(c.input).map(str::to_string));
         }
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(cache.stats().entries, 1);
         assert!(outcomes.windows(2).all(|w| w[0] == w[1]));
     }
 
@@ -1046,10 +1001,34 @@ mod tests {
             shapes.push(Arc::clone(c.group().shape));
             models.get_or_build(&other, true, level, &mut pool, &cfg);
         }
-        assert_eq!(models.evictions(), 3);
+        assert_eq!(models.stats().evictions, 3);
         assert!(!Arc::ptr_eq(&shapes[0], &shapes[1]));
         assert_eq!(*shapes[0], *shapes[1]);
-        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
+    }
+
+    #[test]
+    fn verdict_entries_weigh_what_they_own() {
+        // Every run shares one large constraint model, and an entry
+        // holds only a pointer to its shape: a budget of half a model
+        // per run keeps all N runs resident.
+        const N: usize = 4;
+        let regex = Regex::parse_literal("/^(a){3,9}$/").expect("literal");
+        let mut pool = VarPool::new();
+        let guard = pool.fresh_str();
+        let c = build_match_model(&regex, true, &mut pool, &BuildConfig::default());
+        let mut session = SolveSession::new(Solver::default());
+        session.push(vec![Formula::ne_lit(guard, "off")]);
+        let cache = CegarCache::with_byte_budget(64, N * c.formula.approx_bytes() / 2);
+        let cegar = CegarSolver::default();
+        for i in 0..N {
+            let assumption = [Formula::ne_lit(c.input, format!("q{i}"))];
+            let constraints = std::slice::from_ref(&c);
+            cegar.solve_incremental(&session, 1, &assumption, constraints, Some(&cache));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (N, 0), "{stats:?}");
+        assert!(stats.bytes <= stats.byte_budget);
     }
 
     #[test]
@@ -1072,19 +1051,16 @@ mod tests {
         // Force a collision: file the stored run under the digest of a
         // different query.
         let other = vec![Formula::ne_lit(c.input, "qqq")];
-        let stored = cache
-            .entries
-            .lock()
-            .get(&posed(&assumption))
-            .cloned()
-            .expect("stored");
-        let _evicted = cache.entries.lock().insert(posed(&other), stored);
+        let stored = cache.entries.get(&posed(&assumption)).expect("stored");
+        cache.entries.insert(posed(&other), stored, 0);
+        let before = cache.stats();
 
         let result =
             cegar.solve_incremental(&session, session.depth(), &other, constraints, Some(&cache));
         assert!(!result.stats.replayed);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
+        let after = cache.stats();
+        assert_eq!(after.misses, before.misses + 1);
+        assert_eq!(after.hits, before.hits);
         let uncached =
             cegar.solve_incremental(&session, session.depth(), &other, constraints, None);
         assert_eq!(result.outcome, uncached.outcome);
@@ -1120,8 +1096,8 @@ mod tests {
             Some(&cache),
         );
         assert!(!result.stats.replayed);
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().hits, 0);
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.stats().entries, 2);
     }
 }

@@ -49,7 +49,7 @@ pub mod model;
 pub mod negate;
 
 pub use api::{build_match_model, CapturingConstraint};
-pub use cache::{CacheStats, ModelCache};
+pub use cache::ModelCache;
 pub use cegar::{CegarCache, CegarResult, CegarSolver, CegarStats};
 pub use config::SupportLevel;
 pub use model::{BuildConfig, CaptureVar, ModelBuilder, RegexModel};

@@ -126,8 +126,9 @@ mod tests {
     fn session_set_carries_shared_dfa_tables() {
         let caches = DseCaches::session(8, 8, 16);
         let tables = caches.dfa.as_ref().expect("session tables");
-        assert_eq!(tables.capacity(), 16);
-        assert!(tables.is_empty());
+        // The totals span four indexes of 16 entries each.
+        let stats = tables.stats();
+        assert_eq!((stats.capacity, stats.entries), (4 * 16, 0));
         // Plain sets keep solver-private tables.
         assert!(DseCaches::new(8, 8).dfa.is_none());
     }
@@ -135,8 +136,8 @@ mod tests {
     #[test]
     fn disabled_set_is_empty_capacity() {
         let caches = DseCaches::disabled();
-        assert!(caches.model.is_empty());
-        assert!(caches.verdicts.is_empty());
-        assert_eq!(caches.verdicts.capacity(), 0);
+        for stats in [caches.model.stats(), caches.verdicts.stats()] {
+            assert_eq!((stats.capacity, stats.entries), (0, 0));
+        }
     }
 }

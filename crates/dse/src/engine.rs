@@ -139,38 +139,42 @@ impl Report {
 
     /// Model-cache hit rate in `[0, 1]` (`0` with no lookups).
     pub fn model_cache_hit_rate(&self) -> f64 {
-        expose_core::cache::CacheStats {
+        strsolve::CacheStats {
             hits: self.model_cache_hits,
             misses: self.model_cache_misses,
+            ..strsolve::CacheStats::default()
         }
         .hit_rate()
     }
 
     /// Total search-tree nodes visited by the solver.
     pub fn solver_nodes(&self) -> u64 {
-        self.queries.iter().map(|q| q.solver_nodes).sum()
+        self.queries.iter().map(|q| q.solver.nodes).sum()
     }
 
     /// Total DFA states the solver built before minimization.
     pub fn dfa_states_built(&self) -> u64 {
-        self.queries.iter().map(|q| q.dfa_states_built).sum()
+        self.queries.iter().map(|q| q.solver.dfa_states_built).sum()
     }
 
     /// Total DFA states remaining after the thresholded Hopcroft pass.
     pub fn states_after_minimize(&self) -> u64 {
-        self.queries.iter().map(|q| q.states_after_minimize).sum()
+        self.queries
+            .iter()
+            .map(|q| q.solver.states_after_minimize)
+            .sum()
     }
 
     /// Total conjunctions refuted by the length-abstraction pass
     /// before any word search.
     pub fn length_prunes(&self) -> u64 {
-        self.queries.iter().map(|q| q.length_prunes).sum()
+        self.queries.iter().map(|q| q.solver.length_prunes).sum()
     }
 
     /// Total solver DFA-cache lookups served from resident entries
     /// (session-table reuse under a [`crate::caching::CacheSet`]).
     pub fn dfa_cache_hits(&self) -> u64 {
-        self.queries.iter().map(|q| q.dfa_cache_hits).sum()
+        self.queries.iter().map(|q| q.solver.dfa_cache_hits).sum()
     }
 
     /// Total wall-clock spent in solver queries.
@@ -181,7 +185,10 @@ impl Report {
     /// Total canonical prefix frames reused by incremental flip
     /// sessions instead of being re-canonicalized.
     pub fn prefix_reuse_hits(&self) -> u64 {
-        self.queries.iter().map(|q| q.prefix_reuse_hits).sum()
+        self.queries
+            .iter()
+            .map(|q| q.solver.prefix_reuse_hits)
+            .sum()
     }
 
     /// Total whole CEGAR refinement runs replayed from the shared

@@ -12,11 +12,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use expose_core::api::CapturingConstraint;
-use expose_core::cegar::{CegarResult, CegarSolver};
+use expose_core::cegar::{CegarCache, CegarResult, CegarSolver};
 use expose_core::model::BuildConfig;
 use expose_core::negate::nnf_negate;
 use expose_core::SupportLevel;
-use strsolve::{Formula, Outcome, SolveSession, Solver, StrVar, Term, VarPool};
+use strsolve::{Formula, Outcome, SolveSession, SolveStats, Solver, StrVar, Term, VarPool};
 
 use crate::caching::DseCaches;
 use crate::sym::{RegexEvent, SymExpr, Trace};
@@ -40,21 +40,13 @@ pub struct QueryRecord {
     pub model_cache_hits: u64,
     /// Regex models built fresh (cache miss or cache disabled).
     pub model_cache_misses: u64,
-    /// Search-tree nodes visited across all solver calls of the query.
-    pub solver_nodes: u64,
-    /// DFA states built by the solver before minimization.
-    pub dfa_states_built: u64,
-    /// DFA states remaining after the thresholded Hopcroft pass.
-    pub states_after_minimize: u64,
-    /// Conjunctions refuted by length abstraction before word search.
-    pub length_prunes: u64,
-    /// Solver DFA-cache lookups served from resident entries (shared
-    /// session tables or the solver-private cache).
-    pub dfa_cache_hits: u64,
-    /// Canonical prefix frames reused from an incremental
-    /// [`TraceFlipSession`] instead of being re-canonicalized (`0` for
-    /// from-scratch solves).
-    pub prefix_reuse_hits: u64,
+    /// The solver's counters, summed over every solve of the query's
+    /// CEGAR run: search nodes, DFA states built and kept, length
+    /// prunes, DFA-cache hits, and the canonical prefix frames reused
+    /// from an incremental [`TraceFlipSession`] (`0` for from-scratch
+    /// solves). A replayed run searches nothing and counts only the
+    /// reused frames.
+    pub solver: SolveStats,
     /// Whole CEGAR refinement runs replayed from the shared verdict
     /// cache ([`expose_core::cegar::CegarCache`]).
     pub verdict_replays: u64,
@@ -153,18 +145,12 @@ fn solved_record(
     started: std::time::Instant,
     base: QueryRecord,
 ) -> QueryRecord {
-    let solver_stats = &result.stats.solver;
     QueryRecord {
         duration: started.elapsed(),
         refinements: result.stats.refinements,
         limit_hit: result.stats.limit_hit,
         sat,
-        solver_nodes: solver_stats.nodes,
-        dfa_states_built: solver_stats.dfa_states_built,
-        states_after_minimize: solver_stats.states_after_minimize,
-        length_prunes: solver_stats.length_prunes,
-        dfa_cache_hits: solver_stats.dfa_cache_hits,
-        prefix_reuse_hits: solver_stats.prefix_reuse_hits,
+        solver: result.stats.solver.clone(),
         verdict_replays: u64::from(result.stats.replayed),
         ..base
     }
@@ -245,7 +231,9 @@ pub struct TraceFlipSession<'a> {
     retractable: bool,
     support: SupportLevel,
     refinement_limit: usize,
-    caches: &'a DseCaches,
+    /// The run's verdict cache, `None` when it is disabled (capacity
+    /// `0`): a disabled cache is neither probed nor counted.
+    verdicts: Option<&'a CegarCache>,
     inputs_used: usize,
 }
 
@@ -267,7 +255,7 @@ impl<'a> TraceFlipSession<'a> {
             retractable: false,
             support,
             refinement_limit,
-            caches,
+            verdicts: (caches.verdicts.stats().capacity > 0).then_some(caches.verdicts.as_ref()),
             inputs_used: 0,
         }
     }
@@ -407,14 +395,12 @@ impl<'a> TraceFlipSession<'a> {
             self.session.solver().clone(),
             self.refinement_limit,
         );
-        let verdicts =
-            (self.caches.verdicts.capacity() > 0).then_some(self.caches.verdicts.as_ref());
         let result = cegar.solve_incremental(
             &self.session,
             k,
             &plan.assumption,
             &plan.constraints,
-            verdicts,
+            self.verdicts,
         );
         let inputs = extract_inputs(&result.outcome, &plan.input_vars, self.inputs_used);
         FlipResult {

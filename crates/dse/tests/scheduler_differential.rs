@@ -156,9 +156,12 @@ fn shared_and_fresh_caches_agree() {
     assert_eq!(warm, reference, "shared caches changed results (warm)");
 
     // The warm pass must actually have hit the shared layers.
-    assert!(caches.verdicts.hits() > 0, "the verdict cache never hit");
+    assert!(
+        caches.verdicts.stats().hits > 0,
+        "the verdict cache never hit"
+    );
     let tables = caches.dfa.as_ref().expect("session tables");
-    assert!(tables.hits() > 0, "DFA tables never hit");
+    assert!(tables.stats().hits > 0, "DFA tables never hit");
 }
 
 #[test]

@@ -1,73 +1,73 @@
 //! Property tests: printing a parsed AST re-parses to an equal AST, and
 //! structural analyses are stable under the round trip.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::IndexedRandom;
+use rand::{RngExt, SeedableRng};
 use regex_syntax_es6::ast::Ast;
 use regex_syntax_es6::parse;
 use regex_syntax_es6::rewrite::{desugar, normalize_lazy, strip_captures};
 
-/// A generator of syntactically valid ES6 regex ASTs (via source
-/// strings assembled from safe fragments).
-fn arb_pattern() -> impl Strategy<Value = String> {
-    let atom = prop_oneof![
-        Just("a".to_string()),
-        Just("b".to_string()),
-        Just("[a-z]".to_string()),
-        Just("[^0-9]".to_string()),
-        Just(r"\d".to_string()),
-        Just(r"\w".to_string()),
-        Just(".".to_string()),
-        Just(r"\.".to_string()),
-        Just(r"\n".to_string()),
-    ];
-    let quantified = (
-        atom,
-        prop_oneof![
-            Just("".to_string()),
-            Just("*".to_string()),
-            Just("+".to_string()),
-            Just("?".to_string()),
-            Just("*?".to_string()),
-            Just("{2,3}".to_string()),
-        ],
-    )
-        .prop_map(|(a, q)| format!("{a}{q}"));
-    let seq = proptest::collection::vec(quantified, 1..4).prop_map(|parts| parts.concat());
-    // One level of grouping and alternation.
-    (seq.clone(), seq.clone(), seq).prop_map(|(a, b, c)| format!("(?:{a}|{b})({c})"))
+/// Seeded cases per property.
+const CASES: u64 = 64;
+
+/// A syntactically valid ES6 pattern assembled from safe fragments:
+/// one level of grouping and alternation over sequences of one to
+/// three quantified atoms.
+fn arb_pattern(rng: &mut StdRng) -> String {
+    const ATOMS: [&str; 9] = ["a", "b", "[a-z]", "[^0-9]", r"\d", r"\w", ".", r"\.", r"\n"];
+    const QUANTIFIERS: [&str; 6] = ["", "*", "+", "?", "*?", "{2,3}"];
+    let mut seq = || -> String {
+        (0..rng.random_range(1..4usize))
+            .map(|_| {
+                let atom = ATOMS.choose(rng).expect("atoms");
+                let quantifier = QUANTIFIERS.choose(rng).expect("quantifiers");
+                format!("{atom}{quantifier}")
+            })
+            .collect()
+    };
+    let (a, b, c) = (seq(), seq(), seq());
+    format!("(?:{a}|{b})({c})")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// The generated patterns, one per case.
+fn patterns() -> impl Iterator<Item = String> {
+    (0..CASES).map(|case| arb_pattern(&mut StdRng::seed_from_u64(0x0c7a_5e00 ^ case)))
+}
 
-    #[test]
-    fn to_source_round_trips(pattern in arb_pattern()) {
+#[test]
+fn to_source_round_trips() {
+    for pattern in patterns() {
         let ast = parse(&pattern).expect("generated pattern parses");
         let printed = ast.to_source();
-        let reparsed = parse(&printed)
-            .unwrap_or_else(|e| panic!("printed {printed:?} must parse: {e}"));
-        prop_assert_eq!(ast, reparsed);
+        let reparsed =
+            parse(&printed).unwrap_or_else(|e| panic!("printed {printed:?} must parse: {e}"));
+        assert_eq!(ast, reparsed, "{pattern}");
     }
+}
 
-    #[test]
-    fn rewrites_preserve_capture_free_invariants(pattern in arb_pattern()) {
+#[test]
+fn rewrites_preserve_capture_free_invariants() {
+    for pattern in patterns() {
         let ast = parse(&pattern).expect("parses");
         let stripped = strip_captures(&ast);
-        prop_assert_eq!(stripped.capture_count(), 0);
+        assert_eq!(stripped.capture_count(), 0, "{pattern}");
         // normalize_lazy never changes capture structure.
         let normalized = normalize_lazy(&ast);
-        prop_assert_eq!(normalized.capture_count(), ast.capture_count());
+        assert_eq!(normalized.capture_count(), ast.capture_count(), "{pattern}");
         // desugar keeps nullability.
         let desugared = desugar(&ast);
-        prop_assert_eq!(desugared.is_nullable(), ast.is_nullable());
+        assert_eq!(desugared.is_nullable(), ast.is_nullable(), "{pattern}");
     }
+}
 
-    #[test]
-    fn round_trip_is_idempotent(pattern in arb_pattern()) {
+#[test]
+fn round_trip_is_idempotent() {
+    for pattern in patterns() {
         let ast = parse(&pattern).expect("parses");
         let once = ast.to_source();
         let twice = parse(&once).expect("parses").to_source();
-        prop_assert_eq!(once, twice);
+        assert_eq!(once, twice, "{pattern}");
     }
 }
 

@@ -27,7 +27,7 @@ use std::time::Instant;
 use expose_dse::sched::{LatencyHistogram, Scheduler, SchedulerConfig};
 use expose_dse::sym::RegexEvent;
 use expose_dse::{build_solver, explore_observed, CacheSet, TraceFlipSession};
-use strsolve::Solver;
+use strsolve::{DfaTables, Solver};
 
 use crate::proto::{
     self, CacheCounters, ErrorCode, ExploreRequest, LifetimeCounters, MetricsReport,
@@ -298,15 +298,13 @@ impl<'a> Connection<'a> {
             solve_latency: self.solve_latency.snapshot(),
             progress,
             caches: CacheCounters {
-                model: (caches.model.stats().hits, caches.model.stats().misses),
-                verdicts: (caches.verdicts.hits(), caches.verdicts.misses()),
+                model: caches.model.stats(),
+                verdicts: caches.verdicts.stats(),
                 dfa: caches
                     .dfa
                     .as_ref()
-                    .map(|t| (t.hits(), t.misses()))
+                    .map(DfaTables::stats)
                     .unwrap_or_default(),
-                bytes: (caches.model.bytes() as u64, caches.verdicts.bytes() as u64),
-                evictions: (caches.model.evictions(), caches.verdicts.evictions()),
                 session,
             },
             shards: scheduler.shard_stats(),

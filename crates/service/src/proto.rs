@@ -37,6 +37,7 @@ use expose_core::SupportLevel;
 use expose_dse::sched::{Completion, LatencySnapshot, Progress, ShardStats};
 use expose_dse::sym::{RegexEvent, SymExpr};
 use expose_dse::Report;
+use strsolve::CacheStats;
 
 use crate::json::{self, Value};
 use crate::wire;
@@ -600,21 +601,17 @@ pub fn status_line(progress: &Progress, workers: usize, version: ProtoVersion) -
     )
 }
 
-/// Cache counters for a `stats` line.
+/// Cache counters for a `stats` line. Hits and misses of all three
+/// caches are rendered; resident bytes and evictions of the model and
+/// verdict caches (the byte-budget accounting of long-lived sessions).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheCounters {
-    /// Regex-model cache hits / misses.
-    pub model: (u64, u64),
-    /// CEGAR verdict-cache replays / misses.
-    pub verdicts: (u64, u64),
-    /// DFA-table hits / misses.
-    pub dfa: (u64, u64),
-    /// Approximate resident bytes of the model / verdict caches (the
-    /// byte-budget accounting of long-lived sessions).
-    pub bytes: (u64, u64),
-    /// Entries evicted so far from the model / verdict caches
-    /// (capacity- or budget-driven).
-    pub evictions: (u64, u64),
+    /// The regex-model cache.
+    pub model: CacheStats,
+    /// The CEGAR verdict cache (a hit is a replayed run).
+    pub verdicts: CacheStats,
+    /// The DFA tables' totals (zero without session tables).
+    pub dfa: CacheStats,
     /// Counters of the connection's active streaming session, if one is
     /// open when the `stats` request arrives.
     pub session: Option<SessionCounters>,
@@ -707,16 +704,16 @@ fn write_counters(out: &mut String, report: &MetricsReport<'_>) {
         out,
         "\"model_cache\":[{},{}],\"verdict_cache\":[{},{}],\"dfa_tables\":[{},{}],\
          \"cache_bytes\":[{},{}],\"cache_evictions\":[{},{}],\"shards\":[",
-        caches.model.0,
-        caches.model.1,
-        caches.verdicts.0,
-        caches.verdicts.1,
-        caches.dfa.0,
-        caches.dfa.1,
-        caches.bytes.0,
-        caches.bytes.1,
-        caches.evictions.0,
-        caches.evictions.1,
+        caches.model.hits,
+        caches.model.misses,
+        caches.verdicts.hits,
+        caches.verdicts.misses,
+        caches.dfa.hits,
+        caches.dfa.misses,
+        caches.model.bytes,
+        caches.verdicts.bytes,
+        caches.model.evictions,
+        caches.verdicts.evictions,
     );
     for (i, shard) in report.shards.iter().enumerate() {
         if i > 0 {
@@ -866,7 +863,7 @@ pub fn solved_line(id: u64, depth: usize, result: &expose_dse::FlipResult) -> St
         out,
         "{{\"v\":2,\"type\":\"solved\",\"session\":{id},\"depth\":{depth},\
          \"sat\":{},\"refinements\":{},\"limit_hit\":{},\"prefix_reuse\":{}",
-        record.sat, record.refinements, record.limit_hit, record.prefix_reuse_hits
+        record.sat, record.refinements, record.limit_hit, record.solver.prefix_reuse_hits
     );
     match &result.inputs {
         None => out.push_str(",\"inputs\":null"),
@@ -1263,7 +1260,10 @@ mod tests {
             record: expose_dse::QueryRecord {
                 sat: true,
                 refinements: 2,
-                prefix_reuse_hits: 3,
+                solver: strsolve::SolveStats {
+                    prefix_reuse_hits: 3,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         };

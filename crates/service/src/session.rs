@@ -506,17 +506,17 @@ mod tests {
     fn cache_set_carries_byte_budgets() {
         let config = ServiceConfig::default().cache_bytes(2048);
         let caches = config.cache_set();
-        assert_eq!(caches.model.byte_budget(), 2048);
-        assert_eq!(caches.verdicts.byte_budget(), 2048);
+        assert_eq!(caches.model.stats().byte_budget, 2048);
+        assert_eq!(caches.verdicts.stats().byte_budget, 2048);
         // Entry capacities follow the engine configuration.
         assert_eq!(
-            caches.verdicts.capacity(),
+            caches.verdicts.stats().capacity,
             config.engine.query_cache_capacity
         );
         // The defaults are bounded, not unlimited.
         let defaults = ServiceConfig::default().cache_set();
-        assert!(defaults.model.byte_budget() > 0);
-        assert!(defaults.verdicts.byte_budget() > 0);
+        assert!(defaults.model.stats().byte_budget > 0);
+        assert!(defaults.verdicts.stats().byte_budget > 0);
     }
 
     #[test]
@@ -748,6 +748,42 @@ mod tests {
         );
         // No front-end: no server object.
         assert!(!metrics.contains(r#""server":"#), "{metrics}");
+    }
+
+    #[test]
+    fn metrics_line_counts_cache_traffic() {
+        // Two identical regex submits drain on one connection; a second
+        // connection sharing the cache set then reads the counters.
+        let config = quick_config(1);
+        let options = ServeOptions::new()
+            .config(config.clone())
+            .caches(config.cache_set());
+        let submit = r#"{"type":"submit","name":"a","program":"function f(x) { if (/^(a+)b$/.test(x)) { return 1; } return 0; }"}"#;
+        options
+            .serve(format!("{submit}\n{submit}\n").as_bytes(), std::io::sink())
+            .expect("serve");
+        let mut out: Vec<u8> = Vec::new();
+        options
+            .serve(&b"{\"v\":2,\"type\":\"metrics\"}\n"[..], &mut out)
+            .expect("serve");
+        let text = String::from_utf8(out).expect("utf8");
+        let line = text.lines().next().expect("metrics line");
+        let metrics = crate::json::parse(line).expect("json");
+        let pair = |key: &str| -> (u64, u64) {
+            match metrics.get(key) {
+                Some(crate::json::Value::Arr(items)) if items.len() == 2 => (
+                    items[0].as_u64().expect("count"),
+                    items[1].as_u64().expect("count"),
+                ),
+                other => panic!("{key}: {other:?} in {line}"),
+            }
+        };
+        for key in ["model_cache", "verdict_cache", "dfa_tables"] {
+            let (hits, misses) = pair(key);
+            assert!(hits > 0 && misses > 0, "{key} in {line}");
+        }
+        let (model_bytes, verdict_bytes) = pair("cache_bytes");
+        assert!(model_bytes > 0 && verdict_bytes > 0, "{line}");
     }
 
     #[test]

@@ -7,16 +7,25 @@
 //! every query is built against a fresh [`crate::VarPool`]. The
 //! [`canonical_query`] normal form (variables renumbered in
 //! first-occurrence order) closes that gap, and [`Lru`] bounds the
-//! resident entries. The caches built from them live upstream:
-//! `expose_core::cache::ModelCache` (regex models) and
+//! resident entries.
+//!
+//! Every shared cache of the pipeline is a [`SharedLru`]: the lock, the
+//! bounded map and the hit/miss counters in one place, with one
+//! [`CacheStats`] snapshot per cache. That covers
+//! `expose_core::cache::ModelCache` (regex models),
 //! `expose_core::cegar::CegarCache` (whole validated CEGAR runs,
 //! selected by a session's conjunct digest and decided by the full
-//! canonical conjunct list plus a [`crate::SolverConfig`] fingerprint).
+//! canonical conjunct list plus a [`crate::SolverConfig`] fingerprint)
+//! and the six indexes of the solver's DFA cache ([`crate::DfaTables`]).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::iter::Sum;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::formula::{Atom, Formula};
 use crate::vars::{BoolVar, StrVar, Term};
@@ -259,6 +268,133 @@ impl<K: Eq + Hash, V> Lru<K, V> {
     }
 }
 
+/// A point-in-time snapshot of a cache's counters, or the sum of
+/// several caches' snapshots.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that found nothing usable (absent, or rejected by the
+    /// caller).
+    pub misses: u64,
+    /// Resident entries.
+    pub entries: usize,
+    /// Approximate bytes held by resident weighted entries.
+    pub bytes: usize,
+    /// Entries evicted so far (capacity- or budget-driven).
+    pub evictions: u64,
+    /// The entry capacity (`0` = the cache is disabled).
+    pub capacity: usize,
+    /// The byte budget (`0` = unlimited).
+    pub byte_budget: usize,
+}
+
+impl CacheStats {
+    /// Hit rate in `[0, 1]` (`0` when no lookup happened yet).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+impl Sum for CacheStats {
+    fn sum<I: Iterator<Item = CacheStats>>(iter: I) -> CacheStats {
+        iter.fold(CacheStats::default(), |a, b| CacheStats {
+            hits: a.hits + b.hits,
+            misses: a.misses + b.misses,
+            entries: a.entries + b.entries,
+            bytes: a.bytes + b.bytes,
+            evictions: a.evictions + b.evictions,
+            capacity: a.capacity + b.capacity,
+            byte_budget: a.byte_budget + b.byte_budget,
+        })
+    }
+}
+
+/// An [`Lru`] shared between threads: one lock around the map, plus
+/// the hit and miss counters.
+///
+/// Each lookup and each insert takes the lock once. A lookup reads the
+/// resident value under the lock (cloning at most a pointer, for the
+/// `Arc` values every cache stores) and may judge what it read after
+/// the lock is released; a value the caller rejects counts as a miss.
+/// An insert frees what it evicted only after the lock is released:
+/// dropping an evicted model, run or automaton can free a lot of
+/// memory, and other threads wait on the lock meanwhile.
+#[derive(Debug)]
+pub struct SharedLru<K, V> {
+    lru: Mutex<Lru<K, V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<K: Eq + Hash, V> SharedLru<K, V> {
+    /// Creates a cache holding at most `capacity` entries (`0`
+    /// disables it: inserts are dropped and lookups miss) and, when
+    /// `byte_budget > 0`, at most roughly `byte_budget` bytes of
+    /// weighted entries.
+    pub fn new(capacity: usize, byte_budget: usize) -> SharedLru<K, V> {
+        SharedLru {
+            lru: Mutex::new(Lru::with_byte_budget(capacity, byte_budget)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Looks `key` up and clones its value.
+    pub fn get(&self, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        self.get_with(key, V::clone, |_| true)
+    }
+
+    /// Looks `key` up: `read` runs on the resident value under the
+    /// lock, and `accept` judges what it read once the lock is
+    /// released. A value `accept` rejects counts as a miss.
+    pub fn get_with<R>(
+        &self,
+        key: &K,
+        read: impl FnOnce(&V) -> R,
+        accept: impl FnOnce(&R) -> bool,
+    ) -> Option<R> {
+        let resident = self.lru.lock().get(key).map(read);
+        let found = resident.filter(accept);
+        let counter = match found {
+            Some(_) => &self.hits,
+            None => &self.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Inserts an entry weighing approximately `weight` bytes (see
+    /// [`Lru::insert_weighted`]) and frees what it evicted after the
+    /// lock is released.
+    pub fn insert(&self, key: K, value: V, weight: usize) {
+        let evicted = self.lru.lock().insert_weighted(key, value, weight);
+        drop(evicted);
+    }
+
+    /// The cache's counters, as one snapshot.
+    pub fn stats(&self) -> CacheStats {
+        let lru = self.lru.lock();
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: lru.len(),
+            bytes: lru.bytes(),
+            evictions: lru.evictions(),
+            capacity: lru.capacity,
+            byte_budget: lru.byte_budget,
+        }
+    }
+}
+
 /// An incremental first-occurrence variable renumberer.
 ///
 /// Feeding formulas through [`Canonicalizer::formula`] assigns each
@@ -482,6 +618,78 @@ mod tests {
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.bytes(), 70);
         assert_eq!(lru.evictions(), 0);
+    }
+
+    #[test]
+    fn shared_lru_counts_hits_and_misses() {
+        let cache: SharedLru<u32, Arc<str>> = SharedLru::new(4, 0);
+        assert_eq!(cache.get(&1), None);
+        cache.insert(1, Arc::from("one"), 0);
+        assert_eq!(cache.get(&1).as_deref(), Some("one"));
+        assert_eq!(cache.get(&1).as_deref(), Some("one"));
+        // A resident value the caller rejects is a miss.
+        assert_eq!(cache.get_with(&1, Arc::clone, |_| false), None);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2));
+        assert_eq!(
+            (stats.entries, stats.capacity, stats.byte_budget),
+            (1, 4, 0)
+        );
+        assert_eq!(stats.hit_rate(), 0.5);
+    }
+
+    #[test]
+    fn shared_lru_with_zero_capacity_stores_nothing() {
+        let cache: SharedLru<u32, u32> = SharedLru::new(0, 0);
+        cache.insert(1, 10, 8);
+        assert_eq!(cache.get(&1), None);
+        assert_eq!(cache.get(&1), None);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 2));
+        assert_eq!((stats.entries, stats.bytes, stats.evictions), (0, 0, 0));
+    }
+
+    #[test]
+    fn shared_lru_byte_budget_evicts_and_holds() {
+        let cache: SharedLru<u32, u32> = SharedLru::new(64, 100);
+        for key in 0..10 {
+            cache.insert(key, key, 30);
+            let stats = cache.stats();
+            assert!(stats.bytes <= 100, "{stats:?}");
+            assert_eq!(stats.bytes, stats.entries * 30);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (3, 7));
+        // The three most recent keys are resident, the rest evicted.
+        assert_eq!(cache.get(&9), Some(9));
+        assert_eq!(cache.get(&6), None);
+    }
+
+    #[test]
+    fn cache_stats_sum_fieldwise() {
+        let one = CacheStats {
+            hits: 1,
+            misses: 2,
+            entries: 3,
+            bytes: 4,
+            evictions: 5,
+            capacity: 6,
+            byte_budget: 7,
+        };
+        let total: CacheStats = [one, one].into_iter().sum();
+        assert_eq!(
+            total,
+            CacheStats {
+                hits: 2,
+                misses: 4,
+                entries: 6,
+                bytes: 8,
+                evictions: 10,
+                capacity: 12,
+                byte_budget: 14,
+            }
+        );
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
     /// The min-tick-scan map `Lru` replaced, kept as the eviction-order

@@ -40,7 +40,9 @@ pub mod solver;
 pub mod stats;
 pub mod vars;
 
-pub use cache::{canonical_query, CanonicalQuery, Canonicalizer, Evicted, Lru};
+pub use cache::{
+    canonical_query, CacheStats, CanonicalQuery, Canonicalizer, Evicted, Lru, SharedLru,
+};
 pub use config::SolverConfig;
 pub use formula::{Atom, Formula};
 pub use model::Model;

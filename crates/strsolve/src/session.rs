@@ -196,8 +196,6 @@ pub struct Shape {
     bools: Vec<BoolVar>,
     /// [`conjunct_digest`] of `conjuncts`.
     digest: u64,
-    /// Total [`Formula::approx_bytes`] of `conjuncts`.
-    bytes: usize,
 }
 
 impl Shape {
@@ -211,7 +209,6 @@ impl Shape {
             .collect();
         Shape {
             digest: conjunct_digest(&conjuncts),
-            bytes: conjuncts.iter().map(Formula::approx_bytes).sum(),
             conjuncts,
             bottom: flatten(item).is_none(),
             strs: canon.str_vars().to_vec(),
@@ -276,6 +273,20 @@ pub struct ViewKey {
     shapes: Vec<Arc<Shape>>,
     str_ids: Vec<u32>,
     bool_ids: Vec<u32>,
+}
+
+impl ViewKey {
+    /// Approximate bytes the key owns: its canonical conjuncts and id
+    /// lists, and one pointer per shape. The shapes themselves are
+    /// shared with the constraint models they were taken from.
+    pub fn approx_bytes(&self) -> usize {
+        self.conjuncts
+            .iter()
+            .map(Formula::approx_bytes)
+            .sum::<usize>()
+            + self.shapes.len() * std::mem::size_of::<Arc<Shape>>()
+            + (self.str_ids.len() + self.bool_ids.len()) * std::mem::size_of::<u32>()
+    }
 }
 
 /// One flip query posed against a session prefix, ready for a
@@ -405,23 +416,6 @@ impl<'a> SessionView<'a> {
     pub fn canonical(&self) -> Formula {
         let list = self.conjuncts();
         conjoin(list.len(), list.iter())
-    }
-
-    /// [`Formula::approx_bytes`] of [`SessionView::canonical`], without
-    /// assembling it.
-    pub fn approx_bytes(&self) -> usize {
-        let items: usize = self
-            .canon_prefix
-            .iter()
-            .chain(&self.canon_tail)
-            .map(Formula::approx_bytes)
-            .sum::<usize>()
-            + self.groups.iter().map(|g| g.shape.bytes).sum::<usize>();
-        match self.len {
-            1 => items,
-            // `⊤`, or the `And` node over the items.
-            _ => std::mem::size_of::<Formula>() + items,
-        }
     }
 
     /// Prefix frames whose canonical form was reused (not re-derived)
@@ -781,7 +775,6 @@ mod tests {
                 );
                 assert_eq!(q.canonicalizer().str_vars(), scratch_canon.str_vars());
                 assert_eq!(q.canonicalizer().bool_vars(), scratch_canon.bool_vars());
-                assert_eq!(q.approx_bytes(), scratch_canon.formula.approx_bytes());
             }
         }
     }
@@ -875,7 +868,6 @@ mod tests {
             "{at}"
         );
         assert_eq!(grouped_view.original(), plain.original(), "{at}");
-        assert_eq!(grouped_view.approx_bytes(), plain.approx_bytes(), "{at}");
         assert!(grouped_view.matches(&grouped_view.key()), "{at}");
     }
 
@@ -986,7 +978,6 @@ mod tests {
                 assert_eq!(poisoned.conjuncts(), plain.conjuncts());
                 assert_eq!(poisoned.digest(), plain.digest());
                 assert_eq!(poisoned.original(), plain.original());
-                assert_eq!(poisoned.approx_bytes(), plain.approx_bytes());
                 assert!(poisoned.matches(&plain.key()));
 
                 let topped = session.view_with(depth, assumption, &[group(&top, &top_shape)]);
@@ -994,7 +985,6 @@ mod tests {
                 assert_eq!(topped.conjuncts(), plain.conjuncts());
                 assert_eq!(topped.digest(), plain.digest());
                 assert_eq!(topped.original(), plain.original());
-                assert_eq!(topped.approx_bytes(), plain.approx_bytes());
                 assert!(topped.matches(&plain.key()));
             }
         }

@@ -25,6 +25,7 @@ use std::time::Instant;
 
 use automata::{Alphabet, CRegex, CharSet, Dfa, FxHasher};
 
+use crate::cache::{CacheStats, SharedLru};
 use crate::config::SolverConfig;
 use crate::formula::{Atom, Formula};
 use crate::model::Model;
@@ -187,13 +188,12 @@ impl Solver {
 /// let v = pool.fresh_str();
 /// let re = CRegex::plus(CRegex::set(CharSet::single('a')));
 /// a.solve(&Formula::in_re(v, re.clone()));
-/// let before = tables.hits();
+/// let before = tables.stats().hits;
 /// b.solve(&Formula::in_re(v, re));
-/// assert!(tables.hits() > before, "second solver reused the tables");
+/// assert!(tables.stats().hits > before, "second solver reused the tables");
 /// ```
 #[derive(Debug, Clone)]
 pub struct DfaTables {
-    capacity: usize,
     cache: Arc<DfaCache>,
 }
 
@@ -202,46 +202,20 @@ impl DfaTables {
     /// (`0` disables storage, turning every lookup into a miss).
     pub fn new(capacity: usize) -> DfaTables {
         DfaTables {
-            capacity,
             cache: Arc::new(DfaCache::new(capacity)),
         }
     }
 
-    /// The per-index capacity the tables were created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total lookups served from the tables.
-    pub fn hits(&self) -> u64 {
-        self.cache.hit_count()
-    }
-
-    /// Total lookups that had to produce an automaton (build or
-    /// project it).
-    pub fn misses(&self) -> u64 {
-        self.cache.miss_count()
+    /// The totals of the compiled-DFA, exact-word, universal and
+    /// fold-product indexes: a miss is a lookup that had to produce an
+    /// automaton (build or project it).
+    pub fn stats(&self) -> CacheStats {
+        self.cache.stats()
     }
 
     /// Hit rate in `[0, 1]` (`0` before any lookup).
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits() as f64;
-        let total = hits + self.misses() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
-    }
-
-    /// Resident compiled-DFA entries.
-    pub fn len(&self) -> usize {
-        self.cache.entry_count()
-    }
-
-    /// True when no compiled DFA is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.stats().hit_rate()
     }
 }
 
@@ -260,35 +234,31 @@ impl DfaTables {
 /// minimal DFA a fresh build would.
 #[derive(Debug)]
 pub(crate) struct DfaCache {
-    /// Lookups served from a shard (entries/words/universals/products).
-    hits: std::sync::atomic::AtomicU64,
-    /// Lookups that had to produce an automaton.
-    misses: std::sync::atomic::AtomicU64,
-    entries: Shard<DfaKey, Arc<Dfa>>,
+    entries: SharedLru<DfaKey, Arc<Dfa>>,
     /// Each regex's minimal, canonically numbered DFA over its own
     /// minterm alphabet — the source every `entries` miss projects
     /// from.
-    bases: Shard<ReKey, Arc<Dfa>>,
+    bases: SharedLru<ReKey, Arc<Dfa>>,
     /// Interned minterm alphabets, keyed by a std-hashed digest of the
     /// normalized problem (sorted deduped sets + literal characters);
     /// the value keeps the sets, and a hit compares them in place, so
     /// a digest collision is a miss. Building the partition is pure
     /// per-conjunction overhead, and interning also makes repeated
     /// conjunctions share one `Arc`.
-    alphabets: Shard<u64, (Vec<CharSet>, Arc<Alphabet>)>,
+    alphabets: SharedLru<u64, (Vec<CharSet>, Arc<Alphabet>)>,
     /// Exact-word DFAs for equality/disequality literals, keyed by
-    /// word + alphabet pointer (the alphabet `Arc` is retained in the
-    /// value, so a resident key's address cannot be recycled).
-    words: Shard<(String, usize, bool), WordEntry>,
+    /// word + alphabet pointer (each DFA holds its alphabet's `Arc`,
+    /// so a resident key's address cannot be recycled).
+    words: SharedLru<(String, usize, bool), Arc<Dfa>>,
     /// Universal DFAs for unconstrained roots, keyed by alphabet
-    /// pointer (the alphabet `Arc` retained in the value, as above).
-    universals: Shard<usize, WordEntry>,
+    /// pointer (the DFA holds the alphabet, as above).
+    universals: SharedLru<usize, Arc<Dfa>>,
     /// Intersection folds, keyed by the sorted pointer set of their
     /// factors (each factor `Arc` retained in the value — same ABA
     /// argument). A conjunction repeated across boolean branches,
     /// CEGAR iterations, or queries reuses the folded product instead
     /// of re-multiplying the factors.
-    products: Shard<Vec<usize>, ProductEntry>,
+    products: SharedLru<Vec<usize>, ProductEntry>,
 }
 
 /// The pipeline of [`DfaCache::product`]'s intersection folds. Fold
@@ -297,19 +267,6 @@ pub(crate) struct DfaCache {
 /// cost more to minimize than they save.
 const FOLD_CONFIG: automata::AutomataConfig = automata::AutomataConfig::minimizing_from(64);
 
-/// One locked LRU index of the [`DfaCache`].
-type Shard<K, V> = parking_lot::Mutex<crate::cache::Lru<K, V>>;
-/// Inserts into a shard and frees what the insert evicted only after
-/// the shard's lock is released: dropping an evicted automaton can free
-/// thousands of states, and other solvers wait on the lock meanwhile.
-fn store<K: Eq + Hash, V>(shard: &Shard<K, V>, key: K, value: V) {
-    let evicted = shard.lock().insert(key, value);
-    drop(evicted);
-}
-
-/// A cached exact-word DFA plus the alphabet `Arc` that keeps its
-/// pointer key valid.
-type WordEntry = (Arc<Dfa>, Arc<Alphabet>);
 /// A cached fold product plus its factor keep-alives.
 type ProductEntry = (Arc<Dfa>, Vec<Arc<Dfa>>);
 
@@ -360,42 +317,27 @@ impl Hash for ReKey {
 impl DfaCache {
     fn new(capacity: usize) -> DfaCache {
         DfaCache {
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-            entries: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
-            bases: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
-            alphabets: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
-            words: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
-            universals: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
-            products: parking_lot::Mutex::new(crate::cache::Lru::new(capacity)),
+            entries: SharedLru::new(capacity, 0),
+            bases: SharedLru::new(capacity, 0),
+            alphabets: SharedLru::new(capacity, 0),
+            words: SharedLru::new(capacity, 0),
+            universals: SharedLru::new(capacity, 0),
+            products: SharedLru::new(capacity, 0),
         }
     }
 
-    /// Records a shard lookup on both the cache-level counters and the
-    /// per-query stats.
-    fn note(&self, stats: &mut SolveStats, hit: bool) {
-        use std::sync::atomic::Ordering;
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            stats.dfa_cache_hits += 1;
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Total lookups served from the tables.
-    pub(crate) fn hit_count(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Total lookups that had to produce an automaton.
-    pub(crate) fn miss_count(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Resident compiled-DFA entries (the `entries` shard).
-    pub(crate) fn entry_count(&self) -> usize {
-        self.entries.lock().len()
+    /// The totals of the indexes whose hits a query counts in
+    /// [`SolveStats::dfa_cache_hits`]: `bases` and `alphabets` sit
+    /// behind them.
+    fn stats(&self) -> CacheStats {
+        [
+            self.entries.stats(),
+            self.words.stats(),
+            self.universals.stats(),
+            self.products.stats(),
+        ]
+        .into_iter()
+        .sum()
     }
 
     /// The exact-word DFA (optionally complemented) of a literal under
@@ -412,18 +354,18 @@ impl DfaCache {
             Arc::as_ptr(alphabet) as usize,
             complemented,
         );
-        if let Some((dfa, _)) = self.words.lock().get(&key) {
-            self.note(stats, true);
-            return Arc::clone(dfa);
+        if let Some(dfa) = self.words.get(&key) {
+            stats.dfa_cache_hits += 1;
+            return dfa;
         }
-        self.note(stats, false);
         stats.dfas_built += 1;
         let mut dfa = Dfa::from_word(word, alphabet);
         if complemented {
             dfa = dfa.complement();
         }
         let dfa = Arc::new(dfa);
-        store(&self.words, key, (Arc::clone(&dfa), Arc::clone(alphabet)));
+        debug_assert!(Arc::ptr_eq(dfa.alphabet(), alphabet));
+        self.words.insert(key, Arc::clone(&dfa), 0);
         dfa
     }
 
@@ -432,18 +374,14 @@ impl DfaCache {
     /// alphabets recur across conjunctions.
     fn universal_dfa(&self, alphabet: &Arc<Alphabet>, stats: &mut SolveStats) -> Arc<Dfa> {
         let key = Arc::as_ptr(alphabet) as usize;
-        if let Some((dfa, _)) = self.universals.lock().get(&key) {
-            self.note(stats, true);
-            return Arc::clone(dfa);
+        if let Some(dfa) = self.universals.get(&key) {
+            stats.dfa_cache_hits += 1;
+            return dfa;
         }
-        self.note(stats, false);
         stats.dfas_built += 1;
         let dfa = Arc::new(Dfa::universal(alphabet));
-        store(
-            &self.universals,
-            key,
-            (Arc::clone(&dfa), Arc::clone(alphabet)),
-        );
+        debug_assert!(Arc::ptr_eq(dfa.alphabet(), alphabet));
+        self.universals.insert(key, Arc::clone(&dfa), 0);
         dfa
     }
 
@@ -454,11 +392,13 @@ impl DfaCache {
         let mut key: Vec<usize> = factors.iter().map(|f| Arc::as_ptr(f) as usize).collect();
         key.sort_unstable();
         key.dedup(); // intersection is idempotent
-        if let Some((dfa, _)) = self.products.lock().get(&key) {
-            self.note(stats, true);
-            return Arc::clone(dfa);
+        if let Some(dfa) = self
+            .products
+            .get_with(&key, |(dfa, _)| Arc::clone(dfa), |_| true)
+        {
+            stats.dfa_cache_hits += 1;
+            return dfa;
         }
-        self.note(stats, false);
         let (first, rest) = factors.split_first().expect("at least two factors");
         let mut acc: Option<Dfa> = None;
         for factor in rest {
@@ -469,7 +409,8 @@ impl DfaCache {
             stats.states_after_minimize += metrics.states_after_minimize;
         }
         let product = Arc::new(acc.expect("at least two factors"));
-        store(&self.products, key, (Arc::clone(&product), factors));
+        self.products
+            .insert(key, (Arc::clone(&product), factors), 0);
         product
     }
 
@@ -484,14 +425,21 @@ impl DfaCache {
         sets.sort_unstable();
         sets.dedup();
         let digest = BuildHasherDefault::<DefaultHasher>::default().hash_one(&*sets);
-        if let Some((stored, alphabet)) = self.alphabets.lock().get(&digest) {
-            if stored.len() == sets.len() && stored.iter().zip(sets.iter()).all(|(a, b)| a == *b) {
-                return Arc::clone(alphabet);
-            }
+        let same = |stored: &[CharSet]| {
+            stored.len() == sets.len() && stored.iter().zip(sets.iter()).all(|(a, b)| a == *b)
+        };
+        let resident = self.alphabets.get_with(
+            &digest,
+            |(stored, alphabet)| same(stored).then(|| Arc::clone(alphabet)),
+            Option::is_some,
+        );
+        if let Some(alphabet) = resident.flatten() {
+            return alphabet;
         }
         let alphabet = Arc::new(Alphabet::from_sets(sets));
         let owned = sets.iter().map(|&set| set.clone()).collect();
-        store(&self.alphabets, digest, (owned, Arc::clone(&alphabet)));
+        self.alphabets
+            .insert(digest, (owned, Arc::clone(&alphabet)), 0);
         alphabet
     }
 
@@ -514,11 +462,10 @@ impl DfaCache {
             alphabet: Arc::clone(alphabet),
             complemented,
         };
-        if let Some(dfa) = self.entries.lock().get(&key) {
-            self.note(stats, true);
-            return Arc::clone(dfa);
+        if let Some(dfa) = self.entries.get(&key) {
+            stats.dfa_cache_hits += 1;
+            return dfa;
         }
-        self.note(stats, false);
         // A conjunction's alphabet partitions every set of its regexes,
         // so it refines each regex's own alphabet.
         let projected = self
@@ -532,15 +479,15 @@ impl DfaCache {
         } else {
             projected
         });
-        store(&self.entries, key, Arc::clone(&dfa));
+        self.entries.insert(key, Arc::clone(&dfa), 0);
         dfa
     }
 
     /// The minimal, canonically numbered DFA of `re` over its own
     /// minterm alphabet, built on first use.
     fn base_dfa(&self, key: &ReKey, stats: &mut SolveStats) -> Arc<Dfa> {
-        if let Some(base) = self.bases.lock().get(key) {
-            return Arc::clone(base);
+        if let Some(base) = self.bases.get(key) {
+            return base;
         }
         let re = &key.re;
         stats.dfas_built += 1;
@@ -553,7 +500,7 @@ impl DfaCache {
         let base = Arc::new(Dfa::minimal_from_cregex(re, &alphabet, &mut metrics));
         stats.dfa_states_built += metrics.states_built;
         stats.states_after_minimize += metrics.states_after_minimize;
-        store(&self.bases, key.clone(), Arc::clone(&base));
+        self.bases.insert(key.clone(), Arc::clone(&base), 0);
         base
     }
 }
@@ -2876,7 +2823,7 @@ mod tests {
         }
         // Four entries, one determinization: the other three are
         // projections and complements, which build no states.
-        assert_eq!(cache.miss_count(), 4);
+        assert_eq!(cache.stats().misses, 4);
         assert_eq!(stats.dfas_built, 1);
         let mut base = automata::BuildMetrics::default();
         let cfg = automata::AutomataConfig::default();

@@ -110,7 +110,6 @@ fn grouped_views_match_plain_views_over_random_corpus() {
         );
         assert_eq!(q.original(), plain.original(), "{at}");
         assert_eq!(q.original(), Formula::and(conjuncts.clone()), "{at}");
-        assert_eq!(q.approx_bytes(), plain.approx_bytes(), "{at}");
         assert!(q.matches(&q.key()), "{at}");
     }
 }

@@ -136,9 +136,12 @@ fn verdicts_identical_with_and_without_dfa_caches() {
         |solver: &Solver| -> Vec<Outcome> { formulas.iter().map(|f| solver.solve(f).0).collect() };
     let plain = solve_all(&uncached);
     let cold = solve_all(&Solver::default().with_dfa_tables(&tables));
-    let hits_after_cold = tables.hits();
+    let hits_after_cold = tables.stats().hits;
     let warm = solve_all(&Solver::default().with_dfa_tables(&tables));
-    assert!(tables.hits() > hits_after_cold, "the warm pass hit nothing");
+    assert!(
+        tables.stats().hits > hits_after_cold,
+        "the warm pass hit nothing"
+    );
     // Two-entry tables evict on nearly every insert.
     let evicting = solve_all(&Solver::default().with_dfa_tables(&DfaTables::new(2)));
     for (seed, formula) in formulas.iter().enumerate() {

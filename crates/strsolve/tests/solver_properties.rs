@@ -3,7 +3,9 @@
 //! with brute-force enumeration on small finite instances.
 
 use automata::{CRegex, CharSet};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::IndexedRandom;
+use rand::{RngExt, SeedableRng};
 use strsolve::{Formula, Outcome, Solver, Term, VarPool};
 
 /// Evaluates a membership constraint directly via the DFA layer.
@@ -29,12 +31,30 @@ fn small_re(i: usize) -> CRegex {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Seeded cases per property.
+const CASES: u64 = 32;
 
-    /// SAT models satisfy every constraint under direct evaluation.
-    #[test]
-    fn models_satisfy_constraints(re_idx in 0usize..5, lit in "[abcxy]{0,4}") {
+/// The generator of one case.
+fn case_rng(case: u64) -> StdRng {
+    StdRng::seed_from_u64(0x5017_e500 ^ case)
+}
+
+/// A word of 0 to `max` characters over `alphabet`: the strings of the
+/// pattern `[alphabet]{0,max}`.
+fn word(rng: &mut StdRng, alphabet: &[char], max: usize) -> String {
+    let len = rng.random_range(0..=max);
+    (0..len)
+        .map(|_| *alphabet.choose(rng).expect("non-empty alphabet"))
+        .collect()
+}
+
+/// SAT models satisfy every constraint under direct evaluation.
+#[test]
+fn models_satisfy_constraints() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let re_idx = rng.random_range(0..5usize);
+        let lit = word(&mut rng, &['a', 'b', 'c', 'x', 'y'], 4);
         let mut pool = VarPool::new();
         let w = pool.fresh_str();
         let a = pool.fresh_str();
@@ -47,14 +67,19 @@ proptest! {
         if let Outcome::Sat(model) = outcome {
             let wv = model.get_str(w).expect("assigned").to_string();
             let av = model.get_str(a).expect("assigned").to_string();
-            prop_assert_eq!(wv, format!("{av}{lit}"));
-            prop_assert!(re_contains(&re, &av));
+            assert_eq!(wv, format!("{av}{lit}"), "case {case}");
+            assert!(re_contains(&re, &av), "case {case}");
         }
     }
+}
 
-    /// Disequalities are honoured by SAT models.
-    #[test]
-    fn ne_lit_respected(re_idx in 0usize..5, banned in "[ab]{0,3}") {
+/// Disequalities are honoured by SAT models.
+#[test]
+fn ne_lit_respected() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let re_idx = rng.random_range(0..5usize);
+        let banned = word(&mut rng, &['a', 'b'], 3);
         let mut pool = VarPool::new();
         let v = pool.fresh_str();
         let f = Formula::and(vec![
@@ -63,13 +88,17 @@ proptest! {
         ]);
         let (outcome, _) = Solver::default().solve(&f);
         if let Outcome::Sat(model) = outcome {
-            prop_assert_ne!(model.get_str(v).expect("assigned"), banned.as_str());
+            let value = model.get_str(v).expect("assigned");
+            assert_ne!(value, banned.as_str(), "case {case}");
         }
     }
+}
 
-    /// UNSAT answers agree with brute-force over finite languages.
-    #[test]
-    fn unsat_agrees_with_bruteforce(target in "[ab]{0,3}") {
+/// UNSAT answers agree with brute-force over finite languages.
+#[test]
+fn unsat_agrees_with_bruteforce() {
+    for case in 0..CASES {
+        let target = word(&mut case_rng(case), &['a', 'b'], 3);
         // v ∈ {ab, ba} ∧ v = target: SAT iff target ∈ {ab, ba}.
         let mut pool = VarPool::new();
         let v = pool.fresh_str();
@@ -80,8 +109,8 @@ proptest! {
         let (outcome, _) = Solver::default().solve(&f);
         let expected = target == "ab" || target == "ba";
         match outcome {
-            Outcome::Sat(_) => prop_assert!(expected),
-            Outcome::Unsat => prop_assert!(!expected),
+            Outcome::Sat(_) => assert!(expected, "case {case}: {target:?}"),
+            Outcome::Unsat => assert!(!expected, "case {case}: {target:?}"),
             Outcome::Unknown => {} // allowed, but should not occur here
         }
     }

@@ -48,8 +48,7 @@ fn verdict_cache_is_sound_across_pools_with_disjoint_numbering() {
             "padding {padding}"
         );
     }
-    assert_eq!(cache.misses(), 1);
-    assert_eq!(cache.hits(), 4);
+    assert_eq!((cache.stats().misses, cache.stats().hits), (1, 4));
 }
 
 #[test]
@@ -207,9 +206,12 @@ fn two_entry_caches_preserve_reports() {
             w.name
         );
     }
-    assert!(tiny.model.evictions() > 0, "the model cache never evicted");
     assert!(
-        tiny.verdicts.evictions() > 0,
+        tiny.model.stats().evictions > 0,
+        "the model cache never evicted"
+    );
+    assert!(
+        tiny.verdicts.stats().evictions > 0,
         "the verdict cache never evicted"
     );
 }

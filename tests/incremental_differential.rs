@@ -92,7 +92,7 @@ fn compare_flips(
                     "{name} ({support:?}): flip {k} diverged from the scratch oracle"
                 );
                 totals.flips += 1;
-                totals.prefix_reuse_hits += got.record.prefix_reuse_hits;
+                totals.prefix_reuse_hits += got.record.solver.prefix_reuse_hits;
                 totals.verdict_replays += got.record.verdict_replays;
             }
         },

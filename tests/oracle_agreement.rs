@@ -10,7 +10,9 @@ use expose::core::{api::build_match_model, cegar::CegarSolver, model::BuildConfi
 use expose::matcher::RegExp;
 use expose::strsolve::{Formula, Outcome, VarPool};
 use expose::syntax::Regex;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::IndexedRandom;
+use rand::{RngExt, SeedableRng};
 
 /// A small pool of regexes covering the feature matrix.
 fn regex_pool() -> Vec<&'static str> {
@@ -26,21 +28,37 @@ fn regex_pool() -> Vec<&'static str> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Seeded cases per property.
+const CASES: u64 = 12;
 
-    /// CEGAR-accepted capture assignments equal the engine's.
-    #[test]
-    fn cegar_models_agree_with_oracle(
-        idx in 0usize..8,
-        pin in "[ab=x0-9]{0,4}",
-    ) {
-        let literal = regex_pool()[idx];
+/// The generator of one case.
+fn case_rng(case: u64) -> StdRng {
+    StdRng::seed_from_u64(0x0ac1_e000 ^ case)
+}
+
+/// A word of 0 to `max` characters over `alphabet`: the strings of the
+/// pattern `[alphabet]{0,max}`.
+fn word(rng: &mut StdRng, alphabet: &[char], max: usize) -> String {
+    let len = rng.random_range(0..=max);
+    (0..len)
+        .map(|_| *alphabet.choose(rng).expect("non-empty alphabet"))
+        .collect()
+}
+
+/// CEGAR-accepted capture assignments equal the engine's.
+#[test]
+fn cegar_models_agree_with_oracle() {
+    let pin_chars: Vec<char> = "ab=x0123456789".chars().collect();
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let literal = regex_pool()[rng.random_range(0..8usize)];
+        let pin = word(&mut rng, &pin_chars, 4);
         let regex = Regex::parse_literal(literal).expect("literal");
         let mut pool = VarPool::new();
         let c = build_match_model(&regex, true, &mut pool, &BuildConfig::default());
-        // Half the runs pin the input to a random short string, which
-        // stresses the refinement loop on ambiguous splits.
+        // Runs with a non-empty pin fix the input to a random short
+        // string, which stresses the refinement loop on ambiguous
+        // splits.
         let problem = if pin.is_empty() {
             Formula::top()
         } else {
@@ -58,21 +76,24 @@ proptest! {
                 } else {
                     None
                 };
-                prop_assert_eq!(
+                assert_eq!(
                     oracle_value, model_value,
-                    "capture {} of {} on {:?}", i, literal, input
+                    "capture {i} of {literal} on {input:?}"
                 );
             }
         }
     }
+}
 
-    /// The backtracking matcher decides classical membership exactly as
-    /// the DFA does.
-    #[test]
-    fn matcher_agrees_with_dfa(input in "[abc]{0,8}") {
-        use expose::automata::{compile_classical, Alphabet, CompileOptions, Dfa};
-        use std::sync::Arc;
+/// The backtracking matcher decides classical membership exactly as
+/// the DFA does.
+#[test]
+fn matcher_agrees_with_dfa() {
+    use expose::automata::{compile_classical, Alphabet, CompileOptions, Dfa};
+    use std::sync::Arc;
 
+    for case in 0..CASES {
+        let input = word(&mut case_rng(case), &['a', 'b', 'c'], 8);
         for pattern in ["a(b|c)*", "(ab)+c?", "a{2,3}b", "(a|b)c"] {
             let ast = expose::syntax::parse(pattern).expect("parse");
             let re = compile_classical(&ast, &CompileOptions::default()).expect("classical");
@@ -83,18 +104,20 @@ proptest! {
 
             // Anchor the pattern for whole-word comparison.
             let mut anchored = RegExp::new(&format!("^(?:{pattern})$"), "").expect("regex");
-            prop_assert_eq!(
+            assert_eq!(
                 anchored.test(&input),
                 dfa.contains(&input),
-                "pattern {} on {:?}", pattern, input
+                "pattern {pattern} on {input:?}"
             );
         }
     }
+}
 
-    /// Negative models never produce matching witnesses.
-    #[test]
-    fn negative_witnesses_never_match(idx in 0usize..8) {
-        let literal = regex_pool()[idx];
+/// Negative models never produce matching witnesses.
+#[test]
+fn negative_witnesses_never_match() {
+    for case in 0..CASES {
+        let literal = regex_pool()[case_rng(case).random_range(0..8usize)];
         let regex = Regex::parse_literal(literal).expect("literal");
         let mut pool = VarPool::new();
         let c = build_match_model(&regex, false, &mut pool, &BuildConfig::default());
@@ -102,7 +125,7 @@ proptest! {
         if let Outcome::Sat(model) = result.outcome {
             let input = model.get_str(c.input).expect("assigned");
             let mut oracle = RegExp::from_regex(regex);
-            prop_assert!(!oracle.test(input), "{} matched {:?}", literal, input);
+            assert!(!oracle.test(input), "{literal} matched {input:?}");
         }
     }
 }

@@ -183,12 +183,13 @@ impl CegarSolver {
     ) -> CegarResult {
         let start = Instant::now();
         let groups: Vec<Group<'_>> = constraints.iter().map(|c| c.borrow().group()).collect();
-        let view = session.view_with(depth, problem_items, &groups);
+        let mut view = session.view_with(depth, problem_items, &groups);
 
-        let probed = verdicts.map(|cache| (cache, self.cache_probe(session, &view, constraints)));
+        let probed =
+            verdicts.map(|cache| (cache, self.cache_probe(session, &mut view, constraints)));
         if let Some((cache, probe)) = &probed {
             if let Some(entry) = cache.lookup(probe, &view) {
-                let outcome = entry.run.rehydrate(&probe.ext);
+                let outcome = entry.run.rehydrate(view.canonicalizer());
                 return CegarResult {
                     outcome,
                     stats: CegarStats {
@@ -215,14 +216,15 @@ impl CegarSolver {
 
     /// The verdict-cache probe for this solver's run of `view` under
     /// `constraints`: the digest that selects an entry, and everything
-    /// besides the view's key that decides it.
+    /// besides the view's key that decides it. Maps the constraint
+    /// variables into the view's renumbering.
     fn cache_probe<C: Borrow<CapturingConstraint>>(
         &self,
         session: &SolveSession,
-        view: &SessionView<'_>,
+        view: &mut SessionView<'_>,
         constraints: &[C],
     ) -> CacheProbe {
-        let (constraints, ext) = constraint_signatures(view.canonicalizer(), constraints);
+        let constraints = constraint_signatures(view, constraints);
         let params = RunParams {
             constraints,
             fingerprint: session.solver().config().fingerprint(),
@@ -235,7 +237,6 @@ impl CegarSolver {
         CacheProbe {
             digest: hasher.finish(),
             params,
-            ext,
         }
     }
 
@@ -475,14 +476,13 @@ struct RunParams {
 }
 
 /// One query's side of a verdict-cache probe: the digest that selects
-/// an entry, the parameters that (with the view's key) decide it, and
-/// the renumbering that rehydrates a replayed model.
+/// an entry and the parameters that (with the view's key) decide it.
+/// The view's renumbering, extended with the constraint variables,
+/// rehydrates a replayed model.
 struct CacheProbe {
     /// Fx digest of the view's digest and `params`.
     digest: u64,
     params: RunParams,
-    /// The view's renumbering, extended with the constraint variables.
-    ext: Canonicalizer,
 }
 
 /// The full key of one cached run, stored in its entry.
@@ -540,17 +540,16 @@ impl CachedRun {
 }
 
 /// Builds the constraint signatures for a canonical query, extending
-/// the query's renumbering with any constraint variables that do not
+/// the view's renumbering with any constraint variables that do not
 /// occur in the formula (possible for approximate models) so a replayed
 /// model can cover every variable a refined solve might assign. The
 /// extension is a pure function of (query, constraints), so store and
 /// lookup sides always agree.
 fn constraint_signatures<C: Borrow<CapturingConstraint>>(
-    canonical: &Canonicalizer,
+    view: &mut SessionView<'_>,
     constraints: &[C],
-) -> (Vec<ConstraintSig>, Canonicalizer) {
-    let mut ext = canonical.clone();
-    let sigs = constraints
+) -> Vec<ConstraintSig> {
+    constraints
         .iter()
         .map(C::borrow)
         .map(|c| ConstraintSig {
@@ -558,21 +557,20 @@ fn constraint_signatures<C: Borrow<CapturingConstraint>>(
             flags: crate::cache::pack_flags(c.regex.flags),
             positive: c.positive,
             exact: c.exact,
-            input: ext.map_str(c.input).index(),
-            wrapped: ext.map_str(c.wrapped).index(),
+            input: view.map_str(c.input).index(),
+            wrapped: view.map_str(c.wrapped).index(),
             captures: c
                 .captures
                 .iter()
                 .map(|cap| {
                     (
-                        ext.map_str(cap.value).index(),
-                        ext.map_bool(cap.defined).index(),
+                        view.map_str(cap.value).index(),
+                        view.map_bool(cap.defined).index(),
                     )
                 })
                 .collect(),
         })
-        .collect();
-    (sigs, ext)
+        .collect()
 }
 
 /// A shared, thread-safe cache of *whole validated CEGAR runs*.
@@ -634,6 +632,12 @@ impl CegarCache {
         self.entries.stats()
     }
 
+    /// The configured run capacity (`0` = disabled), read without
+    /// taking the lock.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// The entry stored under the probe's digest, if its full key
     /// equals this query's; the comparison runs outside the lock, and
     /// a digest collision counts as a miss.
@@ -644,7 +648,7 @@ impl CegarCache {
     }
 
     fn store(&self, probe: CacheProbe, view: &SessionView<'_>, result: &CegarResult) {
-        let ext = &probe.ext;
+        let ext = view.canonicalizer();
         let outcome = match &result.outcome {
             Outcome::Sat(model) => CachedOutcome::Sat {
                 // Only solver-assigned variables, so a rehydrated model
@@ -1045,8 +1049,8 @@ mod tests {
             Some(&cache),
         );
         let posed = |items: &[Formula]| {
-            let view = session.view_with(session.depth(), items, &[c.group()]);
-            cegar.cache_probe(&session, &view, constraints).digest
+            let mut view = session.view_with(session.depth(), items, &[c.group()]);
+            cegar.cache_probe(&session, &mut view, constraints).digest
         };
         // Force a collision: file the stored run under the digest of a
         // different query.

@@ -255,7 +255,7 @@ impl<'a> TraceFlipSession<'a> {
             retractable: false,
             support,
             refinement_limit,
-            verdicts: (caches.verdicts.stats().capacity > 0).then_some(caches.verdicts.as_ref()),
+            verdicts: (caches.verdicts.capacity() > 0).then_some(caches.verdicts.as_ref()),
             inputs_used: 0,
         }
     }

@@ -1,8 +1,16 @@
+//! Allocation counts of the parse and interpret stages.
+//!
 //! One more execution of a program allocates the same number of blocks
 //! whatever the size of its regex literals and function bodies: an
 //! execution borrows declared functions and shares literals, and a run's
 //! [`MatcherMemo`] holds each literal's compiled matcher, so nothing is
 //! copied or compiled per execution in proportion to the program.
+//!
+//! Lexing allocates the token vector and one block per token that
+//! carries text: it copies no characters and builds nothing per
+//! operator candidate, so `n` punctuation tokens cost only the
+//! vector's `O(log n)` growth.
+//!
 //! Counted with a thread-local counting allocator, so the count is exact
 //! and machine-independent.
 
@@ -10,6 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use expose_dse::ast::Program;
+use expose_dse::lexer::{lex, Token};
 use expose_dse::parser::parse_program;
 use expose_dse::{execute_with, Harness, InterpConfig, MatcherMemo};
 
@@ -119,5 +128,44 @@ fn a_warm_execution_allocates_independently_of_the_function_size() {
         small, large,
         "declaring a 200-statement function allocated {large} blocks per execution, \
          a 1-statement one {small}"
+    );
+}
+
+/// The blocks a vector of `n` elements allocates growing one push at a
+/// time: its first block, then one per doubling.
+fn growth_blocks(n: usize) -> u64 {
+    1 + u64::from(usize::BITS - n.leading_zeros())
+}
+
+#[test]
+fn lexing_punctuation_allocates_only_the_token_vector() {
+    let source = "=== !== == != <= >= && || = < > + - * % ( ) { } [ ] ; , . ! : ? ".repeat(40);
+    let mut tokens = Vec::new();
+    let blocks = blocks_during(|| tokens = lex(&source).expect("punctuation lexes"));
+    assert!(tokens
+        .iter()
+        .all(|t| matches!(t, Token::Punct(_) | Token::Eof)));
+    assert!(tokens.len() > 1_000);
+    assert!(
+        blocks <= growth_blocks(tokens.len()),
+        "lexing {} punctuation tokens allocated {blocks} blocks",
+        tokens.len()
+    );
+}
+
+#[test]
+fn lexing_allocates_one_block_per_text_token() {
+    let source = "let s = \"a\\nb\" + /a[/]b/g.exec(x1); ".repeat(40);
+    let mut tokens = Vec::new();
+    let blocks = blocks_during(|| tokens = lex(&source).expect("the source lexes"));
+    let texts = tokens
+        .iter()
+        .filter(|t| matches!(t, Token::Ident(_) | Token::Str(_) | Token::Regex(_)))
+        .count() as u64;
+    assert_eq!(texts, 40 * 6);
+    assert!(
+        blocks <= texts + growth_blocks(tokens.len()),
+        "lexing {} tokens, {texts} of them with text, allocated {blocks} blocks",
+        tokens.len()
     );
 }

@@ -328,6 +328,8 @@ impl Sum for CacheStats {
 #[derive(Debug)]
 pub struct SharedLru<K, V> {
     lru: Mutex<Lru<K, V>>,
+    /// The entry capacity, fixed at construction: read without the lock.
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -340,9 +342,16 @@ impl<K: Eq + Hash, V> SharedLru<K, V> {
     pub fn new(capacity: usize, byte_budget: usize) -> SharedLru<K, V> {
         SharedLru {
             lru: Mutex::new(Lru::with_byte_budget(capacity, byte_budget)),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
+    }
+
+    /// The entry capacity (`0` = the cache is disabled), read without
+    /// taking the lock.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Looks `key` up and clones its value.
@@ -389,7 +398,7 @@ impl<K: Eq + Hash, V> SharedLru<K, V> {
             entries: lru.len(),
             bytes: lru.bytes(),
             evictions: lru.evictions(),
-            capacity: lru.capacity,
+            capacity: self.capacity,
             byte_budget: lru.byte_budget,
         }
     }

@@ -394,6 +394,22 @@ impl<'a> SessionView<'a> {
         &self.canon
     }
 
+    /// Maps a string variable into the query's renumbering, assigning
+    /// the next canonical index on first occurrence, for variables that
+    /// may not occur in the view's conjuncts (e.g. a capture variable of
+    /// an approximate constraint model). The digest, key and ids were
+    /// fixed when the view was built; this extends only
+    /// [`SessionView::canonicalizer`].
+    pub fn map_str(&mut self, v: StrVar) -> StrVar {
+        self.canon.map_str(v)
+    }
+
+    /// Maps a boolean variable into the query's renumbering (see
+    /// [`SessionView::map_str`]).
+    pub fn map_bool(&mut self, v: BoolVar) -> BoolVar {
+        self.canon.map_bool(v)
+    }
+
     /// The assembled conjunction in the caller's variable space —
     /// exactly what `Formula::and(prefix ++ items ++ group formulas)`
     /// returns.
